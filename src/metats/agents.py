@@ -25,11 +25,9 @@ from .posteriors import (
     TaskLog,
     init_task_posterior,
     sample_meta_posterior,
-    sample_task_posterior,
     update_meta_posterior_categorical,
     update_meta_posterior_gaussian,
     update_meta_posterior_linear,
-    update_task_posterior,
 )
 from .rng import RngStream
 
@@ -114,12 +112,22 @@ def _init_meta_state(meta_prior, scale: float, reward_noise: float):
     raise TypeError(f"not a meta-prior: {type(meta_prior).__name__}")
 
 
+def _argmax(draw: list) -> int:
+    """Index of the largest sample; the first maximum wins, as in np.argmax."""
+    return draw.index(max(draw))
+
+
 class Agent:
     """One policy instance: a single-threaded state machine for one run.
 
-    Lifecycle per task: begin_task, then horizon times (select_action followed
-    by observe of that same arm), then end_task. MetaTS updates its
-    meta-posterior in end_task, never mid-task.
+    Lifecycle per task: begin_task, then the task's rounds, then end_task.
+    The rounds are played either all at once with play_task against a
+    pre-drawn reward table, or one at a time with select_action followed by
+    observe of that same arm; both draw the same Thompson noise from the
+    stream and apply the same per-round posterior math, so they pick the same
+    arms. With forced_last_k the last K rounds pull arms 0..K-1 in order
+    without a draw. MetaTS updates its meta-posterior in end_task, never
+    mid-task.
     """
 
     def __init__(self, spec: AgentSpec, reward_noise: float = 1.0):
@@ -146,6 +154,13 @@ class Agent:
             raise RuntimeError("no active task")
         return self.task_prior.num_arms
 
+    @property
+    def _free_rounds(self) -> int:
+        """Rounds before the forced pulls; negative when the horizon is below K."""
+        if self.spec.forced_last_k:
+            return self.horizon - self.num_arms
+        return self.horizon
+
     def begin_task(self, stream: RngStream, horizon: int) -> None:
         if self._in_task:
             raise RuntimeError("begin_task called before the previous task ended")
@@ -164,19 +179,22 @@ class Agent:
         self._pending_arm = None
         self._in_task = True
 
-    def select_action(self, stream: RngStream) -> int:
+    def _check_can_select(self) -> None:
         if not self._in_task:
-            raise RuntimeError("select_action outside a task")
+            raise RuntimeError("no round can be played outside a task")
         if self._pending_arm is not None:
             raise RuntimeError("observe the previous action before selecting again")
         if self.rounds_played >= self.horizon:
             raise RuntimeError("horizon exhausted; call end_task")
-        k = self.num_arms
-        if self.spec.forced_last_k and self.rounds_played >= self.horizon - k:
-            arm = self.rounds_played - (self.horizon - k)
+
+    def select_action(self, stream: RngStream) -> int:
+        self._check_can_select()
+        free = self._free_rounds
+        if self.rounds_played >= free:
+            arm = self.rounds_played - free
         else:
-            draw = sample_task_posterior(self.task_posterior, stream)
-            arm = int(np.argmax(draw))
+            post = self.task_posterior
+            arm = _argmax(post.thompson(post.noise(stream.gen, 1)[0]))
         self._pending_arm = arm
         return arm
 
@@ -185,10 +203,38 @@ class Agent:
             raise RuntimeError(
                 f"observe({arm}) does not match the selected action {self._pending_arm}"
             )
-        self.task_posterior = update_task_posterior(self.task_posterior, arm, reward)
+        self.task_posterior.absorb(arm, reward)
         self.log.append(arm, reward)
         self.rounds_played += 1
         self._pending_arm = None
+
+    def play_task(self, stream: RngStream, rewards: np.ndarray) -> list:
+        """Play every remaining round of the task; returns the arms pulled.
+
+        rewards is the horizon x K table (row t: what each arm pays in round
+        t). The Thompson noise of all drawn rounds comes from stream in one
+        call, the posterior is updated in place, and the log is written once
+        at the end.
+        """
+        self._check_can_select()
+        post = self.task_posterior
+        start = self.rounds_played
+        free = self._free_rounds
+        table = rewards.tolist()
+        arms = []
+        thompson, absorb, pull = post.thompson, post.absorb, arms.append
+        drawn = max(free - start, 0)
+        for t, z in enumerate(post.noise(stream.gen, drawn), start):
+            arm = _argmax(thompson(z))
+            absorb(arm, table[t][arm])
+            pull(arm)
+        for t in range(start + drawn, self.horizon):
+            arm = t - free
+            absorb(arm, table[t][arm])
+            pull(arm)
+        self.log.extend(arms, [table[t][a] for t, a in enumerate(arms, start)])
+        self.rounds_played = self.horizon
+        return arms
 
     def end_task(self) -> None:
         if not self._in_task:

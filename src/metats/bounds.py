@@ -21,6 +21,7 @@ from .harness import (
     SUB_RUN,
     ExperimentConfig,
     build_meta_prior,
+    check_widths,
     run_experiment,
     run_task,
 )
@@ -58,8 +59,7 @@ class BoundParams:
     def __post_init__(self):
         if self.K < 1 or self.n < 1 or self.m < 1:
             raise ValueError("K, n, m must be >= 1")
-        if not (self.sigma > 0.0 and self.sigma_0 > 0.0 and self.sigma_q > 0.0):
-            raise ValueError("sigma, sigma_0, sigma_q must be > 0")
+        check_widths(self.sigma, self.sigma_0, self.sigma_q)
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must be in (0, 1)")
 
@@ -316,11 +316,8 @@ def check_technical_lemmas(trials: int = 10_000, seed: int = 0) -> dict:
     worst_sqrt = -math.inf
     worst_log = -math.inf
     cases = [(1, 0.0), (100, 0.0), (10, 1.0)]
-    stream.counter += 1
     ns = stream.gen.integers(1, 10_000 + 1, size=trials)
-    stream.counter += 1
     avals = stream.gen.uniform(0.0, 1_000.0, size=trials)
-    stream.counter += 1
     zero_a = stream.gen.random(size=trials) < 0.125
     avals[zero_a] = 0.0
     cases.extend(zip(ns.tolist(), avals.tolist()))

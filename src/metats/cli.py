@@ -172,7 +172,7 @@ def _cmd_run(args) -> int:
             name: report.final_mean(name) for name in report.agent_names
         },
     }
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 
@@ -199,7 +199,7 @@ def _cmd_check_bounds(args) -> int:
         trials=args.trials,
         master_seed=seed if seed is not None else 23,
     )
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
     if args.certify:
         ok = report["empirical"]["passed"]
         ok = ok and report["violation_frequency"] <= params.m * args.lemma3_delta
@@ -310,7 +310,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except (RuntimeError, OSError, ArithmeticError) as exc:
+    except (RuntimeError, OSError, ArithmeticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -25,7 +25,6 @@ __all__ = [
     "BanditInstance",
     "sample_instance_prior",
     "sample_task_instance",
-    "sample_reward",
     "reward_table",
     "optimal_arm",
 ]
@@ -294,16 +293,6 @@ def sample_task_instance(prior, stream: RngStream, reward_noise: float = 0.0) ->
     raise TypeError(f"not an instance prior: {type(prior).__name__}")
 
 
-def sample_reward(instance: BanditInstance, arm: int, stream: RngStream) -> float:
-    """One stochastic reward for pulling `arm`."""
-    if not 0 <= arm < instance.num_arms:
-        raise ValueError(f"arm {arm} out of range for K={instance.num_arms}")
-    if instance.family == BERNOULLI:
-        stream.counter += 1
-        return float(stream.gen.random() < instance.theta[arm])
-    return sample_gaussian(stream, instance.theta[arm], instance.reward_noise**2)
-
-
 def reward_table(instance: BanditInstance, horizon: int, stream: RngStream) -> np.ndarray:
     """Pre-draw the full horizon x K reward matrix for one task.
 
@@ -314,7 +303,6 @@ def reward_table(instance: BanditInstance, horizon: int, stream: RngStream) -> n
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     k = instance.num_arms
-    stream.counter += 1
     if instance.family == BERNOULLI:
         return (stream.gen.random((horizon, k)) < instance.theta).astype(float)
     noise = stream.gen.standard_normal((horizon, k))

@@ -10,6 +10,7 @@ produce bit-identical reports.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -33,7 +34,6 @@ from .envs import (
     optimal_arm,
     reward_table,
     sample_instance_prior,
-    sample_reward,
     sample_task_instance,
 )
 from .posteriors import CategoricalWeights
@@ -45,6 +45,7 @@ __all__ = [
     "DEFAULT_BERNOULLI_PRIOR_TABLE",
     "DEFAULT_BERNOULLI_WEIGHTS",
     "build_meta_prior",
+    "check_widths",
     "agnostic_prior_for",
     "run_task",
     "run_experiment",
@@ -63,6 +64,28 @@ DEFAULT_BERNOULLI_PRIOR_TABLE = (((6.0, 2.0), (2.0, 6.0)), ((2.0, 6.0), (6.0, 2.
 DEFAULT_BERNOULLI_WEIGHTS = (0.5, 0.5)
 
 _AGENT_KEYS = {"kind", "forced_last_k", "misspecification_scale", "name"}
+
+
+def check_widths(sigma, sigma_0, sigma_q) -> None:
+    """Reject reward-noise and prior widths the conjugate updates cannot use.
+
+    Each width and its square must be a positive finite float, and so must
+    sigma^2 / sigma_0^2, the prior's weight in pulls. Within these bounds
+    every task-posterior variance is finite and positive at zero pulls, and
+    it only falls as pulls accrue. The message names the offending key.
+    """
+    widths = {"sigma": sigma, "sigma_0": sigma_0, "sigma_q": sigma_q}
+    for key, value in widths.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{key} must be > 0 and finite, got {value!r}")
+        if not 0.0 < value * value < math.inf:
+            raise ValueError(f"{key} squared must be > 0 and finite, got {key}={value!r}")
+    ratio = (sigma * sigma) / (sigma_0 * sigma_0)
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(
+            f"sigma**2 / sigma_0**2 must be > 0 and finite, "
+            f"got sigma={sigma!r}, sigma_0={sigma_0!r}"
+        )
 
 
 @dataclass
@@ -103,8 +126,7 @@ class ExperimentConfig:
             raise ValueError("m, n, runs must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
-        if not (self.sigma > 0.0 and self.sigma_0 > 0.0 and self.sigma_q > 0.0):
-            raise ValueError("sigma, sigma_0, sigma_q must be > 0")
+        check_widths(self.sigma, self.sigma_0, self.sigma_q)
         self._validate_bernoulli_table()
         self.agents = self._validate_agents(self.agents)
 
@@ -220,7 +242,6 @@ def build_meta_prior(config: ExperimentConfig, stream):
         return GaussianMetaPrior(
             sigma_q=config.sigma_q, num_arms=config.K, sigma_0=config.sigma_0
         )
-    stream.counter += 1
     features = stream.gen.uniform(-0.5, 0.5, size=(config.K, config.d))
     return LinearMetaPrior(
         mu_0=np.zeros(config.d),
@@ -272,30 +293,22 @@ def run_task(
     instance: BanditInstance,
     horizon: int,
     action_stream,
-    rewards: np.ndarray | None = None,
-    reward_stream=None,
+    rewards: np.ndarray,
 ):
-    """Play one task to completion; returns (task log, per-round pseudo-regret).
+    """Play one whole task in one call; returns (task log, per-round pseudo-regret).
 
-    Rewards come either from a pre-drawn horizon x K table (common random
-    numbers) or are sampled on the fly from reward_stream. Regret uses the
+    Rewards come from the pre-drawn horizon x K table (common random
+    numbers). The agent draws the Thompson noise of every round from
+    action_stream at once (after begin_task, which may itself draw from that
+    stream), so the arms equal those of round-by-round play. Regret uses the
     true means, not the realized rewards. begin_task/end_task are the
     caller's responsibility.
     """
-    if (rewards is None) == (reward_stream is None):
-        raise ValueError("pass exactly one of rewards or reward_stream")
-    theta = instance.theta
+    if horizon != agent.horizon:
+        raise ValueError(f"horizon {horizon} != the agent's task horizon {agent.horizon}")
+    arms = agent.play_task(action_stream, rewards)
     best = optimal_arm(instance)[1]
-    regret = np.empty(horizon)
-    for t in range(horizon):
-        arm = agent.select_action(action_stream)
-        if rewards is not None:
-            r = float(rewards[t, arm])
-        else:
-            r = sample_reward(instance, arm, reward_stream)
-        agent.observe(arm, r)
-        regret[t] = best - theta[arm]
-    return agent.log, regret
+    return agent.log, best - instance.theta[arms]
 
 
 def _simulate_run(config: ExperimentConfig, run_idx: int):
@@ -518,7 +531,7 @@ def emit_report(report: RegretReport, out_dir: str, fmt: str = "both") -> list:
     if fmt in ("json", "both"):
         json_path = os.path.join(out_dir, "report.json")
         with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         written.append(json_path)
     return written

@@ -1,19 +1,27 @@
 """Conjugate posterior state: within-task updates and per-family meta updates.
 
-Within a task the agent holds a TaskPosterior updated after every reward.
-Across tasks it holds a MetaPosterior over instance priors, updated exactly
-once per completed task from the task's full interaction log. All updates are
-pure: they return new state objects and never mutate their inputs.
+Within a task the agent holds a task posterior updated after every reward.
+Each family's task posterior has the same three per-round methods, which the
+step API (sample_task_posterior, update_task_posterior) and the agent's task
+loop share: ``noise(gen, rounds)`` draws the Thompson noise of that many
+rounds in one call, ``thompson(noise_row)`` turns one round's noise into one
+posterior sample of the arm means, and ``absorb(arm, reward)`` folds one
+observation into the state in place.
+
+Across tasks the agent holds a MetaPosterior over instance priors, updated
+exactly once per completed task from the task's full interaction log. Meta
+updates are pure: they return new state objects and never mutate their inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .envs import BetaProductPrior, GaussianDiagPrior, LinearGaussianPrior
-from .rng import RngStream, sample_beta, sample_categorical, sample_gaussian
+from .rng import RngStream, sample_categorical, sample_gaussian
 from .special import log_gamma
 
 __all__ = [
@@ -74,10 +82,15 @@ class TaskLog:
     rewards: list = field(default_factory=list)
 
     def append(self, arm: int, reward: float) -> None:
-        if not 0 <= arm < self.num_arms:
-            raise ValueError(f"arm {arm} out of range for K={self.num_arms}")
-        self.arms.append(int(arm))
-        self.rewards.append(float(reward))
+        self.extend([arm], [reward])
+
+    def extend(self, arms: list, rewards: list) -> None:
+        """Append rounds in order; every arm is checked against K."""
+        if arms and not (0 <= min(arms) and max(arms) < self.num_arms):
+            bad = next(a for a in arms if not 0 <= a < self.num_arms)
+            raise ValueError(f"arm {bad} out of range for K={self.num_arms}")
+        self.arms.extend(map(int, arms))
+        self.rewards.extend(map(float, rewards))
 
     def __len__(self) -> int:
         return len(self.arms)
@@ -120,34 +133,93 @@ class TaskLog:
 
 @dataclass
 class BetaCounts:
-    """Beta posterior shapes per arm."""
+    """Beta posterior shapes per arm, as lists of floats updated in place.
 
-    alpha: np.ndarray
-    beta: np.ndarray
+    Beta draws use rejection sampling, so their noise cannot be drawn ahead:
+    the noise of every round is the generator itself, and one round draws
+    one scalar Beta per arm in arm order (bit-identical to one array call).
+    """
+
+    alpha: list
+    beta: list
+
+    def __post_init__(self):
+        self.alpha = [float(a) for a in self.alpha]
+        self.beta = [float(b) for b in self.beta]
+
+    def copy(self) -> "BetaCounts":
+        return BetaCounts(alpha=self.alpha, beta=self.beta)
+
+    def noise(self, gen: np.random.Generator, rounds: int) -> list:
+        return [gen] * rounds
+
+    def thompson(self, gen: np.random.Generator) -> list:
+        return [gen.beta(a, b) for a, b in zip(self.alpha, self.beta)]
+
+    def absorb(self, arm: int, reward: float) -> None:
+        if reward not in (0.0, 1.0):
+            raise ValueError(f"Bernoulli reward must be 0 or 1, got {reward!r}")
+        self.alpha[arm] += reward
+        self.beta[arm] += 1.0 - reward
 
 
 @dataclass
 class GaussianArms:
     """Normal-normal posterior per arm with known observation noise.
 
-    Stores sufficient statistics; mean and variance are evaluated in closed
-    form, so the variance after N pulls is exactly sigma^2/(sigma^2/sigma_0^2 + N).
+    Stores sufficient statistics (lists of floats, updated in place); mean
+    and variance are evaluated in closed form, so the variance after N pulls
+    is exactly sigma^2/(sigma^2/sigma_0^2 + N). The variance is checked once,
+    at construction: it only falls with pulls, so that check bounds every
+    later round.
     """
 
-    prior_mu: np.ndarray
+    prior_mu: list
     sigma_0: float
     sigma: float
-    pulls: np.ndarray
-    sums: np.ndarray
+    pulls: list
+    sums: list
+
+    def __post_init__(self):
+        self.prior_mu = [float(x) for x in self.prior_mu]
+        self.pulls = [float(x) for x in self.pulls]
+        self.sums = [float(x) for x in self.sums]
+        with np.errstate(divide="ignore"):
+            variance = self.variance
+        if np.any(variance < 0.0) or not np.all(np.isfinite(variance)):
+            raise ValueError("variance must be finite and >= 0")
 
     @property
     def variance(self) -> np.ndarray:
-        return self.sigma**2 / (self.sigma**2 / self.sigma_0**2 + self.pulls)
+        return self.sigma**2 / (self.sigma**2 / self.sigma_0**2 + np.asarray(self.pulls))
 
     @property
     def mean(self) -> np.ndarray:
         v = self.variance
-        return v * (self.prior_mu / self.sigma_0**2 + self.sums / self.sigma**2)
+        mu = np.asarray(self.prior_mu)
+        return v * (mu / self.sigma_0**2 + np.asarray(self.sums) / self.sigma**2)
+
+    def copy(self) -> "GaussianArms":
+        return replace(self)
+
+    def noise(self, gen: np.random.Generator, rounds: int) -> list:
+        # Row t holds exactly the normals gen.normal(mean, sqrt(var)) would
+        # consume in round t, and numpy computes that draw as mean + sqrt(var) * z.
+        return gen.standard_normal((rounds, len(self.prior_mu))).tolist()
+
+    def thompson(self, z) -> list:
+        s2 = self.sigma**2
+        s02 = self.sigma_0**2
+        kappa = s2 / s02
+        draw = []
+        for mu, pulls, total, zi in zip(self.prior_mu, self.pulls, self.sums, z):
+            v = s2 / (kappa + pulls)
+            draw.append(v * (mu / s02 + total / s2) + math.sqrt(v) * zi)
+        return draw
+
+    def absorb(self, arm: int, reward: float) -> None:
+        self.pulls[arm] += 1.0
+        self.sums[arm] += reward
 
 
 @dataclass
@@ -163,6 +235,27 @@ class LinearGaussianPosterior:
     def mean(self) -> np.ndarray:
         return _spd_solve(self.precision, self.info, "linear task posterior mean")
 
+    def copy(self) -> "LinearGaussianPosterior":
+        return replace(self, precision=self.precision.copy(), info=self.info.copy())
+
+    def noise(self, gen: np.random.Generator, rounds: int) -> np.ndarray:
+        return gen.normal(0.0, 1.0, size=(rounds, self.info.size))
+
+    def thompson(self, z) -> list:
+        lower = _spd_factor(self.precision, "linear task posterior sampling")
+        mean = np.linalg.solve(lower.T, np.linalg.solve(lower, self.info))
+        # precision = L L^T, so L^-T z has the posterior covariance.
+        theta = mean + np.linalg.solve(lower.T, z)
+        return (self.features @ theta).tolist()
+
+    def absorb(self, arm: int, reward: float) -> None:
+        x = self.features[arm]
+        self.precision += np.outer(x, x) / self.sigma**2
+        self.info += x * (reward / self.sigma**2)
+
+
+_TASK_POSTERIORS = (BetaCounts, GaussianArms, LinearGaussianPosterior)
+
 
 def init_task_posterior(prior, sigma: float = 1.0):
     """Posterior at zero observations: the prior itself.
@@ -171,15 +264,15 @@ def init_task_posterior(prior, sigma: float = 1.0):
     the Bernoulli family ignores it.
     """
     if isinstance(prior, BetaProductPrior):
-        return BetaCounts(alpha=prior.alpha.copy(), beta=prior.beta.copy())
+        return BetaCounts(alpha=prior.alpha, beta=prior.beta)
     if isinstance(prior, GaussianDiagPrior):
         k = prior.num_arms
         return GaussianArms(
-            prior_mu=prior.mu.copy(),
+            prior_mu=prior.mu,
             sigma_0=prior.sigma_0,
             sigma=float(sigma),
-            pulls=np.zeros(k),
-            sums=np.zeros(k),
+            pulls=[0.0] * k,
+            sums=[0.0] * k,
         )
     if isinstance(prior, LinearGaussianPrior):
         precision = _spd_solve(
@@ -195,44 +288,23 @@ def init_task_posterior(prior, sigma: float = 1.0):
     raise TypeError(f"not an instance prior: {type(prior).__name__}")
 
 
+def _check_task_posterior(post) -> None:
+    if not isinstance(post, _TASK_POSTERIORS):
+        raise TypeError(f"not a task posterior: {type(post).__name__}")
+
+
 def update_task_posterior(post, arm: int, reward: float):
     """Absorb one (arm, reward) observation; returns a new posterior."""
-    if isinstance(post, BetaCounts):
-        if reward not in (0.0, 1.0):
-            raise ValueError(f"Bernoulli reward must be 0 or 1, got {reward!r}")
-        alpha = post.alpha.copy()
-        beta = post.beta.copy()
-        alpha[arm] += reward
-        beta[arm] += 1.0 - reward
-        return BetaCounts(alpha=alpha, beta=beta)
-    if isinstance(post, GaussianArms):
-        pulls = post.pulls.copy()
-        sums = post.sums.copy()
-        pulls[arm] += 1.0
-        sums[arm] += reward
-        return replace(post, pulls=pulls, sums=sums)
-    if isinstance(post, LinearGaussianPosterior):
-        x = post.features[arm]
-        precision = post.precision + np.outer(x, x) / post.sigma**2
-        info = post.info + x * (reward / post.sigma**2)
-        return replace(post, precision=precision, info=info)
-    raise TypeError(f"not a task posterior: {type(post).__name__}")
+    _check_task_posterior(post)
+    new = post.copy()
+    new.absorb(arm, reward)
+    return new
 
 
 def sample_task_posterior(post, stream: RngStream) -> np.ndarray:
-    """One posterior sample of the arm-mean vector."""
-    if isinstance(post, BetaCounts):
-        return np.atleast_1d(sample_beta(stream, post.alpha, post.beta))
-    if isinstance(post, GaussianArms):
-        return np.atleast_1d(sample_gaussian(stream, post.mean, post.variance))
-    if isinstance(post, LinearGaussianPosterior):
-        lower = _spd_factor(post.precision, "linear task posterior sampling")
-        mean = np.linalg.solve(lower.T, np.linalg.solve(lower, post.info))
-        z = np.atleast_1d(sample_gaussian(stream, 0.0, 1.0, size=post.info.size))
-        # precision = L L^T, so L^-T z has the posterior covariance.
-        theta = mean + np.linalg.solve(lower.T, z)
-        return post.features @ theta
-    raise TypeError(f"not a task posterior: {type(post).__name__}")
+    """One posterior sample of the arm-mean vector, with fresh noise from stream."""
+    _check_task_posterior(post)
+    return np.array(post.thompson(post.noise(stream.gen, 1)[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,10 @@ class RngStream:
     """A counter-based random stream addressed by (master_seed, run_id, task_id).
 
     Thin wrapper over a Philox generator keyed by the stream identity. The
-    identity fields are kept for introspection; `counter` counts the sampling
-    operations performed so far.
+    identity fields are kept for introspection.
     """
 
-    __slots__ = ("master_seed", "run_id", "task_id", "substream", "counter", "gen")
+    __slots__ = ("master_seed", "run_id", "task_id", "substream", "gen")
 
     def __init__(self, master_seed: int, run_id: int, task_id: int, substream: int = 0):
         if master_seed < 0 or run_id < 0 or task_id < 0 or substream < 0:
@@ -39,14 +38,13 @@ class RngStream:
         self.run_id = run_id
         self.task_id = task_id
         self.substream = substream
-        self.counter = 0
         seq = np.random.SeedSequence(entropy=(master_seed, run_id, task_id, substream))
         self.gen = np.random.Generator(np.random.Philox(seq))
 
     def __repr__(self) -> str:
         return (
             f"RngStream(master_seed={self.master_seed}, run_id={self.run_id}, "
-            f"task_id={self.task_id}, substream={self.substream}, counter={self.counter})"
+            f"task_id={self.task_id}, substream={self.substream})"
         )
 
 
@@ -70,7 +68,6 @@ def sample_gaussian(stream: RngStream, mean, variance, size=None):
     variance = np.asarray(variance, dtype=float)
     if np.any(variance < 0.0) or not np.all(np.isfinite(variance)):
         raise ValueError("variance must be finite and >= 0")
-    stream.counter += 1
     draw = stream.gen.normal(loc=mean, scale=np.sqrt(variance), size=size)
     return float(draw) if np.ndim(draw) == 0 else draw
 
@@ -81,7 +78,6 @@ def sample_beta(stream: RngStream, alpha, beta, size=None):
     beta = np.asarray(beta, dtype=float)
     if np.any(alpha <= 0.0) or np.any(beta <= 0.0):
         raise ValueError("Beta shapes must be > 0")
-    stream.counter += 1
     draw = stream.gen.beta(alpha, beta, size=size)
     return float(draw) if np.ndim(draw) == 0 else draw
 
@@ -96,7 +92,6 @@ def sample_categorical(stream: RngStream, weights) -> int:
     total = float(w.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"weights must sum to 1 within 1e-9, got {total!r}")
-    stream.counter += 1
     u = stream.gen.random()
     # Search the cumulative sum; the final bucket absorbs rounding slack.
     idx = int(np.searchsorted(np.cumsum(w), u * total, side="right"))

@@ -41,6 +41,11 @@ class TestBoundParams:
             dict(sigma_q=0.0),
             dict(delta=0.0),
             dict(delta=1.0),
+            dict(sigma=math.inf),
+            dict(sigma_0=math.nan),
+            dict(sigma_q=1e-200),
+            dict(sigma_0=1e200),
+            dict(sigma=1e150, sigma_0=1e-150),
         ],
     )
     def test_validation(self, kw):

@@ -14,7 +14,6 @@ from metats.envs import (
     optimal_arm,
     reward_table,
     sample_instance_prior,
-    sample_reward,
     sample_task_instance,
 )
 from metats.rng import derive_stream
@@ -152,28 +151,19 @@ def test_linear_instance_consistency_enforced():
 
 def test_bernoulli_rewards():
     inst = BanditInstance(family="bernoulli", theta=np.array([1.0, 0.75]))
-    s = derive_stream(8, 0, 0)
-    assert all(sample_reward(inst, 0, s) == 1.0 for _ in range(100))
-    draws = np.array([sample_reward(inst, 1, s) for _ in range(100_000)])
-    assert set(np.unique(draws)) <= {0.0, 1.0}
-    assert abs(draws.mean() - 0.75) < 0.007
+    table = reward_table(inst, 100_000, derive_stream(8, 0, 0))
+    assert np.all(table[:, 0] == 1.0)
+    assert set(np.unique(table)) <= {0.0, 1.0}
+    assert abs(table[:, 1].mean() - 0.75) < 0.007
 
 
 def test_gaussian_reward_noise():
     inst = BanditInstance(
         family="gaussian", theta=np.array([0.2, 0.0]), reward_noise=1.0
     )
-    s = derive_stream(9, 0, 0)
-    draws = np.array([sample_reward(inst, 0, s) for _ in range(100_000)])
+    draws = reward_table(inst, 100_000, derive_stream(9, 0, 0))[:, 0]
     assert abs(draws.var(ddof=1) - 1.0) < 0.03
     assert abs(draws.mean() - 0.2) < 0.02
-
-
-def test_reward_arm_out_of_range():
-    inst = BanditInstance(family="bernoulli", theta=np.array([0.5, 0.5]))
-    s = derive_stream(1, 0, 0)
-    with pytest.raises(ValueError):
-        sample_reward(inst, 2, s)
 
 
 def test_reward_table_matches_family():

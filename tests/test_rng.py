@@ -51,15 +51,6 @@ def test_negative_key_rejected():
         RngStream(0, 0, -2)
 
 
-def test_counter_tracks_operations():
-    s = derive_stream(1, 2, 3)
-    assert s.counter == 0
-    sample_gaussian(s, 0.0, 1.0)
-    sample_beta(s, 2.0, 3.0)
-    sample_categorical(s, [0.5, 0.5])
-    assert s.counter == 3
-
-
 def test_gaussian_zero_variance_exact():
     s = derive_stream(1, 0, 0)
     assert sample_gaussian(s, 2.5, 0.0) == 2.5
