@@ -69,21 +69,18 @@ _AGENT_KEYS = {"kind", "forced_last_k", "misspecification_scale", "name"}
 def check_widths(sigma, sigma_0, sigma_q) -> None:
     """Reject reward-noise and prior widths the conjugate updates cannot use.
 
-    Each width and its square must be a positive finite float, and so must
-    sigma^2 / sigma_0^2, the prior's weight in pulls. Within these bounds
-    every task-posterior variance is finite and positive at zero pulls, and
-    it only falls as pulls accrue. The message names the offending key.
+    Each width, its square and sigma^2 / sigma_0^2 (the prior's weight in
+    pulls) must be positive finite floats. Then every task-posterior variance
+    is finite and positive at zero pulls, and it only falls as pulls accrue.
     """
-    widths = {"sigma": sigma, "sigma_0": sigma_0, "sigma_q": sigma_q}
-    for key, value in widths.items():
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{key} must be > 0 and finite, got {value!r}")
-        if not 0.0 < value * value < math.inf:
-            raise ValueError(f"{key} squared must be > 0 and finite, got {key}={value!r}")
-    ratio = (sigma * sigma) / (sigma_0 * sigma_0)
-    if not 0.0 < ratio < math.inf:
+    for key, value in (("sigma", sigma), ("sigma_0", sigma_0), ("sigma_q", sigma_q)):
+        if not (value > 0.0 and 0.0 < value * value < math.inf):
+            raise ValueError(
+                f"{key} must be > 0 and finite, and so must its square; got {value!r}"
+            )
+    if not 0.0 < (sigma * sigma) / (sigma_0 * sigma_0) < math.inf:
         raise ValueError(
-            f"sigma**2 / sigma_0**2 must be > 0 and finite, "
+            "sigma**2 / sigma_0**2 must be > 0 and finite; "
             f"got sigma={sigma!r}, sigma_0={sigma_0!r}"
         )
 

@@ -15,6 +15,7 @@ updates are pure: they return new state objects and never mutate their inputs.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -143,13 +144,6 @@ class BetaCounts:
     alpha: list
     beta: list
 
-    def __post_init__(self):
-        self.alpha = [float(a) for a in self.alpha]
-        self.beta = [float(b) for b in self.beta]
-
-    def copy(self) -> "BetaCounts":
-        return BetaCounts(alpha=self.alpha, beta=self.beta)
-
     def noise(self, gen: np.random.Generator, rounds: int) -> list:
         return [gen] * rounds
 
@@ -169,9 +163,7 @@ class GaussianArms:
 
     Stores sufficient statistics (lists of floats, updated in place); mean
     and variance are evaluated in closed form, so the variance after N pulls
-    is exactly sigma^2/(sigma^2/sigma_0^2 + N). The variance is checked once,
-    at construction: it only falls with pulls, so that check bounds every
-    later round.
+    is exactly sigma^2/(sigma^2/sigma_0^2 + N).
     """
 
     prior_mu: list
@@ -179,15 +171,6 @@ class GaussianArms:
     sigma: float
     pulls: list
     sums: list
-
-    def __post_init__(self):
-        self.prior_mu = [float(x) for x in self.prior_mu]
-        self.pulls = [float(x) for x in self.pulls]
-        self.sums = [float(x) for x in self.sums]
-        with np.errstate(divide="ignore"):
-            variance = self.variance
-        if np.any(variance < 0.0) or not np.all(np.isfinite(variance)):
-            raise ValueError("variance must be finite and >= 0")
 
     @property
     def variance(self) -> np.ndarray:
@@ -198,9 +181,6 @@ class GaussianArms:
         v = self.variance
         mu = np.asarray(self.prior_mu)
         return v * (mu / self.sigma_0**2 + np.asarray(self.sums) / self.sigma**2)
-
-    def copy(self) -> "GaussianArms":
-        return replace(self)
 
     def noise(self, gen: np.random.Generator, rounds: int) -> list:
         # Row t holds exactly the normals gen.normal(mean, sqrt(var)) would
@@ -235,9 +215,6 @@ class LinearGaussianPosterior:
     def mean(self) -> np.ndarray:
         return _spd_solve(self.precision, self.info, "linear task posterior mean")
 
-    def copy(self) -> "LinearGaussianPosterior":
-        return replace(self, precision=self.precision.copy(), info=self.info.copy())
-
     def noise(self, gen: np.random.Generator, rounds: int) -> np.ndarray:
         return gen.normal(0.0, 1.0, size=(rounds, self.info.size))
 
@@ -264,16 +241,21 @@ def init_task_posterior(prior, sigma: float = 1.0):
     the Bernoulli family ignores it.
     """
     if isinstance(prior, BetaProductPrior):
-        return BetaCounts(alpha=prior.alpha, beta=prior.beta)
+        return BetaCounts(alpha=prior.alpha.tolist(), beta=prior.beta.tolist())
     if isinstance(prior, GaussianDiagPrior):
         k = prior.num_arms
-        return GaussianArms(
-            prior_mu=prior.mu,
+        post = GaussianArms(
+            prior_mu=prior.mu.tolist(),
             sigma_0=prior.sigma_0,
             sigma=float(sigma),
             pulls=[0.0] * k,
             sums=[0.0] * k,
         )
+        # Checked once, at zero pulls: the variance only falls as pulls
+        # accrue, so this bounds every round's Thompson draw.
+        if not np.all(np.isfinite(post.variance)):
+            raise ValueError("variance must be finite and >= 0")
+        return post
     if isinstance(prior, LinearGaussianPrior):
         precision = _spd_solve(
             prior.Sigma, np.eye(prior.dim), "linear prior covariance inverse"
@@ -296,7 +278,7 @@ def _check_task_posterior(post) -> None:
 def update_task_posterior(post, arm: int, reward: float):
     """Absorb one (arm, reward) observation; returns a new posterior."""
     _check_task_posterior(post)
-    new = post.copy()
+    new = copy.deepcopy(post)
     new.absorb(arm, reward)
     return new
 

@@ -238,7 +238,11 @@ class TestCheckBounds:
 
     @pytest.mark.parametrize(
         "override, key",
-        [("sigma=Infinity", "sigma"), ("sigma_q=1e-200", "sigma_q"), ("sigma_0=1e-200", "sigma_0")],
+        [
+            ("sigma=Infinity", "sigma"),
+            ("sigma_q=1e-200", "sigma_q"),
+            ("sigma_0=1e-200", "sigma_0"),
+        ],
     )
     def test_width_outside_float_range_names_key(self, capsys, override, key):
         code = main(["check-bounds", override])

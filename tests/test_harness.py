@@ -60,9 +60,9 @@ class TestExperimentConfig:
             (dict(d=0), "d must be >= 1"),
             (dict(sigma=float("inf")), "^sigma must be > 0 and finite"),
             (dict(sigma_q=float("nan")), "^sigma_q must be > 0 and finite"),
-            (dict(sigma_q=1e-200), "^sigma_q squared"),
-            (dict(sigma_0=1e-200), "^sigma_0 squared"),
-            (dict(sigma=1e200), "^sigma squared"),
+            (dict(sigma_q=1e-200), "^sigma_q must be .* its square"),
+            (dict(sigma_0=1e-200), "^sigma_0 must be .* its square"),
+            (dict(sigma=1e200), "^sigma must be .* its square"),
             (dict(sigma=1e150, sigma_0=1e-150), "sigma_0"),
             (dict(sigma=1e-150, sigma_0=1e150), "sigma_0"),
         ],
