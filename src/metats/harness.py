@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -69,20 +70,27 @@ _AGENT_KEYS = {"kind", "forced_last_k", "misspecification_scale", "name"}
 def check_widths(sigma, sigma_0, sigma_q) -> None:
     """Reject reward-noise and prior widths the conjugate updates cannot use.
 
-    Each width, its square and sigma^2 / sigma_0^2 (the prior's weight in
-    pulls) must be positive finite floats. Then every task-posterior variance
-    is finite and positive at zero pulls, and it only falls as pulls accrue.
+    Each width must be positive and finite with a normal (not subnormal)
+    finite square, so reciprocals of squares stay finite. For both prior
+    widths the agents use, sigma_0 and the prior-agnostic marginal
+    sqrt(sigma_q^2 + sigma_0^2), the prior's weight in pulls sigma^2 / w^2
+    must be a normal finite float and the task-posterior variance at zero
+    pulls finite; that variance only falls as pulls accrue.
     """
     for key, value in (("sigma", sigma), ("sigma_0", sigma_0), ("sigma_q", sigma_q)):
-        if not (value > 0.0 and 0.0 < value * value < math.inf):
+        if not (value > 0.0 and sys.float_info.min <= value * value < math.inf):
             raise ValueError(
-                f"{key} must be > 0 and finite, and so must its square; got {value!r}"
+                f"{key} must be > 0 and finite, with a normal finite square; got {value!r}"
             )
-    if not 0.0 < (sigma * sigma) / (sigma_0 * sigma_0) < math.inf:
-        raise ValueError(
-            "sigma**2 / sigma_0**2 must be > 0 and finite; "
-            f"got sigma={sigma!r}, sigma_0={sigma_0!r}"
-        )
+    s2 = sigma * sigma
+    marginal = math.sqrt(sigma_q * sigma_q + sigma_0 * sigma_0)
+    for name, width in (("sigma_0**2", sigma_0), ("(sigma_q**2 + sigma_0**2)", marginal)):
+        kappa = s2 / (width * width)
+        if not (sys.float_info.min <= kappa < math.inf and s2 / kappa < math.inf):
+            raise ValueError(
+                f"sigma**2 / {name} must be a normal finite float with a finite "
+                f"prior variance; got sigma={sigma!r}, sigma_0={sigma_0!r}, sigma_q={sigma_q!r}"
+            )
 
 
 @dataclass

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metats.agents import Agent, AgentSpec
 from metats.envs import (
@@ -27,9 +29,12 @@ from metats.harness import (
     run_experiment,
     run_task,
 )
+from metats.posteriors import NumericalError
 from metats.rng import derive_stream
 
 SMALL = dict(m=3, n=15, runs=2)
+# Log-uniform over 340 decades, plus every float (zero, subnormal, inf, nan).
+WIDTHS = st.floats(-170.0, 170.0).map(lambda e: 10.0**e) | st.floats()
 
 
 class TestExperimentConfig:
@@ -60,11 +65,14 @@ class TestExperimentConfig:
             (dict(d=0), "d must be >= 1"),
             (dict(sigma=float("inf")), "^sigma must be > 0 and finite"),
             (dict(sigma_q=float("nan")), "^sigma_q must be > 0 and finite"),
-            (dict(sigma_q=1e-200), "^sigma_q must be .* its square"),
-            (dict(sigma_0=1e-200), "^sigma_0 must be .* its square"),
-            (dict(sigma=1e200), "^sigma must be .* its square"),
-            (dict(sigma=1e150, sigma_0=1e-150), "sigma_0"),
-            (dict(sigma=1e-150, sigma_0=1e150), "sigma_0"),
+            (dict(sigma_q=1e-200), "^sigma_q must be .* square"),
+            (dict(sigma_q=1e-160), "^sigma_q must be .* square"),
+            (dict(sigma_0=1e-200), "^sigma_0 must be .* square"),
+            (dict(sigma=1e200), "^sigma must be .* square"),
+            (dict(sigma=1e150, sigma_0=1e-150), r"sigma\*\*2 / sigma_0\*\*2"),
+            (dict(sigma=1e-150, sigma_0=1e150), r"sigma\*\*2 / sigma_0\*\*2"),
+            (dict(sigma_0=1.3407807929942596e154), r"sigma\*\*2 / sigma_0\*\*2"),
+            (dict(sigma_0=5e153, sigma_q=1.3e154), r"sigma\*\*2 / \(sigma_q\*\*2"),
         ],
     )
     def test_scalar_validation(self, kw, msg):
@@ -141,6 +149,31 @@ class TestExperimentConfig:
         # Echo is pure JSON data and reconstructs the identical config.
         rebuilt = ExperimentConfig(**json.loads(json.dumps(echoed)))
         assert rebuilt.echo() == echoed
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.tuples(*[WIDTHS] * 3),
+        st.sampled_from(["gaussian", "linear"]),
+    )
+    def test_accepted_widths_run_to_finite_regret(self, widths, family):
+        # Soundness of the width domain: whatever validation accepts, every
+        # agent (with the task-posterior variance checked only at zero
+        # pulls) runs without a numerical failure and reports finite regret.
+        sigma, sigma_0, sigma_q = widths
+        try:
+            config = ExperimentConfig(
+                family=family, sigma=sigma, sigma_0=sigma_0, sigma_q=sigma_q,
+                m=2, n=3, runs=1,
+            )
+        except ValueError:
+            return
+        try:
+            report = run_experiment(config)
+        except NumericalError:
+            # The linear family refuses near-singular covariances by name.
+            assert family == "linear"
+            return
+        assert np.all(np.isfinite(report.cum_regret))
 
 
 class TestPriorConstruction:
