@@ -110,28 +110,25 @@ class TestConfigErrors:
         assert "sigma_0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "override, key",
+        "overrides, key",
         [
-            ("sigma=Infinity", "sigma"),
-            ("sigma_0=1e-200", "sigma_0"),
-            ("sigma_q=1e-200", "sigma_q"),
-            ("sigma_0=1e200", "sigma_0"),
-            ("sigma=NaN", "sigma"),
+            (["sigma=Infinity"], "sigma"),
+            (["sigma_0=1e-200"], "sigma_0"),
+            (["sigma_q=1e-200"], "sigma_q"),
+            (["sigma_0=1e200"], "sigma_0"),
+            (["sigma=NaN"], "sigma"),
+            (["sigma=1e150", "sigma_0=1e-150"], "sigma**2 / sigma_0**2"),
         ],
     )
-    def test_width_outside_float_range_names_key(self, tmp_path, capsys, override, key):
-        # Squared widths that underflow to 0 or overflow, and non-finite
-        # widths, are configuration errors, not tracebacks.
-        code = main(["run", "--preset", "gaussian-smoke", "--output", str(tmp_path), override])
+    def test_width_outside_float_range_names_key(self, tmp_path, capsys, overrides, key):
+        # Squared widths that underflow to 0 or overflow, non-finite widths and
+        # an overflowing noise-to-prior ratio are configuration errors, not
+        # tracebacks.
+        code = main(["run", "--preset", "gaussian-smoke", "--output", str(tmp_path), *overrides])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{key} " in err
         assert not (tmp_path / "report.json").exists()
-
-    def test_noise_to_prior_ratio_must_stay_finite(self, tmp_path, capsys):
-        code = main(["run", "--output", str(tmp_path), "sigma=1e150", "sigma_0=1e-150", *TINY])
-        assert code == EXIT_CONFIG
-        assert "sigma**2 / sigma_0**2" in capsys.readouterr().err
 
     def test_unknown_override_key(self, tmp_path, capsys):
         code = main(["run", "--output", str(tmp_path), "sigma_9=1", *TINY])
