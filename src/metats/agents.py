@@ -21,9 +21,11 @@ from .envs import (
 from .posteriors import (
     CategoricalWeights,
     GaussianDiagState,
+    LinearGaussianPosterior,
     LinearState,
     TaskLog,
     init_task_posterior,
+    play_linear,
     sample_meta_posterior,
     update_meta_posterior_categorical,
     update_meta_posterior_gaussian,
@@ -31,7 +33,7 @@ from .posteriors import (
 )
 from .rng import RngStream
 
-__all__ = ["METATS", "ORACLE", "AGNOSTIC", "KINDS", "AgentSpec", "Agent"]
+__all__ = ["METATS", "ORACLE", "AGNOSTIC", "KINDS", "AgentSpec", "Agent", "play_tasks"]
 
 METATS = "metats"
 ORACLE = "oracle"
@@ -214,9 +216,12 @@ class Agent:
         rewards is the horizon x K table (row t: what each arm pays in round
         t). The Thompson noise of all drawn rounds comes from stream in one
         call, the posterior is updated in place, and the log is written once
-        at the end.
+        at the end. This is play_tasks for one agent.
         """
-        self._check_can_select()
+        return play_tasks([self], [stream], [rewards])[0]
+
+    def _play_rounds(self, stream: RngStream, rewards: np.ndarray) -> list:
+        """The remaining rounds of a Bernoulli or Gaussian task, one at a time."""
         post = self.task_posterior
         start = self.rounds_played
         free = self._free_rounds
@@ -232,9 +237,12 @@ class Agent:
             arm = t - free
             absorb(arm, table[t][arm])
             pull(arm)
-        self.log.extend(arms, [table[t][a] for t, a in enumerate(arms, start)])
-        self.rounds_played = self.horizon
         return arms
+
+    def _record(self, arms: list, rewards: np.ndarray) -> None:
+        start = self.rounds_played
+        self.log.extend(arms, rewards[np.arange(start, self.horizon), arms].tolist())
+        self.rounds_played = self.horizon
 
     def end_task(self) -> None:
         if not self._in_task:
@@ -252,3 +260,49 @@ class Agent:
                 self.meta = update_meta_posterior_linear(self.meta, self.log)
         self.tasks_completed += 1
         self._in_task = False
+
+
+def play_tasks(agents: list, streams: list, tables: list) -> list:
+    """Play every remaining round of each agent's current task.
+
+    Agent i plays against its horizon x K reward table tables[i] and draws
+    the Thompson noise of all its drawn rounds from streams[i] in one call,
+    after begin_task. Returns each agent's arms.
+
+    Linear agents play in lockstep through posteriors.play_linear, with one
+    stacked Cholesky and three stacked solves per round for all of them, so
+    they must stand at the same round of equal horizons. Bernoulli and
+    Gaussian agents play one after another: Beta draws are rejection-sampled,
+    and at a few pairs a stacked Gaussian round is slower than the loop over
+    Python floats. Either way, each agent's arms, log and posterior equal
+    those of playing it alone.
+    """
+    for agent in agents:
+        agent._check_can_select()
+    arms = [None] * len(agents)
+    linear = [
+        i for i, agent in enumerate(agents)
+        if isinstance(agent.task_posterior, LinearGaussianPosterior)
+    ]
+    if linear:
+        start, horizon = agents[linear[0]].rounds_played, agents[linear[0]].horizon
+        if any((agents[i].rounds_played, agents[i].horizon) != (start, horizon) for i in linear):
+            raise ValueError("linear agents played together must share the round and horizon")
+        free = [agents[i]._free_rounds - start for i in linear]
+        noise = [
+            agents[i].task_posterior.noise(streams[i].gen, max(f, 0))
+            for i, f in zip(linear, free)
+        ]
+        played = play_linear(
+            [agents[i].task_posterior for i in linear],
+            noise,
+            np.stack([tables[i][start:horizon] for i in linear]),
+            free,
+        )
+        for i, row in zip(linear, played.tolist()):
+            arms[i] = row
+    for i, agent in enumerate(agents):
+        if arms[i] is None:
+            arms[i] = agent._play_rounds(streams[i], tables[i])
+        agent._record(arms[i], tables[i])
+    return arms

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .agents import AGNOSTIC, KINDS, METATS, ORACLE, Agent, AgentSpec
+from .agents import AGNOSTIC, KINDS, METATS, ORACLE, Agent, AgentSpec, play_tasks
 from .envs import (
     BERNOULLI,
     FAMILIES,
@@ -60,11 +60,30 @@ SUB_RUN = 0
 SUB_INSTANCE = 1
 SUB_REWARDS = 2
 
+# Bound on the reward and noise cells one chunk of runs holds per task; the
+# runs of a chunk are simulated together (see _simulate_runs).
+CHUNK_CELLS = 1 << 20
+
 # Two mirrored, well-separated candidate priors over two Bernoulli arms.
 DEFAULT_BERNOULLI_PRIOR_TABLE = (((6.0, 2.0), (2.0, 6.0)), ((2.0, 6.0), (6.0, 2.0)))
 DEFAULT_BERNOULLI_WEIGHTS = (0.5, 0.5)
 
 _AGENT_KEYS = {"kind", "forced_last_k", "misspecification_scale", "name"}
+
+# prior_table shapes for which the Beta-Binomial log-evidence stays finite:
+# log_gamma overflows below about 3e-307 and above about 2.5e305, and the
+# evidence adds several such terms.
+MIN_BETA_SHAPE = 1e-300
+MAX_BETA_SHAPE_SUM = 1e300
+
+# Largest runs * m * agents: the regret array and the report hold one value
+# per (agent, run, task).
+MAX_REGRET_CELLS = 10**7
+
+
+def _normal_finite(x: float) -> bool:
+    """x is a positive float that is neither subnormal nor infinite (NaN fails)."""
+    return sys.float_info.min <= x < math.inf
 
 
 def check_widths(sigma, sigma_0, sigma_q) -> None:
@@ -78,7 +97,7 @@ def check_widths(sigma, sigma_0, sigma_q) -> None:
     pulls finite; that variance only falls as pulls accrue.
     """
     for key, value in (("sigma", sigma), ("sigma_0", sigma_0), ("sigma_q", sigma_q)):
-        if not (value > 0.0 and sys.float_info.min <= value * value < math.inf):
+        if not (value > 0.0 and _normal_finite(value * value)):
             raise ValueError(
                 f"{key} must be > 0 and finite, with a normal finite square; got {value!r}"
             )
@@ -86,7 +105,7 @@ def check_widths(sigma, sigma_0, sigma_q) -> None:
     marginal = math.sqrt(sigma_q * sigma_q + sigma_0 * sigma_0)
     for name, width in (("sigma_0**2", sigma_0), ("(sigma_q**2 + sigma_0**2)", marginal)):
         kappa = s2 / (width * width)
-        if not (sys.float_info.min <= kappa < math.inf and s2 / kappa < math.inf):
+        if not (_normal_finite(kappa) and s2 / kappa < math.inf):
             raise ValueError(
                 f"sigma**2 / {name} must be a normal finite float with a finite "
                 f"prior variance; got sigma={sigma!r}, sigma_0={sigma_0!r}, sigma_q={sigma_q!r}"
@@ -134,6 +153,12 @@ class ExperimentConfig:
         check_widths(self.sigma, self.sigma_0, self.sigma_q)
         self._validate_bernoulli_table()
         self.agents = self._validate_agents(self.agents)
+        cells = self.runs * self.m * len(self.agents)
+        if cells > MAX_REGRET_CELLS:
+            raise ValueError(
+                f"runs * m * agents must be <= {MAX_REGRET_CELLS}; got "
+                f"{self.runs} * {self.m} * {len(self.agents)} = {cells}"
+            )
 
     def _validate_bernoulli_table(self) -> None:
         if self.family != BERNOULLI:
@@ -156,14 +181,21 @@ class ExperimentConfig:
             if len(candidate) != self.K:
                 raise ValueError("each prior_table candidate needs one (alpha, beta) per arm")
             for a, b in candidate:
-                if a <= 0.0 or b <= 0.0:
-                    raise ValueError("prior_table shapes must be > 0")
+                if not (
+                    MIN_BETA_SHAPE <= a and MIN_BETA_SHAPE <= b
+                    and a + b + self.n <= MAX_BETA_SHAPE_SUM
+                ):
+                    raise ValueError(
+                        f"prior_table shapes must be > 0 and finite, at least "
+                        f"{MIN_BETA_SHAPE:g}, with alpha + beta + n <= "
+                        f"{MAX_BETA_SHAPE_SUM:g}; got ({a!r}, {b!r})"
+                    )
         if self.prior_weights is None:
             self.prior_weights = tuple(1.0 / len(table) for _ in table)
         weights = tuple(float(w) for w in self.prior_weights)
         if len(weights) != len(table):
             raise ValueError("prior_weights length must match prior_table")
-        if any(w < 0.0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
+        if not (all(w >= 0.0 for w in weights) and abs(sum(weights) - 1.0) <= 1e-9):
             raise ValueError("prior_weights must be nonnegative and sum to 1")
         self.prior_table = table
         self.prior_weights = weights
@@ -190,6 +222,8 @@ class ExperimentConfig:
                 misspecification_scale=float(entry.get("misspecification_scale", 1.0)),
                 name=entry.get("name"),
             )
+            if spec.misspecification_scale != 1.0:
+                self._check_misspecification(spec.misspecification_scale)
             if spec.name in names:
                 raise ValueError(f"duplicate agent name {spec.name!r}")
             names.add(spec.name)
@@ -202,6 +236,28 @@ class ExperimentConfig:
                 }
             )
         return tuple(resolved)
+
+    def _check_misspecification(self, scale: float) -> None:
+        """The believed meta-prior width sigma_q * scale must leave the meta
+        variance (Gaussian) or precision (linear) a normal finite float."""
+        if self.family == BERNOULLI:
+            raise ValueError(
+                "misspecification_scale needs a meta-prior width; the bernoulli family has none"
+            )
+        if self.family == GAUSSIAN:
+            name = "(sigma_q * scale)**2"
+            ok = _normal_finite((self.sigma_q * scale) * (self.sigma_q * scale))
+        else:
+            name = "1 / (sigma_q * scale)**2"
+            scale2 = scale * scale
+            ok = _normal_finite(scale2) and _normal_finite(
+                1.0 / (self.sigma_q * self.sigma_q) / scale2
+            )
+        if not ok:
+            raise ValueError(
+                f"misspecification_scale must keep {name} a normal finite float; "
+                f"got scale={scale!r}, sigma_q={self.sigma_q!r}"
+            )
 
     @property
     def agent_names(self) -> tuple:
@@ -312,53 +368,81 @@ def run_task(
     if horizon != agent.horizon:
         raise ValueError(f"horizon {horizon} != the agent's task horizon {agent.horizon}")
     arms = agent.play_task(action_stream, rewards)
-    best = optimal_arm(instance)[1]
-    return agent.log, best - instance.theta[arms]
+    return agent.log, _pseudo_regret(instance, arms)
 
 
-def _simulate_run(config: ExperimentConfig, run_idx: int):
-    """One independent run: every agent against the same environment draws."""
+def _pseudo_regret(instance: BanditInstance, arms: list) -> np.ndarray:
+    return optimal_arm(instance)[1] - instance.theta[arms]
+
+
+def _runs_per_chunk(config: ExperimentConfig) -> int:
+    """Runs simulated together, so that a chunk holds at most CHUNK_CELLS
+    reward and noise cells per task whatever n, K, d and the agent count are."""
+    cells = config.n * len(config.agents) * (config.K + config.d)
+    return max(1, min(config.runs, CHUNK_CELLS // cells))
+
+
+def _simulate_runs(config: ExperimentConfig, runs: range) -> list:
+    """Independent runs, simulated together task by task; one result per run.
+
+    Every agent of a run faces the same environment draws. For each task all
+    (run, agent) pairs of the chunk play in one play_tasks call, so linear
+    pairs share one stacked kernel; streams are keyed by (run, task, agent),
+    so every pair's numbers equal those of simulating its run alone.
+    """
     seed = config.master_seed
-    run_stream = derive_stream(seed, run_idx, 0, SUB_RUN)
-    meta_prior = build_meta_prior(config, run_stream)
-    true_prior = sample_instance_prior(meta_prior, run_stream)
-    agents = _materialize_agents(config, meta_prior, true_prior)
-
     noise = 0.0 if config.family == BERNOULLI else config.sigma
-    per_task = np.zeros((len(agents), config.m))
-    traces = {}
-    j_star = None
-    if config.family == BERNOULLI:
-        j_star = next(
-            i for i, p in enumerate(meta_prior.priors) if p is true_prior
-        )
-        for agent in agents:
-            if isinstance(agent.meta, CategoricalWeights):
-                trace = np.zeros(config.m + 1)
-                trace[0] = agent.meta.weights[j_star]
-                traces[agent.name] = trace
+    substreams = [name_substream(name) for name in config.agent_names]
+    chunk = []
+    for run_idx in runs:
+        run_stream = derive_stream(seed, run_idx, 0, SUB_RUN)
+        meta_prior = build_meta_prior(config, run_stream)
+        true_prior = sample_instance_prior(meta_prior, run_stream)
+        agents = _materialize_agents(config, meta_prior, true_prior)
+        per_task = np.zeros((len(agents), config.m))
+        traces = {}
+        j_star = None
+        if config.family == BERNOULLI:
+            j_star = next(
+                i for i, p in enumerate(meta_prior.priors) if p is true_prior
+            )
+            for agent in agents:
+                if isinstance(agent.meta, CategoricalWeights):
+                    trace = np.zeros(config.m + 1)
+                    trace[0] = agent.meta.weights[j_star]
+                    traces[agent.name] = trace
+        chunk.append((run_idx, true_prior, agents, per_task, traces, j_star))
 
     for s in range(1, config.m + 1):
-        instance = sample_task_instance(
-            true_prior, derive_stream(seed, run_idx, s, SUB_INSTANCE), reward_noise=noise
-        )
-        table = reward_table(
-            instance, config.n, derive_stream(seed, run_idx, s, SUB_REWARDS)
-        )
-        for a_idx, agent in enumerate(agents):
-            stream = derive_stream(seed, run_idx, s, name_substream(agent.name))
-            agent.begin_task(stream, config.n)
-            _, regrets = run_task(agent, instance, config.n, stream, rewards=table)
-            agent.end_task()
-            per_task[a_idx, s - 1] = float(regrets.sum())
-            if agent.name in traces:
-                traces[agent.name][s] = agent.meta.weights[j_star]
-    return per_task, traces
+        instances, pairs, streams, tables = [], [], [], []
+        for run_idx, true_prior, agents, _, _, _ in chunk:
+            instance = sample_task_instance(
+                true_prior, derive_stream(seed, run_idx, s, SUB_INSTANCE), reward_noise=noise
+            )
+            table = reward_table(
+                instance, config.n, derive_stream(seed, run_idx, s, SUB_REWARDS)
+            )
+            instances.append(instance)
+            for agent, substream in zip(agents, substreams):
+                stream = derive_stream(seed, run_idx, s, substream)
+                agent.begin_task(stream, config.n)
+                pairs.append(agent)
+                streams.append(stream)
+                tables.append(table)
+        played = iter(play_tasks(pairs, streams, tables))
+        for (_, _, agents, per_task, traces, j_star), instance in zip(chunk, instances):
+            for a_idx, agent in enumerate(agents):
+                regrets = _pseudo_regret(instance, next(played))
+                agent.end_task()
+                per_task[a_idx, s - 1] = float(regrets.sum())
+                if agent.name in traces:
+                    traces[agent.name][s] = agent.meta.weights[j_star]
+    return [(per_task, traces) for _, _, _, per_task, traces, _ in chunk]
 
 
 def _run_payload(args):
-    config, run_idx = args
-    return run_idx, _simulate_run(config, run_idx)
+    config, runs = args
+    return runs, _simulate_runs(config, runs)
 
 
 @dataclass(eq=False)
@@ -449,36 +533,37 @@ def run_experiment(
 ) -> RegretReport:
     """Run the full R x m x n benchmark described by the config.
 
-    threads > 1 farms runs out to worker processes; results are keyed by run
+    Runs are simulated in contiguous chunks (see _simulate_runs); threads > 1
+    farms the chunks out to worker processes. Results are keyed by run
     index, so the report is identical for any thread count.
     """
     num_agents = len(config.agents)
     per_task = np.zeros((num_agents, config.runs, config.m))
     traces = {}
 
-    def _store(run_idx, result):
-        run_regret, run_traces = result
-        per_task[:, run_idx, :] = run_regret
-        for name, trace in run_traces.items():
-            traces.setdefault(name, np.zeros((config.runs, config.m + 1)))
-            traces[name][run_idx] = trace
-
-    if threads <= 1 or config.runs == 1:
-        for run_idx in range(config.runs):
-            _store(run_idx, _simulate_run(config, run_idx))
+    def _store(runs, results):
+        for run_idx, (run_regret, run_traces) in zip(runs, results):
+            per_task[:, run_idx, :] = run_regret
+            for name, trace in run_traces.items():
+                traces.setdefault(name, np.zeros((config.runs, config.m + 1)))
+                traces[name][run_idx] = trace
             if progress is not None:
                 progress(run_idx + 1, config.runs)
+
+    size = _runs_per_chunk(config)
+    if threads > 1:
+        # About four chunks per worker process, for load balance.
+        size = min(size, -(-config.runs // (4 * threads)))
+    chunks = [
+        range(lo, min(lo + size, config.runs)) for lo in range(0, config.runs, size)
+    ]
+    if threads <= 1 or len(chunks) == 1:
+        for runs in chunks:
+            _store(runs, _simulate_runs(config, runs))
     else:
-        jobs = [(config, r) for r in range(config.runs)]
-        done = 0
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for run_idx, result in pool.map(
-                _run_payload, jobs, chunksize=max(1, config.runs // (threads * 4))
-            ):
-                _store(run_idx, result)
-                done += 1
-                if progress is not None:
-                    progress(done, config.runs)
+            for runs, results in pool.map(_run_payload, [(config, c) for c in chunks]):
+                _store(runs, results)
 
     return RegretReport(
         agent_names=config.agent_names,

@@ -6,7 +6,9 @@ step API (sample_task_posterior, update_task_posterior) and the agent's task
 loop share: ``noise(gen, rounds)`` draws the Thompson noise of that many
 rounds in one call, ``thompson(noise_row)`` turns one round's noise into one
 posterior sample of the arm means, and ``absorb(arm, reward)`` folds one
-observation into the state in place.
+observation into the state in place. The agent's task loop plays linear
+tasks through play_linear instead, which runs the same round math for many
+(run, agent) pairs at once.
 
 Across tasks the agent holds a MetaPosterior over instance priors, updated
 exactly once per completed task from the task's full interaction log. Meta
@@ -31,6 +33,8 @@ __all__ = [
     "BetaCounts",
     "GaussianArms",
     "LinearGaussianPosterior",
+    "linear_thompson",
+    "play_linear",
     "CategoricalWeights",
     "GaussianDiagState",
     "LinearState",
@@ -53,20 +57,25 @@ class NumericalError(RuntimeError):
 
 
 def _spd_factor(mat: np.ndarray, context: str) -> np.ndarray:
-    """Cholesky factor with an explicit pivot floor instead of silent regularization."""
+    """Cholesky factor of an SPD matrix, or of each matrix of a (R, d, d) stack.
+
+    An explicit pivot floor replaces silent regularization. Cholesky passes
+    NaNs through without raising, so the floor check is written to fail on a
+    NaN pivot too.
+    """
     try:
         lower = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
-        cond = float(np.linalg.cond(mat))
-        raise NumericalError(
-            f"{context}: matrix is not positive-definite (condition number {cond:.3e})"
-        ) from None
-    if float(np.min(np.diag(lower))) < PIVOT_FLOOR:
-        cond = float(np.linalg.cond(mat))
-        raise NumericalError(
-            f"{context}: Cholesky pivot below {PIVOT_FLOOR:g} (condition number {cond:.3e})"
-        )
-    return lower
+        problem = "matrix is not positive-definite"
+    else:
+        if lower.diagonal(0, -2, -1).min() >= PIVOT_FLOOR:
+            return lower
+        problem = f"Cholesky pivot below {PIVOT_FLOOR:g}"
+    try:
+        cond = float(np.max(np.linalg.cond(mat)))
+    except np.linalg.LinAlgError:  # the SVD of a NaN matrix does not converge
+        cond = math.nan
+    raise NumericalError(f"{context}: {problem} (condition number {cond:.3e})")
 
 
 def _spd_solve(mat: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
@@ -204,7 +213,11 @@ class GaussianArms:
 
 @dataclass
 class LinearGaussianPosterior:
-    """Gaussian posterior over the latent parameter of a linear bandit."""
+    """Gaussian posterior over the latent parameter of a linear bandit.
+
+    Its round methods are the one-pair case of the stacked round math
+    (linear_thompson, linear_absorb) that play_linear runs for many pairs.
+    """
 
     precision: np.ndarray
     info: np.ndarray  # precision @ mean
@@ -219,16 +232,84 @@ class LinearGaussianPosterior:
         return gen.normal(0.0, 1.0, size=(rounds, self.info.size))
 
     def thompson(self, z) -> list:
-        lower = _spd_factor(self.precision, "linear task posterior sampling")
-        mean = np.linalg.solve(lower.T, np.linalg.solve(lower, self.info))
-        # precision = L L^T, so L^-T z has the posterior covariance.
-        theta = mean + np.linalg.solve(lower.T, z)
-        return (self.features @ theta).tolist()
+        draw = linear_thompson(
+            self.precision[None], self.info[None], self.features[None], np.asarray(z)[None]
+        )
+        return draw[0].tolist()
 
     def absorb(self, arm: int, reward: float) -> None:
-        x = self.features[arm]
-        self.precision += np.outer(x, x) / self.sigma**2
-        self.info += x * (reward / self.sigma**2)
+        linear_absorb(
+            self.precision[None],
+            self.info[None],
+            self.features[None, arm],
+            np.array([reward]),
+            np.array([self.sigma**2]),
+        )
+
+
+def linear_thompson(precision, info, features, z) -> np.ndarray:
+    """Posterior samples of the arm means of R linear pairs, shape (R, K).
+
+    precision is (R, d, d), info and the standard normal noise z are (R, d),
+    features is (R, K, d). One stacked Cholesky and three stacked solves give
+    the same bits as the per-matrix calls.
+    """
+    lower = _spd_factor(precision, "linear task posterior sampling")
+    upper = np.swapaxes(lower, -1, -2)
+    mean = np.linalg.solve(upper, np.linalg.solve(lower, info[..., None]))
+    # precision = L L^T, so L^-T z has the posterior covariance.
+    theta = mean + np.linalg.solve(upper, z[..., None])
+    return (features @ theta)[..., 0]
+
+
+def linear_absorb(precision, info, x, rewards, sigma2) -> None:
+    """Fold one observation per pair into R linear posteriors, in place.
+
+    x is the (R, d) feature row of each pair's arm; rewards and the noise
+    variances sigma2 are (R,).
+    """
+    precision += x[:, :, None] * x[:, None, :] / sigma2[:, None, None]
+    info += x * (rewards / sigma2)[:, None]
+
+
+def play_linear(posts: list, noise: list, rewards: np.ndarray, free) -> np.ndarray:
+    """Play n rounds of R linear tasks in lockstep; returns the arms, (R, n).
+
+    posts are the pairs' task posteriors, updated in place. noise[r] holds
+    pair r's Thompson noise, one row per drawn round, and rewards is the
+    (R, n, K) stack of reward tables. Pair r draws its arm while t < free[r]
+    and pulls arm t - free[r] after. Each round factors the precisions of the
+    drawing pairs in one stacked call; every pair's arms, log and posterior
+    equal those of playing it alone.
+    """
+    num_pairs, n, _ = rewards.shape
+    precision = np.stack([p.precision for p in posts])
+    info = np.stack([p.info for p in posts])
+    features = np.stack([p.features for p in posts])
+    sigma2 = np.array([p.sigma**2 for p in posts])
+    z = np.zeros((num_pairs, n, info.shape[1]))
+    for r, table in enumerate(noise):
+        z[r, : len(table)] = table
+    all_draw = min(free)
+    free = np.asarray(free)
+    pairs = np.arange(num_pairs)
+    arms = np.empty((num_pairs, n), dtype=int)
+    for t in range(n):
+        if t < all_draw:
+            arm = linear_thompson(precision, info, features, z[:, t]).argmax(axis=1)
+        else:
+            drawing = free > t
+            arm = t - free
+            if drawing.any():
+                draw = linear_thompson(
+                    precision[drawing], info[drawing], features[drawing], z[drawing, t]
+                )
+                arm[drawing] = draw.argmax(axis=1)
+        arms[:, t] = arm
+        linear_absorb(precision, info, features[pairs, arm], rewards[pairs, t, arm], sigma2)
+    for r, post in enumerate(posts):
+        post.precision, post.info = precision[r], info[r]
+    return arms
 
 
 _TASK_POSTERIORS = (BetaCounts, GaussianArms, LinearGaussianPosterior)

@@ -130,6 +130,27 @@ class TestConfigErrors:
         assert err.startswith("error: ") and f"{key} " in err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "preset, override, key",
+        [
+            # (sigma_q * scale)**2 overflows the Gaussian meta variance.
+            ("gaussian-smoke", 'agents=[{"kind": "metats", "misspecification_scale": 1e300}]',
+             "misspecification_scale"),
+            # 1 / (sigma_q * scale)**2 overflows the linear meta precision.
+            ("linear-d4", 'agents=[{"kind": "metats", "misspecification_scale": 1e-300}]',
+             "misspecification_scale"),
+            ("bernoulli-smoke", "prior_table=[[[NaN, 1], [1, 1]]]", "prior_table"),
+            ("bernoulli-smoke", "prior_table=[[[1e308, 1], [1, 1]]]", "prior_table"),
+            ("bernoulli-smoke", "prior_table=[[[1e-320, 1], [1, 1]]]", "prior_table"),
+        ],
+    )
+    def test_prior_outside_float_range_names_key(self, tmp_path, capsys, preset, override, key):
+        code = main(["run", "--preset", preset, "--output", str(tmp_path), override, *TINY])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ")
+        assert not (tmp_path / "report.json").exists()
+
     def test_unknown_override_key(self, tmp_path, capsys):
         code = main(["run", "--output", str(tmp_path), "sigma_9=1", *TINY])
         assert code == EXIT_CONFIG

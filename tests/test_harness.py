@@ -35,6 +35,8 @@ from metats.rng import derive_stream
 SMALL = dict(m=3, n=15, runs=2)
 # Log-uniform over 340 decades, plus every float (zero, subnormal, inf, nan).
 WIDTHS = st.floats(-170.0, 170.0).map(lambda e: 10.0**e) | st.floats()
+# Beta shapes over the whole normal range, where log_gamma's own limits lie.
+SHAPES = st.floats(-307.0, 307.0).map(lambda e: 10.0**e) | st.floats()
 
 
 class TestExperimentConfig:
@@ -73,6 +75,22 @@ class TestExperimentConfig:
             (dict(sigma=1e-150, sigma_0=1e150), r"sigma\*\*2 / sigma_0\*\*2"),
             (dict(sigma_0=1.3407807929942596e154), r"sigma\*\*2 / sigma_0\*\*2"),
             (dict(sigma_0=5e153, sigma_q=1.3e154), r"sigma\*\*2 / \(sigma_q\*\*2"),
+            (dict(agents=({"kind": "metats", "misspecification_scale": 1e300},)),
+             r"^misspecification_scale .* \(sigma_q \* scale\)\*\*2"),
+            (dict(agents=({"kind": "metats", "misspecification_scale": 1e-160},)),
+             r"^misspecification_scale .* \(sigma_q \* scale\)\*\*2"),
+            (dict(family="linear", agents=({"kind": "metats", "misspecification_scale": 1e-300},)),
+             r"^misspecification_scale .* 1 / \(sigma_q \* scale\)\*\*2"),
+            (dict(family="linear", agents=({"kind": "metats", "misspecification_scale": 1e160},)),
+             r"^misspecification_scale .* 1 / \(sigma_q \* scale\)\*\*2"),
+            (dict(family="linear", sigma_q=1e-150,
+                  agents=({"kind": "metats", "misspecification_scale": 1e-10},)),
+             r"^misspecification_scale .* 1 / \(sigma_q \* scale\)\*\*2"),
+            (dict(family="bernoulli", agents=({"kind": "metats", "misspecification_scale": 2.0},)),
+             r"^misspecification_scale needs a meta-prior width"),
+            # Checked in arithmetic before anything is allocated.
+            (dict(runs=10**7), r"^runs \* m \* agents must be <= 10000000"),
+            (dict(runs=10**5, m=10**5, agents=({"kind": "oracle"},)), r"^runs \* m \* agents"),
         ],
     )
     def test_scalar_validation(self, kw, msg):
@@ -125,9 +143,14 @@ class TestExperimentConfig:
     def test_bernoulli_table_validation(self):
         with pytest.raises(ValueError, match="one \\(alpha, beta\\) per arm"):
             ExperimentConfig(family="bernoulli", prior_table=(((1.0, 1.0),),))
-        with pytest.raises(ValueError, match="shapes must be > 0"):
+        for shape in (0.0, -1.0, float("nan"), float("inf"), 1e-320, 1e-305, 1e308):
+            with pytest.raises(ValueError, match="^prior_table shapes must be > 0"):
+                ExperimentConfig(
+                    family="bernoulli", prior_table=(((shape, 1.0), (1.0, 1.0)),)
+                )
+        with pytest.raises(ValueError, match=r"alpha \+ beta \+ n <= 1e\+300"):
             ExperimentConfig(
-                family="bernoulli", prior_table=(((0.0, 1.0), (1.0, 1.0)),)
+                family="bernoulli", prior_table=(((6e299, 5e299), (1.0, 1.0)),)
             )
         with pytest.raises(ValueError, match="length must match"):
             ExperimentConfig(
@@ -135,12 +158,13 @@ class TestExperimentConfig:
                 prior_table=DEFAULT_BERNOULLI_PRIOR_TABLE,
                 prior_weights=(1.0,),
             )
-        with pytest.raises(ValueError, match="sum to 1"):
-            ExperimentConfig(
-                family="bernoulli",
-                prior_table=DEFAULT_BERNOULLI_PRIOR_TABLE,
-                prior_weights=(0.7, 0.7),
-            )
+        for weights in ((0.7, 0.7), (float("nan"), 0.5)):
+            with pytest.raises(ValueError, match="sum to 1"):
+                ExperimentConfig(
+                    family="bernoulli",
+                    prior_table=DEFAULT_BERNOULLI_PRIOR_TABLE,
+                    prior_weights=weights,
+                )
 
     def test_echo_excludes_output_dir_and_round_trips(self):
         config = ExperimentConfig(family="bernoulli", output_dir="/tmp/x", **SMALL)
@@ -150,20 +174,34 @@ class TestExperimentConfig:
         rebuilt = ExperimentConfig(**json.loads(json.dumps(echoed)))
         assert rebuilt.echo() == echoed
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         st.tuples(*[WIDTHS] * 3),
-        st.sampled_from(["gaussian", "linear"]),
+        st.just(1.0) | WIDTHS,
+        st.tuples(*[SHAPES] * 4),
+        st.sampled_from(["gaussian", "linear", "bernoulli"]),
     )
-    def test_accepted_widths_run_to_finite_regret(self, widths, family):
-        # Soundness of the width domain: whatever validation accepts, every
-        # agent (with the task-posterior variance checked only at zero
-        # pulls) runs without a numerical failure and reports finite regret.
+    def test_accepted_widths_run_to_finite_regret(self, widths, scale, shapes, family):
+        # Soundness of the input domain: whatever validation accepts (widths,
+        # MetaTS's misspecification_scale, Bernoulli prior_table shapes),
+        # every agent (with the task-posterior variance checked only at zero
+        # pulls) runs without a numerical failure and reports finite outputs.
         sigma, sigma_0, sigma_q = widths
+        table = None
+        if family == "bernoulli":
+            # Widths do not enter the Bernoulli model; the shapes do.
+            sigma, sigma_0, sigma_q, scale = 1.0, 0.1, 0.5, 1.0
+            a1, b1, a2, b2 = shapes
+            table = (((a1, b1), (1.0, 1.0)), ((a2, b2), (2.0, 0.5)))
         try:
             config = ExperimentConfig(
                 family=family, sigma=sigma, sigma_0=sigma_0, sigma_q=sigma_q,
-                m=2, n=3, runs=1,
+                prior_table=table, m=2, n=3, runs=1,
+                agents=(
+                    {"kind": "oracle"},
+                    {"kind": "metats", "misspecification_scale": scale},
+                    {"kind": "agnostic"},
+                ),
             )
         except ValueError:
             return
@@ -174,6 +212,8 @@ class TestExperimentConfig:
             assert family == "linear"
             return
         assert np.all(np.isfinite(report.cum_regret))
+        for trace in report.true_prior_weight.values():
+            assert np.all(np.isfinite(trace))
 
 
 class TestPriorConstruction:
@@ -295,6 +335,26 @@ class TestRunExperiment:
         serial = run_experiment(config, threads=1)
         parallel = run_experiment(config, threads=2)
         np.testing.assert_array_equal(serial.cum_regret, parallel.cum_regret)
+
+    def test_linear_threads_give_byte_identical_reports(self, tmp_path):
+        # One process stacks all 17 runs into one chunk; two processes get
+        # chunks of 3 runs (2 for the last), so the stacked kernel sees other
+        # batches.
+        config = ExperimentConfig(family="linear", K=5, d=3, m=2, n=15, runs=17, master_seed=13)
+        files = {}
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            paths = emit_report(run_experiment(config, threads=threads), str(out))
+            files[threads] = {name: (out / name).read_bytes() for name in map(os.path.basename, paths)}
+        assert files[1] == files[2]
+
+    def test_linear_metats_unchanged_without_the_other_agents(self):
+        kw = dict(family="linear", K=5, d=3, m=3, n=20, runs=3, master_seed=17)
+        full = run_experiment(ExperimentConfig(**kw))
+        alone = run_experiment(ExperimentConfig(agents=({"kind": "metats"},), **kw))
+        np.testing.assert_array_equal(
+            full.cum_regret[full.agent_index("MetaTS")], alone.cum_regret[0]
+        )
 
     def test_progress_callback(self):
         calls = []

@@ -1,18 +1,20 @@
-"""Properties of whole-task play (run_task / Agent.play_task).
+"""Properties of whole-task play (run_task / Agent.play_task / play_tasks).
 
 The task loop draws all Thompson noise of a task in one call and updates the
-posterior in place; these properties pin it to the conjugate algebra and to
-round-by-round play through select_action/observe. Examples are
-derandomized so the suite is repeatable.
+posterior in place; these properties pin it to the conjugate algebra, to
+round-by-round play through select_action/observe, and, for linear pairs
+played in lockstep, to playing each pair alone. Examples are derandomized so
+the suite is repeatable.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metats.agents import Agent, AgentSpec
+from metats.agents import Agent, AgentSpec, play_tasks
 from metats.envs import reward_table, sample_instance_prior, sample_task_instance
-from metats.harness import ExperimentConfig, build_meta_prior, run_task
+from metats.harness import ExperimentConfig, agnostic_prior_for, build_meta_prior, run_task
 from metats.posteriors import BetaCounts, GaussianArms, init_task_posterior
 from metats.rng import derive_stream
 
@@ -171,3 +173,69 @@ def test_step_api_matches_whole_task_play(case):
                 np.testing.assert_array_equal(
                     getattr(step.meta, name), getattr(whole.meta, name)
                 )
+
+
+linear_stacks = st.fixed_dictionaries(
+    {
+        "R": st.integers(1, 6),
+        "K": st.integers(2, 5),
+        "d": st.integers(1, 4),
+        "n": st.integers(1, 25),
+        "seed": st.integers(0, 2**16),
+        "kinds": st.lists(st.sampled_from(["oracle", "metats", "agnostic"]), min_size=6, max_size=6),
+        "forced": st.lists(st.booleans(), min_size=6, max_size=6),
+    }
+)
+
+
+def _linear_pairs(case):
+    """R linear pairs, one per run, each at the start of its first task."""
+    config = ExperimentConfig(
+        family="linear", K=case["K"], d=case["d"], m=1, n=case["n"], runs=case["R"],
+        master_seed=case["seed"],
+    )
+    agents, streams, tables = [], [], []
+    for r in range(case["R"]):
+        seed, kind = case["seed"], case["kinds"][r]
+        run_stream = derive_stream(seed, r, 0, 0)
+        meta_prior = build_meta_prior(config, run_stream)
+        true_prior = sample_instance_prior(meta_prior, run_stream)
+        spec = AgentSpec(
+            kind=kind,
+            meta_prior=meta_prior if kind == "metats" else None,
+            true_instance_prior=true_prior if kind == "oracle" else None,
+            agnostic_prior=agnostic_prior_for(config, meta_prior) if kind == "agnostic" else None,
+            forced_last_k=case["forced"][r],
+        )
+        agent = Agent(spec, reward_noise=SIGMA)
+        instance = sample_task_instance(true_prior, derive_stream(seed, r, 1, 1), SIGMA)
+        stream = derive_stream(seed, r, 1, 99)
+        agent.begin_task(stream, case["n"])
+        agents.append(agent)
+        streams.append(stream)
+        tables.append(reward_table(instance, case["n"], derive_stream(seed, r, 1, 2)))
+    return agents, streams, tables
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(linear_stacks)
+def test_stacked_linear_play_equals_one_pair_at_a_time(case):
+    stacked, streams, tables = _linear_pairs(case)
+    arms = play_tasks(stacked, streams, tables)
+    alone, streams, tables = _linear_pairs(case)
+    for r, agent in enumerate(alone):
+        assert agent.play_task(streams[r], tables[r]) == arms[r]
+        a, b = stacked[r], agent
+        assert a.log.arms == b.log.arms == arms[r]
+        assert a.log.rewards == b.log.rewards
+        np.testing.assert_array_equal(a.task_posterior.precision, b.task_posterior.precision)
+        np.testing.assert_array_equal(a.task_posterior.info, b.task_posterior.info)
+
+
+def test_stacked_linear_play_needs_a_common_round():
+    case = {"R": 2, "K": 3, "d": 2, "n": 5, "seed": 3, "kinds": ["oracle"] * 2, "forced": [False] * 2}
+    agents, streams, tables = _linear_pairs(case)
+    arm = agents[0].select_action(streams[0])
+    agents[0].observe(arm, float(tables[0][0, arm]))
+    with pytest.raises(ValueError, match="share the round"):
+        play_tasks(agents, streams, tables)

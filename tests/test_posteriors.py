@@ -24,6 +24,7 @@ from metats.posteriors import (
     TaskLog,
     categorical_log_evidence,
     init_task_posterior,
+    linear_thompson,
     sample_meta_posterior,
     sample_task_posterior,
     update_meta_posterior_categorical,
@@ -256,6 +257,21 @@ class TestSampleTaskPosterior:
         assert abs(draws.mean() - 0.5) < 0.005
         assert abs(draws.var() - 0.04) < 0.002
 
+    def test_nan_precision_raises(self):
+        # Cholesky returns NaNs for a NaN matrix without raising; the pivot
+        # floor still refuses it, alone and inside a stack of pairs.
+        nan = np.full((2, 2), np.nan)
+        post = LinearGaussianPosterior(
+            precision=nan.copy(), info=np.zeros(2), sigma=1.0, features=np.eye(2)
+        )
+        with pytest.raises(NumericalError, match="pivot"):
+            sample_task_posterior(post, derive_stream(0, 0, 0, 0))
+        with pytest.raises(NumericalError, match="pivot"):
+            linear_thompson(
+                np.stack([np.eye(2), nan]), np.zeros((2, 2)), np.stack([np.eye(2)] * 2),
+                np.zeros((2, 2)),
+            )
+
     def test_linear_sample_covariance(self):
         # Empirical covariance of theta-samples (recovered through identity
         # features) matches the posterior covariance.
@@ -434,8 +450,8 @@ class TestGaussianMeta:
         )
         t = 100_000_000
         log = TaskLog(num_arms=1)
-        log.arms = [0] * t
-        log.rewards = [0.3] * t
+        log.arms = np.zeros(t, dtype=int)
+        log.rewards = np.full(t, 0.3)
         updated = update_meta_posterior_gaussian(meta, log)
         increment = 1.0 / updated.var[0] - 4.0
         np.testing.assert_allclose(increment, 100.0, rtol=1e-6)
