@@ -140,10 +140,18 @@ def _apply_overrides(data: dict, overrides, allowed: set, label: str) -> dict:
     return out
 
 
-def _progress(done: int, total: int) -> None:
-    step = max(1, total // 10)
-    if done == total or done % step == 0:
-        print(f"run {done}/{total}", file=sys.stderr)
+def _progress_printer():
+    """A progress callback that prints each time another tenth of the
+    (run, task) cells is finished."""
+    printed = 0
+
+    def progress(done: int, total: int) -> None:
+        nonlocal printed
+        if done * 10 // total > printed:
+            printed = done * 10 // total
+            print(f"task {done}/{total}", file=sys.stderr)
+
+    return progress
 
 
 def _cmd_run(args) -> int:
@@ -163,7 +171,7 @@ def _cmd_run(args) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    report = run_experiment(config, threads=threads, progress=_progress)
+    report = run_experiment(config, threads=threads, progress=_progress_printer())
     written = emit_report(report, out_dir, fmt=args.format)
     summary = {
         "written": written,

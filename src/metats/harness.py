@@ -382,13 +382,15 @@ def _runs_per_chunk(config: ExperimentConfig) -> int:
     return max(1, min(config.runs, CHUNK_CELLS // cells))
 
 
-def _simulate_runs(config: ExperimentConfig, runs: range) -> list:
+def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> list:
     """Independent runs, simulated together task by task; one result per run.
 
     Every agent of a run faces the same environment draws. For each task all
     (run, agent) pairs of the chunk play in one play_tasks call, so linear
     pairs share one stacked kernel; streams are keyed by (run, task, agent),
-    so every pair's numbers equal those of simulating its run alone.
+    so every pair's numbers equal those of simulating its run alone. After
+    each task, progress (if given) gets the finished (run, task) cells of the
+    whole experiment, counting every run before the chunk as finished.
     """
     seed = config.master_seed
     noise = 0.0 if config.family == BERNOULLI else config.sigma
@@ -437,6 +439,8 @@ def _simulate_runs(config: ExperimentConfig, runs: range) -> list:
                 per_task[a_idx, s - 1] = float(regrets.sum())
                 if agent.name in traces:
                     traces[agent.name][s] = agent.meta.weights[j_star]
+        if progress is not None:
+            progress(runs.start * config.m + s * len(runs), config.runs * config.m)
     return [(per_task, traces) for _, _, _, per_task, traces, _ in chunk]
 
 
@@ -535,7 +539,9 @@ def run_experiment(
 
     Runs are simulated in contiguous chunks (see _simulate_runs); threads > 1
     farms the chunks out to worker processes. Results are keyed by run
-    index, so the report is identical for any thread count.
+    index, so the report is identical for any thread count. progress(done,
+    total) counts finished (run, task) cells: after every task when serial,
+    after every chunk with worker processes.
     """
     num_agents = len(config.agents)
     per_task = np.zeros((num_agents, config.runs, config.m))
@@ -547,8 +553,6 @@ def run_experiment(
             for name, trace in run_traces.items():
                 traces.setdefault(name, np.zeros((config.runs, config.m + 1)))
                 traces[name][run_idx] = trace
-            if progress is not None:
-                progress(run_idx + 1, config.runs)
 
     size = _runs_per_chunk(config)
     if threads > 1:
@@ -559,11 +563,13 @@ def run_experiment(
     ]
     if threads <= 1 or len(chunks) == 1:
         for runs in chunks:
-            _store(runs, _simulate_runs(config, runs))
+            _store(runs, _simulate_runs(config, runs, progress))
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             for runs, results in pool.map(_run_payload, [(config, c) for c in chunks]):
                 _store(runs, results)
+                if progress is not None:
+                    progress(runs.stop * config.m, config.runs * config.m)
 
     return RegretReport(
         agent_names=config.agent_names,

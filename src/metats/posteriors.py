@@ -42,6 +42,7 @@ __all__ = [
     "update_task_posterior",
     "sample_task_posterior",
     "categorical_log_evidence",
+    "stacked_log_evidence",
     "update_meta_posterior_categorical",
     "update_meta_posterior_gaussian",
     "update_meta_posterior_linear",
@@ -431,24 +432,24 @@ class LinearState:
 
 
 def categorical_log_evidence(prior: BetaProductPrior, log: TaskLog) -> float:
-    """log of the marginal likelihood of a Bernoulli task log under one prior.
+    """log of the marginal likelihood of a Bernoulli task log under one prior."""
+    return float(stacked_log_evidence([prior], log)[0])
+
+
+def stacked_log_evidence(priors, log: TaskLog) -> np.ndarray:
+    """log marginal likelihoods of a Bernoulli task log under J priors, shape (J,).
 
     Product over arms of Beta-Binomial evidence, written with log-Gamma so the
-    shapes may exceed the horizon without overflow.
+    shapes may exceed the horizon without overflow. The six terms of all J
+    candidates go through one log_gamma call; log_gamma is elementwise and a
+    row sum equals np.sum of that row, so row j equals the J=1 case bit for bit.
     """
-    a, b = prior.alpha, prior.beta
+    a = np.stack([p.alpha for p in priors])
+    b = np.stack([p.beta for p in priors])
     pos = log.positive_counts
-    neg = log.negative_counts
     total = log.pull_counts
-    terms = (
-        log_gamma(a + b)
-        + log_gamma(a + pos)
-        + log_gamma(b + neg)
-        - log_gamma(a)
-        - log_gamma(b)
-        - log_gamma(a + b + total)
-    )
-    return float(np.sum(terms))
+    lg = log_gamma(np.stack([a + b, a + pos, b + (total - pos), a, b, a + b + total]))
+    return (lg[0] + lg[1] + lg[2] - lg[3] - lg[4] - lg[5]).sum(axis=-1)
 
 
 def update_meta_posterior_categorical(
@@ -457,7 +458,7 @@ def update_meta_posterior_categorical(
     """Reweight candidate priors by their evidence for the completed task."""
     with np.errstate(divide="ignore"):
         logw = np.log(meta.weights)
-    logw = logw + np.array([categorical_log_evidence(p, log) for p in meta.priors])
+    logw = logw + stacked_log_evidence(meta.priors, log)
     logw -= np.max(logw[np.isfinite(logw)])
     w = np.exp(logw)
     w /= w.sum()
@@ -491,39 +492,28 @@ def update_meta_posterior_gaussian(
     return replace(meta, mu=new_mu, var=new_var)
 
 
-def update_meta_posterior_linear(
-    meta: LinearState, log: TaskLog, mode: str = "woodbury"
-) -> LinearState:
+def update_meta_posterior_linear(meta: LinearState, log: TaskLog) -> LinearState:
     """Absorb one completed linear task into the meta-posterior.
 
-    mode="direct" solves the pull-count-sized system sigma^2 I + X_t Sigma X_t^T;
-    mode="woodbury" solves only d x d systems via S_t = X_t^T X_t, c_t = X_t^T y_t.
-    The two are algebraically identical.
+    Solves only d x d systems via S_t = X_t^T X_t, c_t = X_t^T y_t (Woodbury);
+    selftest checks it against the pull-count-sized direct solve.
     """
     if len(log) == 0:
         return meta
     x_rows = meta.features[log.arms]
     y = np.asarray(log.rewards, dtype=float)
     sig2 = meta.sigma**2
-    if mode == "direct":
-        mid = sig2 * np.eye(len(y)) + x_rows @ meta.Sigma @ x_rows.T
-        gain = _spd_solve(mid, x_rows, "linear meta update (direct)")
-        lam_new = meta.Lambda + x_rows.T @ gain
-        rhs = meta.Lambda @ meta.mu + gain.T @ y
-    elif mode == "woodbury":
-        s_t = x_rows.T @ x_rows / sig2
-        c_t = x_rows.T @ y / sig2
-        sigma_inv = _spd_solve(
-            meta.Sigma, np.eye(meta.Sigma.shape[0]), "task covariance inverse"
-        )
-        inner = sigma_inv + s_t
-        correction = _spd_solve(
-            inner, np.column_stack([s_t, c_t]), "linear meta update (woodbury)"
-        )
-        lam_new = meta.Lambda + s_t - s_t @ correction[:, :-1]
-        rhs = meta.Lambda @ meta.mu + c_t - s_t @ correction[:, -1]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    s_t = x_rows.T @ x_rows / sig2
+    c_t = x_rows.T @ y / sig2
+    sigma_inv = _spd_solve(
+        meta.Sigma, np.eye(meta.Sigma.shape[0]), "task covariance inverse"
+    )
+    inner = sigma_inv + s_t
+    correction = _spd_solve(
+        inner, np.column_stack([s_t, c_t]), "linear meta update (woodbury)"
+    )
+    lam_new = meta.Lambda + s_t - s_t @ correction[:, :-1]
+    rhs = meta.Lambda @ meta.mu + c_t - s_t @ correction[:, -1]
     lam_new = 0.5 * (lam_new + lam_new.T)
     mu_new = _spd_solve(lam_new, rhs, "linear meta posterior mean")
     return replace(meta, mu=mu_new, Lambda=lam_new)

@@ -30,7 +30,7 @@ class TestRunCommand:
         assert summary["master_seed"] == 5
         assert set(summary["final_cum_regret"]) == {"OracleTS", "MetaTS", "TS"}
         assert len(summary["written"]) == 3
-        assert "run 2/2" in out.err
+        assert "task 4/4" in out.err  # runs x m (run, task) cells finished
 
     def test_defaults_are_benchmark_config(self, tmp_path):
         # Non-overridden keys fall back to the two-armed Gaussian benchmark.

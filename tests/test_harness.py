@@ -357,10 +357,13 @@ class TestRunExperiment:
         )
 
     def test_progress_callback(self):
-        calls = []
+        # Finished (run, task) cells: after every task when serial (both runs
+        # share one chunk), after every one-run chunk with worker processes.
         config = ExperimentConfig(master_seed=7, **SMALL)
-        run_experiment(config, progress=lambda done, total: calls.append((done, total)))
-        assert calls == [(1, 2), (2, 2)]
+        for threads, expected in ((1, [(2, 6), (4, 6), (6, 6)]), (2, [(3, 6), (6, 6)])):
+            calls = []
+            run_experiment(config, threads=threads, progress=lambda *cell: calls.append(cell))
+            assert calls == expected
 
     def test_bernoulli_weight_traces(self):
         config = ExperimentConfig(family="bernoulli", master_seed=7, **SMALL)

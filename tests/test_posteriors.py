@@ -7,13 +7,17 @@ against dense linear-algebra oracles built from scratch in each test.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metats.envs import (
     BetaProductPrior,
     GaussianDiagPrior,
     LinearGaussianPrior,
 )
+from metats.harness import MAX_BETA_SHAPE_SUM, MIN_BETA_SHAPE
 from metats.posteriors import (
+    WEIGHT_FLOOR,
     BetaCounts,
     CategoricalWeights,
     GaussianArms,
@@ -27,12 +31,15 @@ from metats.posteriors import (
     linear_thompson,
     sample_meta_posterior,
     sample_task_posterior,
+    stacked_log_evidence,
     update_meta_posterior_categorical,
     update_meta_posterior_gaussian,
     update_meta_posterior_linear,
     update_task_posterior,
 )
 from metats.rng import derive_stream
+from metats.selftest import direct_linear_meta_update
+from metats.special import log_gamma
 
 
 def make_log(num_arms, pairs):
@@ -387,6 +394,72 @@ class TestCategoricalMeta:
             CategoricalWeights(weights=np.array([1.0]), priors=(SEC5_P1, SEC5_P2))
 
 
+def evidence_one_candidate_at_a_time(priors, log):
+    """The Beta-Binomial log evidence, one log_gamma call per term and candidate."""
+    pos, neg, total = log.positive_counts, log.negative_counts, log.pull_counts
+    out = []
+    for prior in priors:
+        a, b = prior.alpha, prior.beta
+        terms = (
+            log_gamma(a + b)
+            + log_gamma(a + pos)
+            + log_gamma(b + neg)
+            - log_gamma(a)
+            - log_gamma(b)
+            - log_gamma(a + b + total)
+        )
+        out.append(np.sum(terms))
+    return np.array(out)
+
+
+# Shapes over the accepted prior_table domain (MIN_BETA_SHAPE <= a, b and
+# a + b + n <= MAX_BETA_SHAPE_SUM for n <= 30), log-uniform plus everyday values.
+BETA_SHAPES = st.floats(-300.0, 299.0).map(
+    lambda e: max(MIN_BETA_SHAPE, 10.0**e)
+) | st.floats(MIN_BETA_SHAPE, 20.0)
+
+
+@st.composite
+def candidates_and_log(draw):
+    j = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 30))
+    shapes = [draw(st.lists(BETA_SHAPES, min_size=2 * k, max_size=2 * k)) for _ in range(j)]
+    priors = tuple(BetaProductPrior(alpha=s[:k], beta=s[k:]) for s in shapes)
+    raw = draw(
+        st.lists(st.floats(0.0, 1.0), min_size=j, max_size=j).filter(lambda w: sum(w) > 0)
+    )
+    meta = CategoricalWeights(weights=np.array(raw) / sum(raw), priors=priors)
+    arms = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    rewards = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
+    return meta, make_log(k, zip(arms, rewards))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(candidates_and_log())
+def test_stacked_evidence_equals_one_candidate_at_a_time(case):
+    meta, log = case
+    for prior in meta.priors:
+        assert MIN_BETA_SHAPE <= min(prior.alpha.min(), prior.beta.min())
+        assert np.all(prior.alpha + prior.beta + len(log) <= MAX_BETA_SHAPE_SUM)
+    loop = evidence_one_candidate_at_a_time(meta.priors, log)
+    stacked = stacked_log_evidence(meta.priors, log)
+    assert stacked.dtype == loop.dtype and stacked.tobytes() == loop.tobytes()
+    single = [categorical_log_evidence(p, log) for p in meta.priors]
+    assert np.array(single).tobytes() == loop.tobytes()
+    # The weights of the same Bayes rule on the loop's evidence.
+    with np.errstate(divide="ignore"):
+        logw = np.log(meta.weights)
+    logw = logw + loop
+    logw -= np.max(logw[np.isfinite(logw)])
+    w = np.exp(logw)
+    w /= w.sum()
+    w[w < WEIGHT_FLOOR] = 0.0
+    w /= w.sum()
+    updated = update_meta_posterior_categorical(meta, log)
+    assert updated.weights.tobytes() == w.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Gaussian meta-posterior
 
@@ -545,8 +618,9 @@ class TestLinearMeta:
         # feature x=1 and reward 0.3:
         #   direct: Lambda_1 = 4 + 1/(1 + 0.01) = 4.990099...
         #   mu_1 = Lambda_1^-1 * 0.3/1.01 = 0.0595238...
-        # Matches the Gaussian-diagonal single-observation numbers exactly.
-        for mode in ("direct", "woodbury"):
+        # Matches the Gaussian-diagonal single-observation numbers exactly,
+        # for the update and for the direct-solve oracle alike.
+        for update in (direct_linear_meta_update, update_meta_posterior_linear):
             state = LinearState(
                 mu=np.zeros(1),
                 Lambda=np.array([[4.0]]),
@@ -554,9 +628,7 @@ class TestLinearMeta:
                 sigma=1.0,
                 features=np.array([[1.0]]),
             )
-            out = update_meta_posterior_linear(
-                state, make_log(1, [(0, 0.3)]), mode=mode
-            )
+            out = update(state, make_log(1, [(0, 0.3)]))
             np.testing.assert_allclose(out.Lambda[0, 0], 4.990099, atol=5e-7)
             np.testing.assert_allclose(out.mu[0], 0.059524, atol=5e-7)
 
@@ -571,8 +643,8 @@ class TestLinearMeta:
                 (int(gen.integers(0, k)), float(gen.normal())) for _ in range(t)
             ]
             log = make_log(k, pairs)
-            out_d = update_meta_posterior_linear(state, log, mode="direct")
-            out_w = update_meta_posterior_linear(state, log, mode="woodbury")
+            out_d = direct_linear_meta_update(state, log)
+            out_w = update_meta_posterior_linear(state, log)
             scale = max(1.0, float(np.max(np.abs(out_d.Lambda))))
             assert np.max(np.abs(out_d.Lambda - out_w.Lambda)) / scale < 1e-8
             assert np.max(np.abs(out_d.mu - out_w.mu)) < 1e-8
@@ -590,17 +662,9 @@ class TestLinearMeta:
             assert eigvals.min() > -1e-10
             np.testing.assert_allclose(out.Lambda, out.Lambda.T, atol=0)
 
-    def test_unknown_mode(self):
-        gen = np.random.default_rng(43)
-        state = random_linear_state(gen, 2, 3)
-        with pytest.raises(ValueError, match="unknown mode"):
-            update_meta_posterior_linear(
-                state, make_log(3, [(0, 0.1)]), mode="exact"
-            )
-
     def test_singular_task_covariance_raises(self):
-        # Woodbury mode inverts the task covariance; a numerically singular
-        # Sigma must fail loudly, not silently produce garbage.
+        # The Woodbury form inverts the task covariance; a numerically
+        # singular Sigma must fail loudly, not silently produce garbage.
         state = LinearState(
             mu=np.zeros(2),
             Lambda=np.eye(2),
@@ -609,9 +673,7 @@ class TestLinearMeta:
             features=np.array([[1.0, 0.0], [0.0, 1.0]]),
         )
         with pytest.raises(NumericalError, match="condition"):
-            update_meta_posterior_linear(
-                state, make_log(2, [(0, 0.5)]), mode="woodbury"
-            )
+            update_meta_posterior_linear(state, make_log(2, [(0, 0.5)]))
 
     def test_matches_batch_bayes_oracle(self):
         # Closed-form oracle: integrating theta_s out, a task's rows are
@@ -629,8 +691,8 @@ class TestLinearMeta:
         mu_expected = np.linalg.solve(
             lam_expected, state.Lambda @ state.mu + x.T @ v_inv @ y
         )
-        for mode in ("direct", "woodbury"):
-            out = update_meta_posterior_linear(state, log, mode=mode)
+        for update in (direct_linear_meta_update, update_meta_posterior_linear):
+            out = update(state, log)
             np.testing.assert_allclose(out.Lambda, lam_expected, rtol=1e-9)
             np.testing.assert_allclose(out.mu, mu_expected, atol=1e-10)
 

@@ -87,3 +87,15 @@ def test_vectorized_matches_scalar():
     assert out.shape == xs.shape
     for x, y in zip(xs, out):
         assert y == log_gamma(float(x))
+    # Every element of a stacked 3-D input equals the scalar call, bit for
+    # bit, over the shapes a prior table accepts (1e-300 to 1e300): the
+    # categorical meta-update's stacked evaluation rests on this.
+    gen = np.random.Generator(np.random.Philox(7))
+    values = np.concatenate(
+        [np.geomspace(1e-300, 1e300, 61), gen.uniform(0.1, 50.0, size=59)]
+    )
+    stacked = gen.permutation(values).reshape(4, 5, 6)
+    out = log_gamma(stacked)
+    assert out.shape == stacked.shape
+    for x, y in zip(stacked.ravel(), out.ravel()):
+        assert np.float64(y).tobytes() == np.float64(log_gamma(float(x))).tobytes()
