@@ -9,130 +9,6 @@ regret guarantees of the meta-learning policy.
 
 __version__ = "0.1.0"
 
-from .agents import AGNOSTIC, KINDS, METATS, ORACLE, Agent, AgentSpec
-from .bounds import (
-    BoundParams,
-    Theorem1Bound,
-    bounds_report,
-    certify_lemma1,
-    certify_lemma3,
-    check_technical_lemmas,
-    lemma1_bound,
-    lemma2_bound,
-    lemma3_radius,
-    root_gap,
-    theorem1_bound,
-)
-from .envs import (
-    BERNOULLI,
-    FAMILIES,
-    GAUSSIAN,
-    LINEAR,
-    BanditInstance,
-    BetaProductPrior,
-    CategoricalMetaPrior,
-    GaussianDiagPrior,
-    GaussianMetaPrior,
-    LinearGaussianPrior,
-    LinearMetaPrior,
-    optimal_arm,
-    reward_table,
-    sample_instance_prior,
-    sample_task_instance,
-)
-from .harness import (
-    ExperimentConfig,
-    RegretReport,
-    agnostic_prior_for,
-    build_meta_prior,
-    emit_report,
-    regret_slope,
-    run_experiment,
-    run_task,
-)
-from .posteriors import (
-    BetaCounts,
-    CategoricalWeights,
-    GaussianArms,
-    GaussianDiagState,
-    LinearGaussianPosterior,
-    LinearState,
-    NumericalError,
-    TaskLog,
-    categorical_log_evidence,
-    init_task_posterior,
-    sample_meta_posterior,
-    sample_task_posterior,
-    update_meta_posterior_categorical,
-    update_meta_posterior_gaussian,
-    update_meta_posterior_linear,
-    update_task_posterior,
-)
-from .rng import RngStream, derive_stream, name_substream
-from .selftest import run_selftest
-from .special import log_gamma
-
-__all__ = [
-    "__version__",
-    "AGNOSTIC",
-    "Agent",
-    "AgentSpec",
-    "BERNOULLI",
-    "BanditInstance",
-    "BetaCounts",
-    "BetaProductPrior",
-    "BoundParams",
-    "CategoricalMetaPrior",
-    "CategoricalWeights",
-    "ExperimentConfig",
-    "FAMILIES",
-    "GAUSSIAN",
-    "GaussianArms",
-    "GaussianDiagPrior",
-    "GaussianDiagState",
-    "GaussianMetaPrior",
-    "KINDS",
-    "LINEAR",
-    "LinearGaussianPosterior",
-    "LinearGaussianPrior",
-    "LinearMetaPrior",
-    "LinearState",
-    "METATS",
-    "NumericalError",
-    "ORACLE",
-    "RegretReport",
-    "RngStream",
-    "TaskLog",
-    "Theorem1Bound",
-    "agnostic_prior_for",
-    "bounds_report",
-    "build_meta_prior",
-    "categorical_log_evidence",
-    "certify_lemma1",
-    "certify_lemma3",
-    "check_technical_lemmas",
-    "derive_stream",
-    "emit_report",
-    "init_task_posterior",
-    "lemma1_bound",
-    "lemma2_bound",
-    "lemma3_radius",
-    "log_gamma",
-    "name_substream",
-    "optimal_arm",
-    "regret_slope",
-    "reward_table",
-    "root_gap",
-    "run_experiment",
-    "run_selftest",
-    "run_task",
-    "sample_instance_prior",
-    "sample_meta_posterior",
-    "sample_task_instance",
-    "sample_task_posterior",
-    "theorem1_bound",
-    "update_meta_posterior_categorical",
-    "update_meta_posterior_gaussian",
-    "update_meta_posterior_linear",
-    "update_task_posterior",
-]
+# The API lives in the submodules (metats.harness, metats.bounds, ...);
+# importing the package loads all of them but the CLI.
+from . import agents, bounds, envs, harness, posteriors, rng, selftest, special  # noqa: F401

@@ -16,6 +16,7 @@ import numpy as np
 from .agents import METATS, Agent, AgentSpec
 from .envs import GAUSSIAN, reward_table, sample_instance_prior, sample_task_instance
 from .harness import (
+    KEY_BLOCK,
     SUB_INSTANCE,
     SUB_REWARDS,
     SUB_RUN,
@@ -25,7 +26,7 @@ from .harness import (
     run_experiment,
     run_task,
 )
-from .rng import derive_stream, name_substream
+from .rng import derive_stream, name_substream, stream_keys
 
 __all__ = [
     "BoundParams",
@@ -274,8 +275,12 @@ def certify_lemma3(
     )
     radii = np.array([lemma3_radius(p, s) for s in range(1, config.m + 1)])
     seed = config.master_seed
+    R = int(R)
+    block = max(1, KEY_BLOCK // (3 * config.m))
+    # The instance, reward and agent streams, re-keyed before every task.
+    slots = [derive_stream(seed, 0, 0, SUB_RUN) for _ in range(3)]
     violations = 0
-    for rep in range(int(R)):
+    for rep in range(R):
         run_stream = derive_stream(seed, rep, 0, SUB_RUN)
         meta_prior = build_meta_prior(config, run_stream)
         true_prior = sample_instance_prior(meta_prior, run_stream)
@@ -283,22 +288,23 @@ def certify_lemma3(
             AgentSpec(kind=METATS, meta_prior=meta_prior, forced_last_k=True),
             reward_noise=config.sigma,
         )
-        substream = name_substream(agent.name)
+        if rep % block == 0:
+            subs = (SUB_INSTANCE, SUB_REWARDS, name_substream(agent.name))
+            reps = range(rep, min(rep + block, R))
+            keys = stream_keys(seed, reps, range(1, config.m + 1), subs)
         for s in range(1, config.m + 1):
-            stream = derive_stream(seed, rep, s, substream)
+            for slot, sub, key in zip(slots, subs, keys[rep % block, s - 1]):
+                slot.rekey(rep, s, sub, key)
+            inst_stream, reward_stream, stream = slots
             agent.begin_task(stream, config.n)
             gap = float(np.max(np.abs(agent.task_prior.mu - true_prior.mu)))
             if gap > radii[s - 1]:
                 violations += 1
                 break
             instance = sample_task_instance(
-                true_prior,
-                derive_stream(seed, rep, s, SUB_INSTANCE),
-                reward_noise=config.sigma,
+                true_prior, inst_stream, reward_noise=config.sigma
             )
-            table = reward_table(
-                instance, config.n, derive_stream(seed, rep, s, SUB_REWARDS)
-            )
+            table = reward_table(instance, config.n, reward_stream)
             run_task(agent, instance, config.n, stream, rewards=table)
             agent.end_task()
     return violations / float(R)
@@ -322,15 +328,21 @@ def check_technical_lemmas(trials: int = 10_000, seed: int = 0) -> dict:
     avals[zero_a] = 0.0
     cases.extend(zip(ns.tolist(), avals.tolist()))
 
+    # One index table and two scratch buffers; each sum is the same
+    # elementwise ops and contiguous pairwise sum as on fresh arrays.
+    max_n = max(n for n, _ in cases)
+    index = np.arange(1, max_n + 1, dtype=float)
+    shifted, terms = np.empty(max_n), np.empty(max_n)
     for n, a in cases:
-        i = np.arange(1, n + 1, dtype=float)
-        sqrt_sum = float(np.sum(1.0 / np.sqrt(i + a)))
+        t = np.add(index[:n], a, out=shifted[:n])
+        u = np.divide(1.0, np.sqrt(t, out=terms[:n]), out=terms[:n])
+        sqrt_sum = float(u.sum())
         sqrt_bound = 2.0 * (math.sqrt(n + a) - math.sqrt(a))
         if sqrt_sum > sqrt_bound or sqrt_bound > 2.0 * math.sqrt(n) + 1e-12:
             failures += 1
         worst_sqrt = max(worst_sqrt, sqrt_sum - sqrt_bound)
         if a > 0.0:
-            log_sum = float(np.sum(1.0 / (i + a)))
+            log_sum = float(np.divide(1.0, t, out=terms[:n]).sum())
             log_bound = math.log1p(n / a)
             if log_sum > log_bound:
                 failures += 1

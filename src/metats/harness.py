@@ -38,7 +38,7 @@ from .envs import (
     sample_task_instance,
 )
 from .posteriors import CategoricalWeights
-from .rng import derive_stream, name_substream
+from .rng import derive_stream, name_substream, stream_keys
 
 __all__ = [
     "ExperimentConfig",
@@ -64,6 +64,9 @@ SUB_REWARDS = 2
 # runs of a chunk are simulated together (see _simulate_runs).
 CHUNK_CELLS = 1 << 20
 
+# Bound on the stream keys (16 bytes each) one stream_keys call derives.
+KEY_BLOCK = 1 << 16
+
 # Two mirrored, well-separated candidate priors over two Bernoulli arms.
 DEFAULT_BERNOULLI_PRIOR_TABLE = (((6.0, 2.0), (2.0, 6.0)), ((2.0, 6.0), (6.0, 2.0)))
 DEFAULT_BERNOULLI_WEIGHTS = (0.5, 0.5)
@@ -75,6 +78,10 @@ _AGENT_KEYS = {"kind", "forced_last_k", "misspecification_scale", "name"}
 # evidence adds several such terms.
 MIN_BETA_SHAPE = 1e-300
 MAX_BETA_SHAPE_SUM = 1e300
+
+# Largest condition number (estimated) of a linear posterior's precision
+# matrix; float Cholesky breaks down near 1e16.
+MAX_LINEAR_CONDITION = 1e10
 
 # Largest runs * m * agents: the regret array and the report hold one value
 # per (agent, run, task).
@@ -153,6 +160,8 @@ class ExperimentConfig:
         check_widths(self.sigma, self.sigma_0, self.sigma_q)
         self._validate_bernoulli_table()
         self.agents = self._validate_agents(self.agents)
+        if self.family == LINEAR:
+            self._check_linear_conditioning()
         cells = self.runs * self.m * len(self.agents)
         if cells > MAX_REGRET_CELLS:
             raise ValueError(
@@ -258,6 +267,29 @@ class ExperimentConfig:
                 f"misspecification_scale must keep {name} a normal finite float; "
                 f"got scale={scale!r}, sigma_q={self.sigma_q!r}"
             )
+
+    def _check_linear_conditioning(self) -> None:
+        """A linear posterior is a precision matrix: a prior of width w plus
+        data of precision at most n d / (4 sigma^2) per task (features lie in
+        [-0.5, 0.5]^d) has a condition number up to about w^2 times that. w is
+        sigma_0 for task posteriors, sqrt(sigma_q^2 + sigma_0^2) for the
+        agnostic one, and sigma_q * scale over m tasks for a meta-posterior."""
+        data = self.n * self.d / (4.0 * self.sigma * self.sigma)
+        checks = [("sigma_0", self.sigma_0 * self.sigma_0)]
+        for entry in self.agents:
+            scale = entry["misspecification_scale"]
+            if entry["kind"] == AGNOSTIC:
+                checks.append(("sigma_q", self.sigma_q**2 + self.sigma_0**2))
+            elif entry["kind"] == METATS:
+                key = "sigma_q" if scale == 1.0 else "misspecification_scale"
+                checks.append((key, (self.sigma_q * scale) * (self.sigma_q * scale) * self.m))
+        for key, width2 in checks:
+            if not width2 * data <= MAX_LINEAR_CONDITION:
+                raise ValueError(
+                    f"{key} gives a linear posterior a condition number of about "
+                    f"{width2 * data:.3g} (width**2 * n * d / (4 * sigma**2)), "
+                    f"above {MAX_LINEAR_CONDITION:g}"
+                )
 
     @property
     def agent_names(self) -> tuple:
@@ -388,13 +420,15 @@ def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> list
     Every agent of a run faces the same environment draws. For each task all
     (run, agent) pairs of the chunk play in one play_tasks call, so linear
     pairs share one stacked kernel; streams are keyed by (run, task, agent),
-    so every pair's numbers equal those of simulating its run alone. After
+    so every pair's numbers equal those of simulating its run alone. The keys
+    of all tasks come from one stream_keys call (per KEY_BLOCK keys), and
+    each stream of a run is one RngStream re-keyed before every task. After
     each task, progress (if given) gets the finished (run, task) cells of the
     whole experiment, counting every run before the chunk as finished.
     """
     seed = config.master_seed
     noise = 0.0 if config.family == BERNOULLI else config.sigma
-    substreams = [name_substream(name) for name in config.agent_names]
+    subs = [SUB_INSTANCE, SUB_REWARDS] + [name_substream(n) for n in config.agent_names]
     chunk = []
     for run_idx in runs:
         run_stream = derive_stream(seed, run_idx, 0, SUB_RUN)
@@ -413,26 +447,30 @@ def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> list
                     trace = np.zeros(config.m + 1)
                     trace[0] = agent.meta.weights[j_star]
                     traces[agent.name] = trace
-        chunk.append((run_idx, true_prior, agents, per_task, traces, j_star))
+        # One stream per substream, re-keyed before every task.
+        slots = [derive_stream(seed, run_idx, 0, sub) for sub in subs]
+        chunk.append((run_idx, true_prior, agents, per_task, traces, j_star, slots))
 
+    block = max(1, KEY_BLOCK // (len(runs) * len(subs)))
     for s in range(1, config.m + 1):
+        if (s - 1) % block == 0:
+            keys = stream_keys(seed, runs, range(s, min(s + block, config.m + 1)), subs)
         instances, pairs, streams, tables = [], [], [], []
-        for run_idx, true_prior, agents, _, _, _ in chunk:
-            instance = sample_task_instance(
-                true_prior, derive_stream(seed, run_idx, s, SUB_INSTANCE), reward_noise=noise
-            )
-            table = reward_table(
-                instance, config.n, derive_stream(seed, run_idx, s, SUB_REWARDS)
-            )
+        for (run_idx, true_prior, agents, *_, slots), run_keys in zip(
+            chunk, keys[:, (s - 1) % block]
+        ):
+            for slot, sub, key in zip(slots, subs, run_keys):
+                slot.rekey(run_idx, s, sub, key)
+            instance = sample_task_instance(true_prior, slots[0], reward_noise=noise)
+            table = reward_table(instance, config.n, slots[1])
             instances.append(instance)
-            for agent, substream in zip(agents, substreams):
-                stream = derive_stream(seed, run_idx, s, substream)
+            for agent, stream in zip(agents, slots[2:]):
                 agent.begin_task(stream, config.n)
                 pairs.append(agent)
                 streams.append(stream)
                 tables.append(table)
         played = iter(play_tasks(pairs, streams, tables))
-        for (_, _, agents, per_task, traces, j_star), instance in zip(chunk, instances):
+        for (_, _, agents, per_task, traces, j_star, _), instance in zip(chunk, instances):
             for a_idx, agent in enumerate(agents):
                 regrets = _pseudo_regret(instance, next(played))
                 agent.end_task()
@@ -441,7 +479,7 @@ def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> list
                     traces[agent.name][s] = agent.meta.weights[j_star]
         if progress is not None:
             progress(runs.start * config.m + s * len(runs), config.runs * config.m)
-    return [(per_task, traces) for _, _, _, per_task, traces, _ in chunk]
+    return [(per_task, traces) for _, _, _, per_task, traces, _, _ in chunk]
 
 
 def _run_payload(args):

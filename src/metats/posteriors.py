@@ -60,18 +60,23 @@ class NumericalError(RuntimeError):
 def _spd_factor(mat: np.ndarray, context: str) -> np.ndarray:
     """Cholesky factor of an SPD matrix, or of each matrix of a (R, d, d) stack.
 
-    An explicit pivot floor replaces silent regularization. Cholesky passes
-    NaNs through without raising, so the floor check is written to fail on a
-    NaN pivot too.
+    An explicit pivot floor replaces silent regularization. The floor is
+    PIVOT_FLOOR times each matrix's largest pivot, so it bounds conditioning,
+    not scale. Cholesky passes NaNs through without raising, so the floor
+    check is written to fail on a NaN pivot too.
     """
     try:
         lower = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
         problem = "matrix is not positive-definite"
     else:
-        if lower.diagonal(0, -2, -1).min() >= PIVOT_FLOOR:
+        pivots = lower.diagonal(0, -2, -1)
+        # Passing stack-wide implies passing per matrix, and is cheaper.
+        if pivots.min() >= PIVOT_FLOOR * pivots.max() or np.all(
+            pivots.min(axis=-1) >= PIVOT_FLOOR * pivots.max(axis=-1)
+        ):
             return lower
-        problem = f"Cholesky pivot below {PIVOT_FLOOR:g}"
+        problem = f"Cholesky pivot below {PIVOT_FLOOR:g} of the largest pivot"
     try:
         cond = float(np.max(np.linalg.cond(mat)))
     except np.linalg.LinAlgError:  # the SVD of a NaN matrix does not converge

@@ -10,6 +10,7 @@ from the command line (`metats selftest`) and inside the test suite.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -25,7 +26,7 @@ from .posteriors import (
     update_meta_posterior_gaussian,
     update_meta_posterior_linear,
 )
-from .rng import derive_stream
+from .rng import derive_stream, stream_keys
 
 __all__ = [
     "CheckResult",
@@ -34,6 +35,7 @@ __all__ = [
     "check_woodbury_vs_direct",
     "direct_linear_meta_update",
     "check_gaussian_linear_identity",
+    "check_stream_keys_vs_seedsequence",
     "run_selftest",
 ]
 
@@ -272,6 +274,32 @@ def check_gaussian_linear_identity(cases: int = 50, seed: int = 14) -> CheckResu
     )
 
 
+def check_stream_keys_vs_seedsequence(masters: int = 4, seed: int = 15) -> CheckResult:
+    """Vectorized stream keys vs. numpy's SeedSequence, key by key, for ids of
+    one to four 32-bit words (0 to 13 random bytes) and a 64-bit substream."""
+    gen = derive_stream(seed, 0, 0, 0).gen
+
+    def ids(count):
+        return [int.from_bytes(gen.bytes(int(gen.integers(0, 14))), "little") for _ in range(count)]
+
+    checked = mismatches = 0
+    for master in ids(masters):
+        axes = (ids(4), ids(4), ids(4) + [16 + 2**64 - 1])
+        keys = stream_keys(master, *axes)
+        for index in itertools.product(*(range(len(a)) for a in axes)):
+            entropy = (master, *(a[i] for a, i in zip(axes, index)))
+            expected = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+            mismatches += not np.array_equal(keys[index], expected)
+            checked += 1
+    return CheckResult(
+        name="stream-keys-vs-seedsequence",
+        passed=mismatches == 0,
+        worst=float(mismatches),
+        tol=0.0,
+        detail=f"{checked} keys, {mismatches} mismatches",
+    )
+
+
 def run_selftest(trials: int = 10_000) -> tuple:
     """Run every numerical check; returns (all_passed, list of CheckResult)."""
     results = [
@@ -279,6 +307,7 @@ def run_selftest(trials: int = 10_000) -> tuple:
         check_gaussian_vs_joint(),
         check_woodbury_vs_direct(),
         check_gaussian_linear_identity(),
+        check_stream_keys_vs_seedsequence(),
     ]
     tech = check_technical_lemmas(trials=trials)
     results.append(

@@ -1,0 +1,61 @@
+"""The benchmark's entry points still work on this tree.
+
+perfbench/worker.py imports metats, wraps some of its functions by name and
+checks the outputs against perfbench/goldens.json. A rename or deletion there
+makes every repetition die, so this runs one repetition of two workloads in
+a fresh process, as the benchmark does, and reads perfbench/ without editing
+it.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "perfbench")
+SEED = 23
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(BENCH, "workloads.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON constant {token}")
+
+
+@pytest.mark.parametrize("name", ["certify", "bernoulli-short"])
+def test_worker_prints_a_correct_result_line(tmp_path, name):
+    workloads = _load_workloads()
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            os.path.join(BENCH, "worker.py"),
+            json.dumps(workloads.make_workload(name, SEED)),
+            str(tmp_path),
+            "0",
+            f"{name}/contract",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1], parse_constant=_reject_constant)
+    assert result["problems"] == []
+    assert result["digests"] == workloads.load_goldens()[name]
+    if name == "certify":
+        # 4 lemma-1 runs of 200 rounds, plus 4 replications x 20 tasks x 200
+        # rounds that certify_lemma3 plays through bounds.run_task.
+        assert result["agent_rounds"] == 16_800

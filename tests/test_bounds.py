@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from metats import bounds
 from metats.bounds import (
     BoundParams,
     CertResult,
@@ -25,8 +26,37 @@ from metats.bounds import (
     theorem1_bound,
 )
 from metats.harness import ExperimentConfig
+from metats.rng import derive_stream
 
 SEC5 = BoundParams()  # K=2, n=200, m=20, sigma=1, sigma_0=0.1, sigma_q=0.5, delta=0.05
+
+
+def per_case_lemmas(trials, seed):
+    """check_technical_lemmas with fresh index arrays for every case."""
+    gen = derive_stream(seed, 0, 0, 0).gen
+    cases = [(1, 0.0), (100, 0.0), (10, 1.0)]
+    ns = gen.integers(1, 10_000 + 1, size=trials)
+    avals = gen.uniform(0.0, 1_000.0, size=trials)
+    avals[gen.random(size=trials) < 0.125] = 0.0
+    cases.extend(zip(ns.tolist(), avals.tolist()))
+    failures, worst_sqrt, worst_log = 0, -math.inf, -math.inf
+    for n, a in cases:
+        i = np.arange(1, n + 1, dtype=float)
+        sqrt_sum = float(np.sum(1.0 / np.sqrt(i + a)))
+        sqrt_bound = 2.0 * (math.sqrt(n + a) - math.sqrt(a))
+        failures += sqrt_sum > sqrt_bound or sqrt_bound > 2.0 * math.sqrt(n) + 1e-12
+        worst_sqrt = max(worst_sqrt, sqrt_sum - sqrt_bound)
+        if a > 0.0:
+            log_sum = float(np.sum(1.0 / (i + a)))
+            failures += log_sum > math.log1p(n / a)
+            worst_log = max(worst_log, log_sum - math.log1p(n / a))
+    return {
+        "passed": failures == 0,
+        "trials": len(cases),
+        "failures": failures,
+        "worst_sqrt_slack": worst_sqrt,
+        "worst_log_slack": worst_log,
+    }
 
 
 class TestBoundParams:
@@ -253,6 +283,12 @@ class TestTechnicalLemmas:
         b = check_technical_lemmas(trials=200, seed=5)
         assert a == b
 
+    @pytest.mark.parametrize("trials, seed", [(0, 0), (50, 1), (500, 3), (2000, 7)])
+    def test_matches_per_case_formula(self, trials, seed):
+        # The buffered evaluation must return the very dict of fresh arrays
+        # per case: same cases, same slacks to the last bit, same failures.
+        assert check_technical_lemmas(trials=trials, seed=seed) == per_case_lemmas(trials, seed)
+
 
 class TestCertifications:
     def test_lemma1_certificate_small(self):
@@ -298,6 +334,18 @@ class TestCertifications:
         config = ExperimentConfig(m=2, n=20, master_seed=23)
         freq = certify_lemma3(config, R=40, delta=0.9)
         assert 0.0 <= freq <= 1.0
+
+    def test_lemma3_key_blocks_do_not_change_the_frequency(self, monkeypatch):
+        # Keys derived for every replication at once or a few at a time give
+        # the same streams. A radius shrunk to 0.3x makes about half the
+        # replications break early, at a task that depends on every draw.
+        radius = bounds.lemma3_radius
+        monkeypatch.setattr(bounds, "lemma3_radius", lambda p, s: 0.3 * radius(p, s))
+        config = ExperimentConfig(m=3, n=10, master_seed=23)
+        whole = certify_lemma3(config, R=30, delta=0.1)
+        assert whole == 17 / 30
+        monkeypatch.setattr(bounds, "KEY_BLOCK", 20)
+        assert certify_lemma3(config, R=30, delta=0.1) == whole
 
     def test_lemma3_degenerate_meta_prior(self):
         config = ExperimentConfig(sigma_q=1e-6, m=2, n=20, master_seed=23)

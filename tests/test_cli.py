@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from metats.cli import EXIT_CONFIG, EXIT_OK, list_presets, main
@@ -149,6 +150,33 @@ class TestConfigErrors:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} ")
+        assert not (tmp_path / "report.json").exists()
+
+    def test_linear_widths_at_any_scale_run(self, tmp_path):
+        # Every width of linear-d4 times 2e13: the precision matrices are
+        # about 1e-26 I, perfectly conditioned, so the pivot floor (relative
+        # to each matrix's largest pivot) accepts them, and the regrets are
+        # the unscaled ones times 2e13.
+        small = ["m=2", "runs=1", "n=5"]
+        code = main(["run", "--preset", "linear-d4", "--output", str(tmp_path / "unit"), *small])
+        assert code == EXIT_OK
+        scaled = ["sigma=2e13", "sigma_0=2e12", "sigma_q=1e13", *small]
+        code = main(["run", "--preset", "linear-d4", "--output", str(tmp_path / "wide"), *scaled])
+        assert code == EXIT_OK
+        unit = read_report(tmp_path / "unit")["cum_regret"]
+        wide = read_report(tmp_path / "wide")["cum_regret"]
+        for name, rows in unit.items():
+            np.testing.assert_allclose(np.array(wide[name]), 2e13 * np.array(rows), rtol=1e-9)
+            assert np.all(np.isfinite(wide[name]))
+
+    def test_linear_meta_prior_too_wide_to_condition_names_key(self, tmp_path, capsys):
+        # sigma_q = 1e13 against sigma_0 = 0.1: one task's data leaves the
+        # meta and agnostic precisions with condition numbers near 1e27,
+        # beyond float Cholesky, so the config is refused by name.
+        args = ["sigma_q=1e13", "m=2", "runs=1", "n=5"]
+        code = main(["run", "--preset", "linear-d4", "--output", str(tmp_path), *args])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: sigma_q gives a linear posterior")
         assert not (tmp_path / "report.json").exists()
 
     def test_unknown_override_key(self, tmp_path, capsys):

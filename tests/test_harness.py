@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metats import harness
 from metats.agents import Agent, AgentSpec
 from metats.envs import (
     BanditInstance,
@@ -29,7 +30,6 @@ from metats.harness import (
     run_experiment,
     run_task,
 )
-from metats.posteriors import NumericalError
 from metats.rng import derive_stream
 
 SMALL = dict(m=3, n=15, runs=2)
@@ -183,9 +183,10 @@ class TestExperimentConfig:
     )
     def test_accepted_widths_run_to_finite_regret(self, widths, scale, shapes, family):
         # Soundness of the input domain: whatever validation accepts (widths,
-        # MetaTS's misspecification_scale, Bernoulli prior_table shapes),
-        # every agent (with the task-posterior variance checked only at zero
-        # pulls) runs without a numerical failure and reports finite outputs.
+        # MetaTS's misspecification_scale, Bernoulli prior_table shapes, the
+        # linear posteriors' conditioning), every agent (with the
+        # task-posterior variance checked only at zero pulls) runs without a
+        # numerical failure and reports finite outputs.
         sigma, sigma_0, sigma_q = widths
         table = None
         if family == "bernoulli":
@@ -205,15 +206,36 @@ class TestExperimentConfig:
             )
         except ValueError:
             return
-        try:
-            report = run_experiment(config)
-        except NumericalError:
-            # The linear family refuses near-singular covariances by name.
-            assert family == "linear"
-            return
+        report = run_experiment(config)
         assert np.all(np.isfinite(report.cum_regret))
         for trace in report.true_prior_weight.values():
             assert np.all(np.isfinite(trace))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.floats(-12.0, 12.0).map(lambda e: 10.0**e),
+        st.just(1.0) | st.floats(-12.0, 12.0).map(lambda e: 10.0**e),
+        st.integers(1, 6),
+        st.integers(1, 30),
+    )
+    def test_accepted_linear_priors_run_to_finite_regret(self, sigma_q, scale, d, n):
+        # Linear sigma_q and misspecification_scale up to the accepted edge,
+        # where the meta-prior is far wider than sigma_0 and the precision
+        # matrices far from the identity's scale: accepted configs run, and
+        # rejected ones name the key.
+        try:
+            config = ExperimentConfig(
+                family="linear", K=4, d=d, n=n, m=3, runs=1, sigma_q=sigma_q,
+                agents=(
+                    {"kind": "oracle"},
+                    {"kind": "metats", "misspecification_scale": scale},
+                    {"kind": "agnostic"},
+                ),
+            )
+        except ValueError as err:
+            assert str(err).startswith(("sigma_q ", "misspecification_scale "))
+            return
+        assert np.all(np.isfinite(run_experiment(config).cum_regret))
 
 
 class TestPriorConstruction:
@@ -347,6 +369,28 @@ class TestRunExperiment:
             paths = emit_report(run_experiment(config, threads=threads), str(out))
             files[threads] = {name: (out / name).read_bytes() for name in map(os.path.basename, paths)}
         assert files[1] == files[2]
+
+    def test_key_blocks_and_vectorized_keys_do_not_change_reports(self, monkeypatch):
+        # Keys derived for all tasks at once, one task per call, or taken
+        # from numpy's SeedSequence stream by stream give the same report; a
+        # master seed above 2**32 takes two key words.
+        def fresh_streams(seed, runs, tasks, subs):
+            return np.array(
+                [[[derive_stream(seed, r, t, s).gen.bit_generator.state["state"]["key"]
+                   for s in subs] for t in tasks] for r in runs]
+            )
+
+        for kw in (dict(family="bernoulli", m=4, n=5, runs=3), dict(m=3, n=6, runs=2)):
+            config = ExperimentConfig(master_seed=2**40 + 3, **kw)
+            whole = run_experiment(config)
+            monkeypatch.setattr(harness, "KEY_BLOCK", 1)
+            one_task = run_experiment(config)
+            monkeypatch.setattr(harness, "stream_keys", fresh_streams)
+            fresh = run_experiment(config)
+            monkeypatch.undo()
+            for report in (one_task, fresh):
+                np.testing.assert_array_equal(report.cum_regret, whole.cum_regret)
+                assert report.to_json_dict() == whole.to_json_dict()
 
     def test_linear_metats_unchanged_without_the_other_agents(self):
         kw = dict(family="linear", K=5, d=3, m=3, n=20, runs=3, master_seed=17)

@@ -279,6 +279,19 @@ class TestSampleTaskPosterior:
                 np.zeros((2, 2)),
             )
 
+    def test_pivot_floor_is_relative_to_the_largest_pivot(self):
+        # A tiny but perfectly conditioned precision samples like the unit
+        # one scaled; a pivot 1e-15 of its matrix's largest is refused, also
+        # next to a tiny well-conditioned matrix in the same stack.
+        z = np.array([[0.3, -1.2]])
+        eye = np.eye(2)[None]
+        unit = linear_thompson(eye, np.zeros((1, 2)), eye, z)
+        tiny = linear_thompson(1e-26 * eye, np.zeros((1, 2)), eye, z)
+        np.testing.assert_allclose(tiny, 1e13 * unit, rtol=1e-12)
+        skewed = np.stack([1e-26 * np.eye(2), np.diag([1.0, 1e-30])])
+        with pytest.raises(NumericalError, match="pivot below 1e-12 of the largest"):
+            linear_thompson(skewed, np.zeros((2, 2)), np.stack([np.eye(2)] * 2), np.zeros((2, 2)))
+
     def test_linear_sample_covariance(self):
         # Empirical covariance of theta-samples (recovered through identity
         # features) matches the posterior covariance.

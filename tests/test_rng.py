@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metats.rng import (
     RngStream,
@@ -10,6 +12,7 @@ from metats.rng import (
     sample_beta,
     sample_categorical,
     sample_gaussian,
+    stream_keys,
 )
 
 
@@ -144,3 +147,70 @@ def test_name_substream_stable_and_distinct():
     assert name_substream("MetaTS") >= 16
     names = ["MetaTS", "MetaTSx3", "MetaTS/3", "OracleTS", "TS"]
     assert len({name_substream(n) for n in names}) == len(names)
+
+
+# Ids of one, two and three 32-bit words: zero, small, 2^32 and above, and
+# the largest three-word agent substream 16 + 2^64 - 1.
+IDS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 5, 2**64 - 1]) | st.integers(
+    0, 2**40
+)
+SEEDS = st.sampled_from([0, 23, 2**32, 2**64, 2**64 + 7, 2**100 - 1]) | st.integers(0, 2**70)
+SUBSTREAMS = (
+    st.integers(0, 15)
+    | st.sampled_from([16 + 2**64 - 1, name_substream("MetaTS"), name_substream("TS")])
+    | st.integers(16, 16 + 2**64 - 1)
+)
+
+
+def seed_sequence_key(*entropy):
+    return np.random.SeedSequence(entropy=entropy).generate_state(2, np.uint64)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    SEEDS,
+    st.lists(IDS, min_size=1, max_size=3),
+    st.lists(IDS, min_size=1, max_size=3),
+    st.lists(SUBSTREAMS, min_size=1, max_size=4),
+)
+def test_stream_keys_equal_seed_sequence(seed, runs, tasks, subs):
+    # Mixed word counts in one call: every key is numpy's, in its own cell.
+    keys = stream_keys(seed, runs, tasks, subs)
+    assert keys.shape == (len(runs), len(tasks), len(subs), 2)
+    assert keys.dtype == np.uint64
+    for i, run in enumerate(runs):
+        for j, task in enumerate(tasks):
+            for k, sub in enumerate(subs):
+                np.testing.assert_array_equal(
+                    keys[i, j, k], seed_sequence_key(seed, run, task, sub)
+                )
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(SEEDS, IDS, IDS, SUBSTREAMS, st.integers(0, 7), st.integers(0, 3))
+def test_rekeyed_stream_draws_like_a_fresh_one(seed, run, task, sub, normals, words):
+    # A stream that has drawn, including a uint32 draw that leaves half a
+    # 64-bit word buffered, re-keyed, draws bit for bit like derive_stream.
+    stream = derive_stream(3, 1, 4, 2)
+    stream.gen.normal(size=normals)
+    stream.gen.integers(0, 2**32, size=2 * words + 1, dtype=np.uint32)
+    assert stream.gen.bit_generator.state["has_uint32"] == 1
+    stream.rekey(run, task, sub, stream_keys(seed, [run], [task], [sub])[0, 0, 0])
+    fresh = derive_stream(seed, run, task, sub)
+    assert (stream.run_id, stream.task_id, stream.substream) == (run, task, sub)
+    for gen in (stream.gen, fresh.gen):
+        assert gen.bit_generator.state["has_uint32"] == 0
+    for draw in (
+        lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
+        lambda g: g.normal(size=5),
+        lambda g: g.beta(2.0, 3.0, size=4),
+        lambda g: g.random(),
+    ):
+        np.testing.assert_array_equal(draw(stream.gen), draw(fresh.gen))
+
+
+def test_stream_keys_reject_negative_ids():
+    with pytest.raises(ValueError, match="nonnegative"):
+        stream_keys(1, [0, -1], [0], [0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        stream_keys(-1, [0], [0], [0])
