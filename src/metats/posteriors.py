@@ -1,14 +1,15 @@
 """Conjugate posterior state: within-task updates and per-family meta updates.
 
 Within a task the agent holds a task posterior updated after every reward.
-Each family's task posterior has the same three per-round methods, which the
-step API (sample_task_posterior, update_task_posterior) and the agent's task
-loop share: ``noise(gen, rounds)`` draws the Thompson noise of that many
-rounds in one call, ``thompson(noise_row)`` turns one round's noise into one
-posterior sample of the arm means, and ``absorb(arm, reward)`` folds one
-observation into the state in place. The agent's task loop plays linear
-tasks through play_linear instead, which runs the same round math for many
-(run, agent) pairs at once.
+The Bernoulli and Gaussian ones play a task's drawn rounds in one call,
+``play(gen, rows)``: each round pulls the first arm of largest Thompson
+sample and folds its reward from the round's row into the state in place.
+The step API (sample_task_posterior, update_task_posterior) uses one-round
+methods with the same bits: ``noise(gen, rounds)`` draws the Thompson noise
+of that many rounds, ``thompson(noise_row)`` turns one round's noise into a
+sample of the arm means, and ``absorb(arm, reward)`` folds one observation
+into the state. Linear tasks are played through play_linear, which runs the
+same round math for many (run, agent) pairs at once.
 
 Across tasks the agent holds a MetaPosterior over instance priors, updated
 exactly once per completed task from the task's full interaction log. Meta
@@ -171,6 +172,25 @@ class BetaCounts:
         self.alpha[arm] += reward
         self.beta[arm] += 1.0 - reward
 
+    def play(self, gen: np.random.Generator, rows: list) -> list:
+        """thompson, first maximum and absorb for one round per reward row."""
+        alpha, beta, draw = self.alpha, self.beta, gen.beta
+        rest, arms = range(1, len(alpha)), []
+        pull = arms.append
+        for row in rows:
+            arm, top = 0, draw(alpha[0], beta[0])
+            for k in rest:
+                x = draw(alpha[k], beta[k])
+                if x > top:
+                    arm, top = k, x
+            reward = row[arm]
+            if reward not in (0.0, 1.0):
+                raise ValueError(f"Bernoulli reward must be 0 or 1, got {reward!r}")
+            alpha[arm] += reward
+            beta[arm] += 1.0 - reward
+            pull(arm)
+        return arms
+
 
 @dataclass
 class GaussianArms:
@@ -202,19 +222,50 @@ class GaussianArms:
         # consume in round t, and numpy computes that draw as mean + sqrt(var) * z.
         return gen.standard_normal((rounds, len(self.prior_mu))).tolist()
 
-    def thompson(self, z) -> list:
+    def _arm_terms(self):
+        """k -> (mean, sd) of arm k's Thompson draw, read from the live statistics."""
         s2 = self.sigma**2
         s02 = self.sigma_0**2
         kappa = s2 / s02
-        draw = []
-        for mu, pulls, total, zi in zip(self.prior_mu, self.pulls, self.sums, z):
-            v = s2 / (kappa + pulls)
-            draw.append(v * (mu / s02 + total / s2) + math.sqrt(v) * zi)
-        return draw
+        prior_mu, pulls, sums = self.prior_mu, self.pulls, self.sums
+
+        def terms(k: int) -> tuple:
+            v = s2 / (kappa + pulls[k])
+            return v * (prior_mu[k] / s02 + sums[k] / s2), math.sqrt(v)
+
+        return terms
+
+    def thompson(self, z) -> list:
+        terms = self._arm_terms()
+        return [mean + sd * zk for (mean, sd), zk in zip(map(terms, range(len(z))), z)]
 
     def absorb(self, arm: int, reward: float) -> None:
         self.pulls[arm] += 1.0
         self.sums[arm] += reward
+
+    def play(self, gen: np.random.Generator, rows: list) -> list:
+        """thompson, first maximum and absorb for one round per reward row.
+
+        Each arm's mean and sd are refreshed only when it is pulled.
+        """
+        num_arms = len(self.prior_mu)
+        z = self.noise(gen, len(rows))
+        terms = self._arm_terms()
+        mean, sd = map(list, zip(*map(terms, range(num_arms))))
+        pulls, sums = self.pulls, self.sums
+        rest, arms = range(1, num_arms), []
+        pull = arms.append
+        for row, zr in zip(rows, z):
+            arm, top = 0, mean[0] + sd[0] * zr[0]
+            for k in rest:
+                x = mean[k] + sd[k] * zr[k]
+                if x > top:
+                    arm, top = k, x
+            pulls[arm] += 1.0
+            sums[arm] += row[arm]
+            mean[arm], sd[arm] = terms(arm)
+            pull(arm)
+        return arms
 
 
 @dataclass

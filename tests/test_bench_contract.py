@@ -2,9 +2,11 @@
 
 perfbench/worker.py imports metats, wraps some of its functions by name and
 checks the outputs against perfbench/goldens.json. A rename or deletion there
-makes every repetition die, so this runs one repetition of two workloads in
-a fresh process, as the benchmark does, and reads perfbench/ without editing
-it.
+makes every repetition die, so this runs repetitions in a fresh process, as
+the benchmark does, and reads perfbench/ without editing it. The traced run
+wraps more names (perfbench/tracer.py); one that is gone does not fail the
+repetition but turns its layer absent and its metrics null, so that is
+checked too.
 """
 
 import importlib.util
@@ -20,9 +22,9 @@ BENCH = os.path.join(ROOT, "perfbench")
 SEED = 23
 
 
-def _load_workloads():
+def _load(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", os.path.join(BENCH, "workloads.py")
+        f"perfbench_{name}", os.path.join(BENCH, f"{name}.py")
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -33,9 +35,9 @@ def _reject_constant(token):
     raise ValueError(f"non-finite JSON constant {token}")
 
 
-@pytest.mark.parametrize("name", ["certify", "bernoulli-short"])
-def test_worker_prints_a_correct_result_line(tmp_path, name):
-    workloads = _load_workloads()
+def _run_worker(tmp_path, name, trace):
+    """One repetition of the workload at SEED; its checked last line."""
+    workloads = _load("workloads")
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(
         [
@@ -43,7 +45,7 @@ def test_worker_prints_a_correct_result_line(tmp_path, name):
             os.path.join(BENCH, "worker.py"),
             json.dumps(workloads.make_workload(name, SEED)),
             str(tmp_path),
-            "0",
+            trace,
             f"{name}/contract",
         ],
         env=env,
@@ -55,7 +57,26 @@ def test_worker_prints_a_correct_result_line(tmp_path, name):
     result = json.loads(proc.stdout.strip().splitlines()[-1], parse_constant=_reject_constant)
     assert result["problems"] == []
     assert result["digests"] == workloads.load_goldens()[name]
+    return result
+
+
+@pytest.mark.parametrize("name", ["certify", "bernoulli-short"])
+def test_worker_prints_a_correct_result_line(tmp_path, name):
+    result = _run_worker(tmp_path, name, "0")
     if name == "certify":
         # 4 lemma-1 runs of 200 rounds, plus 4 replications x 20 tasks x 200
         # rounds that certify_lemma3 plays through bounds.run_task.
         assert result["agent_rounds"] == 16_800
+
+
+def test_traced_worker_finds_every_layer(tmp_path):
+    trace = _run_worker(tmp_path, "gaussian-long", "1")["trace"]
+    assert trace["absent_targets"] == []
+    assert {layer["status"] for layer in trace["layers"].values()} == {"ok"}
+
+
+def test_every_traced_name_resolves():
+    tracer = _load("tracer")
+    targets = [t for layer in tracer.LAYERS.values() for t in layer]
+    targets += list(tracer.COUNTERS.values())
+    assert [t for t in targets if tracer.resolve(t) is None] == []
