@@ -1,9 +1,10 @@
 """Thompson sampling policies: meta-learning, oracle, and prior-agnostic.
 
 All three run the same within-task TS loop over a conjugate posterior; they
-differ only in where the task prior comes from. MetaTS samples it from a
-meta-posterior that it updates after every completed task; OracleTS uses the
-true instance prior; the agnostic baseline uses a fixed marginal or
+differ only in where the task prior comes from, which AgentSpec.prior gives.
+MetaTS samples it from a meta-posterior that starts at its meta-prior (the
+meta-state at zero tasks) and is updated after every completed task; OracleTS
+uses the true instance prior; the agnostic baseline uses a fixed marginal or
 uninformative prior and never learns across tasks.
 """
 
@@ -13,16 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import (
-    CategoricalMetaPrior,
-    GaussianMetaPrior,
-    LinearMetaPrior,
-)
 from .posteriors import (
     CategoricalWeights,
     GaussianDiagState,
     LinearGaussianPosterior,
-    LinearState,
     TaskLog,
     init_task_posterior,
     play_linear,
@@ -55,63 +50,22 @@ def _default_name(kind: str, scale: float) -> str:
 
 @dataclass
 class AgentSpec:
-    """Static description of one policy; exactly one prior field per kind."""
+    """Static description of one policy.
+
+    prior is MetaTS's meta-state at zero tasks (its meta-prior), or the fixed
+    instance prior of OracleTS (the true one) and of TS (the agnostic one).
+    """
 
     kind: str
-    meta_prior: object = None
-    true_instance_prior: object = None
-    agnostic_prior: object = None
+    prior: object
     forced_last_k: bool = False
-    misspecification_scale: float = 1.0
     name: str | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown agent kind {self.kind!r}")
-        self.misspecification_scale = float(self.misspecification_scale)
-        if not self.misspecification_scale > 0.0:
-            raise ValueError("misspecification_scale must be > 0")
-        wanted = {
-            METATS: "meta_prior",
-            ORACLE: "true_instance_prior",
-            AGNOSTIC: "agnostic_prior",
-        }[self.kind]
-        for attr in ("meta_prior", "true_instance_prior", "agnostic_prior"):
-            have = getattr(self, attr) is not None
-            if have != (attr == wanted):
-                raise ValueError(f"kind {self.kind!r} requires exactly {wanted} to be set")
-        if self.kind != METATS and self.misspecification_scale != 1.0:
-            raise ValueError("misspecification_scale applies to MetaTS only")
         if self.name is None:
-            self.name = _default_name(self.kind, self.misspecification_scale)
-
-
-def _init_meta_state(meta_prior, scale: float, reward_noise: float):
-    """Meta-posterior at zero tasks, with the believed width scaled if asked."""
-    if isinstance(meta_prior, CategoricalMetaPrior):
-        if scale != 1.0:
-            raise ValueError("categorical meta-priors have no width to misspecify")
-        return CategoricalWeights(
-            weights=meta_prior.weights.copy(), priors=meta_prior.priors
-        )
-    if isinstance(meta_prior, GaussianMetaPrior):
-        k = meta_prior.num_arms
-        width = meta_prior.sigma_q * scale
-        return GaussianDiagState(
-            mu=np.zeros(k),
-            var=np.full(k, width**2),
-            sigma_0=meta_prior.sigma_0,
-            sigma=reward_noise,
-        )
-    if isinstance(meta_prior, LinearMetaPrior):
-        return LinearState(
-            mu=meta_prior.mu_0.copy(),
-            Lambda=meta_prior.Lambda_0 / scale**2,
-            Sigma=meta_prior.Sigma,
-            sigma=reward_noise,
-            features=meta_prior.features,
-        )
-    raise TypeError(f"not a meta-prior: {type(meta_prior).__name__}")
+            self.name = _default_name(self.kind, 1.0)
 
 
 def _argmax(draw: list) -> int:
@@ -136,11 +90,7 @@ class Agent:
         self.spec = spec
         self.name = spec.name
         self.reward_noise = float(reward_noise)
-        self.meta = None
-        if spec.kind == METATS:
-            self.meta = _init_meta_state(
-                spec.meta_prior, spec.misspecification_scale, self.reward_noise
-            )
+        self.meta = spec.prior if spec.kind == METATS else None
         self.task_prior = None
         self.task_posterior = None
         self.log = None
@@ -170,10 +120,8 @@ class Agent:
             raise ValueError("horizon must be >= 1")
         if self.spec.kind == METATS:
             self.task_prior = sample_meta_posterior(self.meta, stream)
-        elif self.spec.kind == ORACLE:
-            self.task_prior = self.spec.true_instance_prior
         else:
-            self.task_prior = self.spec.agnostic_prior
+            self.task_prior = self.spec.prior
         self.task_posterior = init_task_posterior(self.task_prior, sigma=self.reward_noise)
         self.log = TaskLog(num_arms=self.task_prior.num_arms)
         self.horizon = int(horizon)

@@ -9,7 +9,7 @@ simulations and check the inequalities empirically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,19 +63,6 @@ class BoundParams:
         check_widths(self.sigma, self.sigma_0, self.sigma_q)
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must be in (0, 1)")
-
-    def replaced(self, **kw) -> "BoundParams":
-        data = {
-            "K": self.K,
-            "n": self.n,
-            "m": self.m,
-            "sigma": self.sigma,
-            "sigma_0": self.sigma_0,
-            "sigma_q": self.sigma_q,
-            "delta": self.delta,
-        }
-        data.update(kw)
-        return BoundParams(**data)
 
 
 def root_gap(n: int, K: int, sigma: float, sigma_0: float) -> float:
@@ -285,7 +272,7 @@ def certify_lemma3(
         meta_prior = build_meta_prior(config, run_stream)
         true_prior = sample_instance_prior(meta_prior, run_stream)
         agent = Agent(
-            AgentSpec(kind=METATS, meta_prior=meta_prior, forced_last_k=True),
+            AgentSpec(kind=METATS, prior=meta_prior, forced_last_k=True),
             reward_noise=config.sigma,
         )
         if rep % block == 0:
@@ -385,7 +372,7 @@ def bounds_report(
         "root_gap_prior": root_gap(p.n, p.K, p.sigma, p.sigma_0),
         "root_gap_marginal": root_gap(p.n, p.K, p.sigma, marginal_width),
         "lemma1_bound": lemma1_bound(p),
-        "lemma1_bound_marginal": lemma1_bound(p.replaced(sigma_0=marginal_width)),
+        "lemma1_bound_marginal": lemma1_bound(replace(p, sigma_0=marginal_width)),
         "lemma3_radius_task1": lemma3_radius(p, 1),
         "lemma3_radius_final": lemma3_radius(p, p.m),
         "theorem1": t1.to_json_dict(),

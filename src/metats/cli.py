@@ -199,6 +199,8 @@ def _cmd_check_bounds(args) -> int:
         params = BoundParams(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    if args.certify:
+        _check_certify_flags(args, params, seed)
     report = bounds_report(
         params,
         certify=args.certify,
@@ -216,7 +218,33 @@ def _cmd_check_bounds(args) -> int:
     return EXIT_OK
 
 
+def _check_certify_flags(args, params: BoundParams, seed) -> None:
+    """Reject out-of-domain certification inputs before any simulation starts."""
+    checks = (
+        (args.runs >= 1, f"--runs must be >= 1, got {args.runs}"),
+        (
+            0.0 < args.lemma3_delta < 1.0,
+            f"--lemma3-delta must be in (0, 1), got {args.lemma3_delta!r}",
+        ),
+        (args.trials >= 0, f"--trials must be >= 0, got {args.trials}"),
+        (
+            not isinstance(seed, int) or seed >= 0,
+            f"--seed (or METATS_SEED, master_seed) must be >= 0, got {seed}",
+        ),
+        (
+            params.n >= params.K,
+            f"n must be >= K for the forced terminal pulls of --certify; "
+            f"got n={params.n}, K={params.K}",
+        ),
+    )
+    for ok, message in checks:
+        if not ok:
+            raise ConfigError(message)
+
+
 def _cmd_selftest(args) -> int:
+    if args.trials < 0:
+        raise ConfigError(f"--trials must be >= 0, got {args.trials}")
     passed, results = run_selftest(trials=args.trials)
     for result in results:
         print(result.line())

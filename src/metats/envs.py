@@ -5,6 +5,10 @@ means, and per-round stochastic rewards. Three conjugate families are
 supported: Bernoulli arms under Beta-product priors chosen from a categorical
 meta-prior, Gaussian arms under diagonal-Gaussian priors, and linear bandits
 whose arm means are a fixed feature matrix times a latent parameter vector.
+
+A meta-prior is the meta-posterior at zero tasks, so one class per family
+holds both: CategoricalWeights, GaussianDiagState and LinearState. The meta
+updates in posteriors refine these states task by task.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ __all__ = [
     "BetaProductPrior",
     "GaussianDiagPrior",
     "LinearGaussianPrior",
-    "CategoricalMetaPrior",
-    "GaussianMetaPrior",
-    "LinearMetaPrior",
+    "CategoricalWeights",
+    "GaussianDiagState",
+    "LinearState",
     "BanditInstance",
     "sample_instance_prior",
     "sample_task_instance",
@@ -130,8 +134,12 @@ class LinearGaussianPrior:
 
 
 @dataclass
-class CategoricalMetaPrior:
-    """Finite mixture over candidate Beta-product priors with known weights."""
+class CategoricalWeights:
+    """Weights over a finite set of candidate Beta-product priors.
+
+    The categorical meta-prior is this state at zero tasks; each completed
+    task reweights the candidates by their evidence.
+    """
 
     weights: np.ndarray
     priors: tuple
@@ -139,8 +147,8 @@ class CategoricalMetaPrior:
     def __post_init__(self):
         self.weights = _as_vector(self.weights, "weights")
         self.priors = tuple(self.priors)
-        if len(self.priors) != self.weights.size:
-            raise ValueError("need one candidate prior per weight")
+        if self.weights.size != len(self.priors):
+            raise ValueError("need one weight per candidate prior")
         if np.any(self.weights < 0.0):
             raise ValueError("weights must be nonnegative")
         if abs(float(self.weights.sum()) - 1.0) > 1e-9:
@@ -149,62 +157,58 @@ class CategoricalMetaPrior:
         if len(arms) != 1:
             raise ValueError("all candidate priors must share the arm count")
 
-    @property
-    def num_arms(self) -> int:
-        return self.priors[0].num_arms
-
 
 @dataclass
-class GaussianMetaPrior:
-    """Meta-prior N(0, sigma_q^2 I_K) over per-arm prior means.
+class GaussianDiagState:
+    """Gaussian state over per-arm prior means, diagonal covariance.
 
-    sigma_0 is the known width of the instance priors this meta-prior ranges
-    over (the Gaussian-diagonal analog of the linear family's task covariance).
+    The meta-prior N(0, sigma_q^2 I_K) is this state at zero tasks (mu = 0,
+    var = sigma_q^2). sigma_0 is the known width of the instance priors it
+    ranges over, sigma the reward noise its updates assume.
     """
 
-    sigma_q: float
-    num_arms: int
+    mu: np.ndarray
+    var: np.ndarray
     sigma_0: float
+    sigma: float
 
     def __post_init__(self):
-        self.sigma_q = float(self.sigma_q)
-        self.num_arms = int(self.num_arms)
+        self.mu = _as_vector(self.mu, "mu")
+        self.var = np.asarray(self.var, dtype=float)
         self.sigma_0 = float(self.sigma_0)
-        if not self.sigma_q > 0.0:
-            raise ValueError("sigma_q must be > 0")
+        if self.mu.shape != self.var.shape:
+            raise ValueError("mu and var must have equal length")
+        if np.any(self.var <= 0.0):
+            raise ValueError("meta variances must be > 0")
         if not self.sigma_0 > 0.0:
             raise ValueError("sigma_0 must be > 0")
-        if self.num_arms < 1:
-            raise ValueError("num_arms must be >= 1")
 
 
 @dataclass
-class LinearMetaPrior:
-    """Meta-prior N(mu_0, Lambda_0^-1) over the shared parameter theta_0."""
+class LinearState:
+    """Gaussian state N(mu, Lambda^-1) over the shared linear parameter theta_0.
 
-    mu_0: np.ndarray
-    Lambda_0: np.ndarray
+    The meta-prior N(0, sigma_q^2 I_d) is this state at zero tasks (mu = 0,
+    Lambda = I / sigma_q^2). Sigma is the known task covariance, sigma the
+    reward noise and features the run's K x d arm features.
+    """
+
+    mu: np.ndarray
+    Lambda: np.ndarray
     Sigma: np.ndarray
+    sigma: float
     features: np.ndarray
 
     def __post_init__(self):
-        self.mu_0 = _as_vector(self.mu_0, "mu_0")
-        self.Lambda_0 = _check_spd(self.Lambda_0, "Lambda_0")
+        self.mu = _as_vector(self.mu, "mu")
+        self.Lambda = _check_spd(self.Lambda, "Lambda")
         self.Sigma = _check_spd(self.Sigma, "Sigma")
         self.features = np.asarray(self.features, dtype=float)
-        d = self.mu_0.size
-        if self.Lambda_0.shape != (d, d) or self.Sigma.shape != (d, d):
-            raise ValueError("Lambda_0 and Sigma must be d x d")
+        d = self.mu.size
+        if self.Lambda.shape != (d, d) or self.Sigma.shape != (d, d):
+            raise ValueError("Lambda and Sigma must be d x d")
         if self.features.ndim != 2 or self.features.shape[1] != d:
             raise ValueError("features must be a K x d matrix")
-
-    @property
-    def num_arms(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.mu_0.size
 
 
 @dataclass
@@ -241,18 +245,26 @@ class BanditInstance:
 
 
 def sample_instance_prior(meta, stream: RngStream):
-    """Draw one instance prior from the meta-prior."""
-    if isinstance(meta, CategoricalMetaPrior):
-        j = sample_categorical(stream, meta.weights)
-        return meta.priors[j]
-    if isinstance(meta, GaussianMetaPrior):
-        mu = sample_gaussian(stream, 0.0, meta.sigma_q**2, size=meta.num_arms)
-        return GaussianDiagPrior(mu=mu, sigma_0=meta.sigma_0)
-    if isinstance(meta, LinearMetaPrior):
-        cov = np.linalg.inv(meta.Lambda_0)
-        theta_0 = meta.mu_0 + _sample_mvn_zero(cov, stream)
+    """Draw one instance prior from the meta-prior (a meta-state at zero tasks)."""
+    if isinstance(meta, LinearState):
+        cov = np.linalg.inv(meta.Lambda)
+        theta_0 = meta.mu + _sample_mvn_zero(cov, stream)
         return LinearGaussianPrior(theta_0=theta_0, Sigma=meta.Sigma, features=meta.features)
-    raise TypeError(f"not a meta-prior: {type(meta).__name__}")
+    return _sample_prior(meta, stream)
+
+
+def _sample_prior(meta, stream: RngStream):
+    """One instance prior from a categorical or Gaussian meta-state.
+
+    Shared by the true-prior draw and MetaTS's meta-posterior sample; the two
+    linear draws differ in bits and stay with their callers.
+    """
+    if isinstance(meta, CategoricalWeights):
+        return meta.priors[sample_categorical(stream, meta.weights)]
+    if isinstance(meta, GaussianDiagState):
+        mu = np.atleast_1d(sample_gaussian(stream, meta.mu, meta.var))
+        return GaussianDiagPrior(mu=mu, sigma_0=meta.sigma_0)
+    raise TypeError(f"not a meta posterior: {type(meta).__name__}")
 
 
 def _sample_mvn_zero(cov: np.ndarray, stream: RngStream) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .agents import AGNOSTIC, KINDS, METATS, ORACLE, Agent, AgentSpec, play_tasks
+from .agents import AGNOSTIC, KINDS, METATS, ORACLE, Agent, AgentSpec, _default_name, play_tasks
 from .envs import (
     BERNOULLI,
     FAMILIES,
@@ -27,17 +27,16 @@ from .envs import (
     LINEAR,
     BanditInstance,
     BetaProductPrior,
-    CategoricalMetaPrior,
+    CategoricalWeights,
     GaussianDiagPrior,
-    GaussianMetaPrior,
+    GaussianDiagState,
     LinearGaussianPrior,
-    LinearMetaPrior,
+    LinearState,
     optimal_arm,
     reward_table,
     sample_instance_prior,
     sample_task_instance,
 )
-from .posteriors import CategoricalWeights
 from .rng import derive_stream, name_substream, stream_keys
 
 __all__ = [
@@ -220,28 +219,28 @@ class ExperimentConfig:
             unknown = set(entry) - _AGENT_KEYS
             if unknown:
                 raise ValueError(f"unknown agent key(s): {sorted(unknown)}")
-            if entry.get("kind") not in KINDS:
-                raise ValueError(f"agent kind must be one of {KINDS}, got {entry.get('kind')!r}")
-            spec = AgentSpec(
-                kind=entry["kind"],
-                meta_prior=_PROBE_META if entry["kind"] == METATS else None,
-                true_instance_prior=_PROBE_PRIOR if entry["kind"] == ORACLE else None,
-                agnostic_prior=_PROBE_PRIOR if entry["kind"] == AGNOSTIC else None,
-                forced_last_k=bool(entry.get("forced_last_k", False)),
-                misspecification_scale=float(entry.get("misspecification_scale", 1.0)),
-                name=entry.get("name"),
-            )
-            if spec.misspecification_scale != 1.0:
-                self._check_misspecification(spec.misspecification_scale)
-            if spec.name in names:
-                raise ValueError(f"duplicate agent name {spec.name!r}")
-            names.add(spec.name)
+            kind = entry.get("kind")
+            if kind not in KINDS:
+                raise ValueError(f"agent kind must be one of {KINDS}, got {kind!r}")
+            scale = float(entry.get("misspecification_scale", 1.0))
+            if not scale > 0.0:
+                raise ValueError("misspecification_scale must be > 0")
+            if kind != METATS and scale != 1.0:
+                raise ValueError("misspecification_scale applies to MetaTS only")
+            if scale != 1.0:
+                self._check_misspecification(scale)
+            name = entry.get("name")
+            if name is None:
+                name = _default_name(kind, scale)
+            if name in names:
+                raise ValueError(f"duplicate agent name {name!r}")
+            names.add(name)
             resolved.append(
                 {
-                    "kind": spec.kind,
-                    "forced_last_k": spec.forced_last_k,
-                    "misspecification_scale": spec.misspecification_scale,
-                    "name": spec.name,
+                    "kind": kind,
+                    "forced_last_k": bool(entry.get("forced_last_k", False)),
+                    "misspecification_scale": scale,
+                    "name": name,
                 }
             )
         return tuple(resolved)
@@ -306,12 +305,6 @@ class ExperimentConfig:
         return out
 
 
-# Placeholder priors used only to exercise AgentSpec validation inside config
-# checking; real priors are bound per run.
-_PROBE_META = object()
-_PROBE_PRIOR = object()
-
-
 def _to_jsonable(value):
     if isinstance(value, tuple):
         return [_to_jsonable(v) for v in value]
@@ -321,7 +314,8 @@ def _to_jsonable(value):
 
 
 def build_meta_prior(config: ExperimentConfig, stream):
-    """The run-level meta-prior; for the linear family this draws the run's features."""
+    """The run-level meta-prior, as the meta-state at zero tasks; for the
+    linear family this draws the run's features."""
     if config.family == BERNOULLI:
         priors = tuple(
             BetaProductPrior(
@@ -330,16 +324,20 @@ def build_meta_prior(config: ExperimentConfig, stream):
             )
             for candidate in config.prior_table
         )
-        return CategoricalMetaPrior(weights=np.array(config.prior_weights), priors=priors)
+        return CategoricalWeights(weights=np.array(config.prior_weights), priors=priors)
     if config.family == GAUSSIAN:
-        return GaussianMetaPrior(
-            sigma_q=config.sigma_q, num_arms=config.K, sigma_0=config.sigma_0
+        return GaussianDiagState(
+            mu=np.zeros(config.K),
+            var=np.full(config.K, config.sigma_q**2),
+            sigma_0=config.sigma_0,
+            sigma=config.sigma,
         )
     features = stream.gen.uniform(-0.5, 0.5, size=(config.K, config.d))
-    return LinearMetaPrior(
-        mu_0=np.zeros(config.d),
-        Lambda_0=np.eye(config.d) / config.sigma_q**2,
+    return LinearState(
+        mu=np.zeros(config.d),
+        Lambda=np.eye(config.d) / config.sigma_q**2,
         Sigma=config.sigma_0**2 * np.eye(config.d),
+        sigma=config.sigma,
         features=features,
     )
 
@@ -361,20 +359,32 @@ def agnostic_prior_for(config: ExperimentConfig, meta_prior):
     )
 
 
+def _metats_start(config: ExperimentConfig, meta_prior, scale: float):
+    """MetaTS's meta-state at zero tasks: the meta-prior, believed sigma_q * scale wide.
+
+    At scale 1 it is the meta-prior itself; meta updates are pure, so every
+    MetaTS agent of the run can start from that one object.
+    """
+    if scale == 1.0:
+        return meta_prior
+    if config.family == GAUSSIAN:
+        return replace(meta_prior, var=np.full(config.K, (config.sigma_q * scale) ** 2))
+    return replace(meta_prior, Lambda=np.eye(config.d) / config.sigma_q**2 / scale**2)
+
+
 def _materialize_agents(config: ExperimentConfig, meta_prior, true_prior):
     agents = []
     for entry in config.agents:
+        if entry["kind"] == METATS:
+            prior = _metats_start(config, meta_prior, entry["misspecification_scale"])
+        elif entry["kind"] == ORACLE:
+            prior = true_prior
+        else:
+            prior = agnostic_prior_for(config, meta_prior)
         spec = AgentSpec(
             kind=entry["kind"],
-            meta_prior=meta_prior if entry["kind"] == METATS else None,
-            true_instance_prior=true_prior if entry["kind"] == ORACLE else None,
-            agnostic_prior=(
-                agnostic_prior_for(config, meta_prior)
-                if entry["kind"] == AGNOSTIC
-                else None
-            ),
+            prior=prior,
             forced_last_k=entry["forced_last_k"],
-            misspecification_scale=entry["misspecification_scale"],
             name=entry["name"],
         )
         agents.append(Agent(spec, reward_noise=config.sigma))

@@ -11,9 +11,12 @@ sample of the arm means, and ``absorb(arm, reward)`` folds one observation
 into the state. Linear tasks are played through play_linear, which runs the
 same round math for many (run, agent) pairs at once.
 
-Across tasks the agent holds a MetaPosterior over instance priors, updated
-exactly once per completed task from the task's full interaction log. Meta
-updates are pure: they return new state objects and never mutate their inputs.
+Across tasks the agent holds a meta-posterior over instance priors, updated
+exactly once per completed task from the task's full interaction log. Its
+classes (CategoricalWeights, GaussianDiagState, LinearState) live in envs,
+because the meta-prior is the same state at zero tasks, and are re-exported
+here. Meta updates are pure: they return new state objects and never mutate
+their inputs, so one zero-task state can start many agents.
 """
 
 from __future__ import annotations
@@ -24,8 +27,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .envs import BetaProductPrior, GaussianDiagPrior, LinearGaussianPrior
-from .rng import RngStream, sample_categorical, sample_gaussian
+from .envs import (
+    BetaProductPrior,
+    CategoricalWeights,
+    GaussianDiagPrior,
+    GaussianDiagState,
+    LinearGaussianPrior,
+    LinearState,
+    _sample_prior,
+)
+from .rng import RngStream, sample_gaussian
 from .special import log_gamma
 
 __all__ = [
@@ -431,62 +442,6 @@ def sample_task_posterior(post, stream: RngStream) -> np.ndarray:
 # Meta-posteriors
 
 
-@dataclass
-class CategoricalWeights:
-    """Posterior weights over a finite set of candidate Beta-product priors."""
-
-    weights: np.ndarray
-    priors: tuple
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.priors = tuple(self.priors)
-        if self.weights.size != len(self.priors):
-            raise ValueError("need one weight per candidate prior")
-        if np.any(self.weights < 0.0):
-            raise ValueError("weights must be nonnegative")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1 within 1e-9")
-
-
-@dataclass
-class GaussianDiagState:
-    """Gaussian meta-posterior over per-arm prior means, diagonal covariance."""
-
-    mu: np.ndarray
-    var: np.ndarray
-    sigma_0: float
-    sigma: float
-
-    def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float)
-        self.var = np.asarray(self.var, dtype=float)
-        if self.mu.shape != self.var.shape:
-            raise ValueError("mu and var must have equal length")
-        if np.any(self.var <= 0.0):
-            raise ValueError("meta variances must be > 0")
-
-
-@dataclass
-class LinearState:
-    """Gaussian meta-posterior over the shared linear parameter theta_0."""
-
-    mu: np.ndarray
-    Lambda: np.ndarray
-    Sigma: np.ndarray
-    sigma: float
-    features: np.ndarray
-
-    def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float)
-        self.Lambda = np.asarray(self.Lambda, dtype=float)
-        self.Sigma = np.asarray(self.Sigma, dtype=float)
-        self.features = np.asarray(self.features, dtype=float)
-        d = self.mu.size
-        if self.Lambda.shape != (d, d) or self.Sigma.shape != (d, d):
-            raise ValueError("Lambda and Sigma must be d x d")
-
-
 def categorical_log_evidence(prior: BetaProductPrior, log: TaskLog) -> float:
     """log of the marginal likelihood of a Bernoulli task log under one prior."""
     return float(stacked_log_evidence([prior], log)[0])
@@ -577,12 +532,6 @@ def update_meta_posterior_linear(meta: LinearState, log: TaskLog) -> LinearState
 
 def sample_meta_posterior(meta, stream: RngStream):
     """Draw one instance prior from the current meta-posterior."""
-    if isinstance(meta, CategoricalWeights):
-        j = sample_categorical(stream, meta.weights)
-        return meta.priors[j]
-    if isinstance(meta, GaussianDiagState):
-        mu = np.atleast_1d(sample_gaussian(stream, meta.mu, meta.var))
-        return GaussianDiagPrior(mu=mu, sigma_0=meta.sigma_0)
     if isinstance(meta, LinearState):
         lower = _spd_factor(meta.Lambda, "linear meta posterior sampling")
         z = np.atleast_1d(sample_gaussian(stream, 0.0, 1.0, size=meta.mu.size))
@@ -590,4 +539,4 @@ def sample_meta_posterior(meta, stream: RngStream):
         return LinearGaussianPrior(
             theta_0=theta_0, Sigma=meta.Sigma, features=meta.features
         )
-    raise TypeError(f"not a meta posterior: {type(meta).__name__}")
+    return _sample_prior(meta, stream)

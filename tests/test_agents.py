@@ -3,25 +3,33 @@
 import numpy as np
 import pytest
 
-from metats.agents import Agent, AgentSpec
+from metats.agents import Agent, AgentSpec, _default_name
 from metats.envs import (
     BetaProductPrior,
-    CategoricalMetaPrior,
+    CategoricalWeights,
     GaussianDiagPrior,
-    GaussianMetaPrior,
+    GaussianDiagState,
     LinearGaussianPrior,
-    LinearMetaPrior,
 )
+from metats.harness import ExperimentConfig, _materialize_agents, build_meta_prior
 from metats.rng import derive_stream
 
 P1 = BetaProductPrior(alpha=[6.0, 2.0], beta=[2.0, 6.0])
 P2 = BetaProductPrior(alpha=[2.0, 6.0], beta=[6.0, 2.0])
-CAT_META = CategoricalMetaPrior(weights=[0.5, 0.5], priors=(P1, P2))
-GAUSS_META = GaussianMetaPrior(sigma_q=0.5, num_arms=2, sigma_0=0.1)
+CAT_META = CategoricalWeights(weights=[0.5, 0.5], priors=(P1, P2))
+GAUSS_META = GaussianDiagState(mu=np.zeros(2), var=np.full(2, 0.25), sigma_0=0.1, sigma=1.0)
 
 
 def oracle_spec(prior=None, **kw):
-    return AgentSpec(kind="oracle", true_instance_prior=prior or P1, **kw)
+    return AgentSpec(kind="oracle", prior=prior or P1, **kw)
+
+
+def metats_start(family, scale, **config):
+    """The MetaTS agent the harness builds for one run at misspecification scale."""
+    agents = ({"kind": "metats", "misspecification_scale": scale},)
+    config = ExperimentConfig(family=family, agents=agents, **config)
+    meta_prior = build_meta_prior(config, derive_stream(0, 0, 0, 0))
+    return _materialize_agents(config, meta_prior, None)[0]
 
 
 def drive_task(agent, horizon, stream, reward_fn):
@@ -39,40 +47,29 @@ def drive_task(agent, horizon, stream, reward_fn):
 class TestAgentSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown agent kind"):
-            AgentSpec(kind="ucb")
+            AgentSpec(kind="ucb", prior=P1)
 
     def test_exactly_one_prior(self):
-        with pytest.raises(ValueError, match="requires exactly meta_prior"):
+        # One prior field serves every kind, and it is required.
+        with pytest.raises(TypeError, match="prior"):
             AgentSpec(kind="metats")
-        with pytest.raises(ValueError, match="requires exactly"):
-            AgentSpec(kind="metats", meta_prior=CAT_META, agnostic_prior=P1)
-        with pytest.raises(ValueError, match="requires exactly"):
-            AgentSpec(kind="oracle", meta_prior=CAT_META)
-        with pytest.raises(ValueError, match="requires exactly"):
-            AgentSpec(kind="agnostic", true_instance_prior=P1)
+        with pytest.raises(TypeError, match="meta_prior"):
+            AgentSpec(kind="metats", prior=CAT_META, meta_prior=CAT_META)
 
     def test_scale_validation(self):
-        with pytest.raises(ValueError, match="> 0"):
-            AgentSpec(kind="metats", meta_prior=CAT_META, misspecification_scale=0.0)
-        with pytest.raises(ValueError, match="MetaTS only"):
-            oracle_spec(misspecification_scale=3.0)
+        # The scale is a config key; the config checks it per agent entry.
+        with pytest.raises(ValueError, match="misspecification_scale must be > 0"):
+            ExperimentConfig(agents=({"kind": "metats", "misspecification_scale": 0.0},))
+        with pytest.raises(ValueError, match="applies to MetaTS only"):
+            ExperimentConfig(agents=({"kind": "oracle", "misspecification_scale": 3.0},))
 
     def test_default_names(self):
         assert oracle_spec().name == "OracleTS"
-        assert AgentSpec(kind="agnostic", agnostic_prior=P1).name == "TS"
-        assert AgentSpec(kind="metats", meta_prior=CAT_META).name == "MetaTS"
-        assert (
-            AgentSpec(
-                kind="metats", meta_prior=GAUSS_META, misspecification_scale=3.0
-            ).name
-            == "MetaTSx3"
-        )
-        assert (
-            AgentSpec(
-                kind="metats", meta_prior=GAUSS_META, misspecification_scale=1 / 3
-            ).name
-            == "MetaTS/3"
-        )
+        assert AgentSpec(kind="agnostic", prior=P1).name == "TS"
+        assert AgentSpec(kind="metats", prior=CAT_META).name == "MetaTS"
+        assert _default_name("metats", 3.0) == "MetaTSx3"
+        assert _default_name("metats", 1 / 3) == "MetaTS/3"
+        assert metats_start("gaussian", 3.0).name == "MetaTSx3"
 
     def test_explicit_name_kept(self):
         assert oracle_spec(name="ideal").name == "ideal"
@@ -144,7 +141,7 @@ class TestActionSelection:
     def test_point_mass_always_best_arm(self):
         # Effectively deterministic posterior at (0.2, 0.9): arm index 1 always.
         prior = GaussianDiagPrior(mu=[0.2, 0.9], sigma_0=1e-9)
-        agent = Agent(AgentSpec(kind="agnostic", agnostic_prior=prior))
+        agent = Agent(AgentSpec(kind="agnostic", prior=prior))
         stream = derive_stream(1, 0, 0, 0)
         agent.begin_task(stream, horizon=100)
         for _ in range(100):
@@ -157,7 +154,7 @@ class TestActionSelection:
         prior = LinearGaussianPrior(
             theta_0=[0.3], Sigma=[[0.5]], features=[[1.0], [1.0]]
         )
-        agent = Agent(AgentSpec(kind="agnostic", agnostic_prior=prior))
+        agent = Agent(AgentSpec(kind="agnostic", prior=prior))
         stream = derive_stream(1, 0, 1, 0)
         agent.begin_task(stream, horizon=50)
         for _ in range(50):
@@ -169,7 +166,7 @@ class TestActionSelection:
         # Uninformative Beta(1,1) on both arms at the first round of each
         # task: each arm should win about half of 10^5 selections.
         prior = BetaProductPrior(alpha=[1.0, 1.0], beta=[1.0, 1.0])
-        agent = Agent(AgentSpec(kind="agnostic", agnostic_prior=prior))
+        agent = Agent(AgentSpec(kind="agnostic", prior=prior))
         stream = derive_stream(2, 0, 0, 0)
         wins = 0
         trials = 100_000
@@ -186,7 +183,7 @@ class TestActionSelection:
         # first arm and round 200 the second.
         prior = GaussianDiagPrior(mu=[0.9, 0.1], sigma_0=1e-9)
         agent = Agent(
-            AgentSpec(kind="agnostic", agnostic_prior=prior, forced_last_k=True)
+            AgentSpec(kind="agnostic", prior=prior, forced_last_k=True)
         )
         stream = derive_stream(3, 0, 0, 0)
         actions = []
@@ -209,7 +206,7 @@ class TestActionSelection:
         actions = {}
         for forced in (False, True):
             agent = Agent(
-                AgentSpec(kind="agnostic", agnostic_prior=prior, forced_last_k=forced)
+                AgentSpec(kind="agnostic", prior=prior, forced_last_k=forced)
             )
             acts = []
             agent.begin_task(derive_stream(4, 0, 0, 9), horizon)
@@ -235,7 +232,7 @@ class TestPriorWiring:
 
     def test_agnostic_prior_constant_across_tasks(self):
         prior = GaussianDiagPrior(mu=[0.0, 0.0], sigma_0=np.sqrt(0.26))
-        agent = Agent(AgentSpec(kind="agnostic", agnostic_prior=prior))
+        agent = Agent(AgentSpec(kind="agnostic", prior=prior))
         for task in range(3):
             drive_task(
                 agent, 4, derive_stream(6, 0, task, 0), lambda t, arm: 0.1 * t
@@ -245,8 +242,8 @@ class TestPriorWiring:
         assert agent.meta is None
 
     def test_metats_samples_prior_from_meta(self):
-        meta = CategoricalMetaPrior(weights=[1.0, 0.0], priors=(P1, P2))
-        agent = Agent(AgentSpec(kind="metats", meta_prior=meta))
+        meta = CategoricalWeights(weights=[1.0, 0.0], priors=(P1, P2))
+        agent = Agent(AgentSpec(kind="metats", prior=meta))
         for task in range(3):
             agent.begin_task(derive_stream(7, 0, task, 0), horizon=2)
             assert agent.task_prior is P1
@@ -256,43 +253,23 @@ class TestPriorWiring:
             agent.end_task()
 
     def test_misspecification_scale_gaussian(self):
-        spec = AgentSpec(
-            kind="metats", meta_prior=GAUSS_META, misspecification_scale=3.0
-        )
-        agent = Agent(spec, reward_noise=1.0)
+        agent = metats_start("gaussian", 3.0)
         np.testing.assert_allclose(agent.meta.var, (0.5 * 3.0) ** 2, rtol=1e-15)
-        agent_narrow = Agent(
-            AgentSpec(
-                kind="metats", meta_prior=GAUSS_META, misspecification_scale=1 / 3
-            )
-        )
+        agent_narrow = metats_start("gaussian", 1 / 3)
         np.testing.assert_allclose(
             agent_narrow.meta.var, (0.5 / 3.0) ** 2, rtol=1e-12
         )
 
     def test_misspecification_scale_linear(self):
-        features = np.array([[0.2, 0.1], [-0.3, 0.4]])
-        meta = LinearMetaPrior(
-            mu_0=[0.0, 0.0],
-            Lambda_0=4.0 * np.eye(2),
-            Sigma=0.01 * np.eye(2),
-            features=features,
-        )
-        agent = Agent(
-            AgentSpec(kind="metats", meta_prior=meta, misspecification_scale=2.0)
-        )
+        agent = metats_start("linear", 2.0, K=3, sigma_q=0.5)
         np.testing.assert_allclose(agent.meta.Lambda, np.eye(2), rtol=1e-15)
 
     def test_misspecification_scale_categorical_rejected(self):
-        spec = AgentSpec(
-            kind="metats", meta_prior=CAT_META, misspecification_scale=3.0
-        )
-        with pytest.raises(ValueError, match="no width to misspecify"):
-            Agent(spec)
+        with pytest.raises(ValueError, match="the bernoulli family has none"):
+            metats_start("bernoulli", 3.0)
 
     def test_reward_noise_reaches_task_posterior(self):
-        meta = GaussianMetaPrior(sigma_q=0.5, num_arms=2, sigma_0=0.1)
-        agent = Agent(AgentSpec(kind="metats", meta_prior=meta), reward_noise=2.0)
+        agent = metats_start("gaussian", 1.0, sigma=2.0)
         agent.begin_task(derive_stream(8, 0, 0, 0), horizon=1)
         assert agent.task_posterior.sigma == 2.0
         assert agent.meta.sigma == 2.0
@@ -300,7 +277,7 @@ class TestPriorWiring:
 
 class TestMetaLearning:
     def test_gaussian_meta_variance_decreases_for_pulled_arms(self):
-        agent = Agent(AgentSpec(kind="metats", meta_prior=GAUSS_META))
+        agent = Agent(AgentSpec(kind="metats", prior=GAUSS_META))
         var_before = agent.meta.var.copy()
         gen = np.random.default_rng(11)
         agent.begin_task(derive_stream(9, 0, 0, 0), horizon=6)
@@ -328,7 +305,7 @@ class TestMetaLearning:
         traces = np.zeros((reps, tasks + 1))
         for rep in range(reps):
             gen = np.random.default_rng(1000 + rep)
-            agent = Agent(AgentSpec(kind="metats", meta_prior=CAT_META))
+            agent = Agent(AgentSpec(kind="metats", prior=CAT_META))
             traces[rep, 0] = agent.meta.weights[0]
             for s in range(tasks):
                 theta = np.array([gen.beta(6.0, 2.0), gen.beta(2.0, 6.0)])
@@ -349,8 +326,8 @@ class TestMetaLearning:
     def test_degenerate_meta_matches_oracle_actions(self):
         # A meta-prior concentrated on the true instance prior makes MetaTS
         # and OracleTS take identical actions under identical streams.
-        meta = CategoricalMetaPrior(weights=[1.0, 0.0], priors=(P1, P2))
-        metats = Agent(AgentSpec(kind="metats", meta_prior=meta))
+        meta = CategoricalWeights(weights=[1.0, 0.0], priors=(P1, P2))
+        metats = Agent(AgentSpec(kind="metats", prior=meta))
         oracle = Agent(oracle_spec(P1))
         gen = np.random.default_rng(17)
         horizon, tasks = 25, 3

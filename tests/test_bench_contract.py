@@ -69,8 +69,9 @@ def test_worker_prints_a_correct_result_line(tmp_path, name):
         assert result["agent_rounds"] == 16_800
 
 
-def test_traced_worker_finds_every_layer(tmp_path):
-    trace = _run_worker(tmp_path, "gaussian-long", "1")["trace"]
+@pytest.mark.parametrize("name", _load("workloads").WORKLOADS)
+def test_traced_worker_finds_every_layer(tmp_path, name):
+    trace = _run_worker(tmp_path, name, "1")["trace"]
     assert trace["absent_targets"] == []
     assert {layer["status"] for layer in trace["layers"].values()} == {"ok"}
 

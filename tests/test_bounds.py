@@ -87,10 +87,15 @@ class TestBoundParams:
             SEC5.n = 100
 
     def test_replaced(self):
-        p = SEC5.replaced(n=400, delta=0.1)
+        p = dataclasses.replace(SEC5, n=400, delta=0.1)
         assert (p.n, p.delta) == (400, 0.1)
         assert (p.K, p.sigma_0) == (SEC5.K, SEC5.sigma_0)
         assert SEC5.n == 200
+        # replace reruns __post_init__, so the copy is validated too.
+        with pytest.raises(ValueError, match="delta must be in"):
+            dataclasses.replace(SEC5, delta=2.0)
+        with pytest.raises(ValueError, match="sigma_0 must be > 0"):
+            dataclasses.replace(SEC5, sigma_0=0.0)
 
 
 class TestRootGap:
@@ -122,7 +127,7 @@ class TestRootGap:
 
 class TestLemma1:
     def test_concentrated_prior_leaves_only_c_delta(self):
-        p = SEC5.replaced(sigma_0=1e-9)
+        p = dataclasses.replace(SEC5, sigma_0=1e-9)
         log_term = math.log(1.0 / p.delta)
         c_delta = (
             2.0 * math.sqrt(2.0 * p.sigma_0**2 * log_term) * p.K
@@ -135,7 +140,7 @@ class TestLemma1:
     def test_value_composition(self):
         # The bound is c(delta) plus the exploration constant times the gap,
         # assembled here from scratch.
-        p = SEC5.replaced(delta=1.0 / 200.0)
+        p = dataclasses.replace(SEC5, delta=1.0 / 200.0)
         log_term = math.log(200.0)
         c_delta = (
             2.0 * math.sqrt(2.0 * 0.01 * log_term) * 2
@@ -146,14 +151,15 @@ class TestLemma1:
         np.testing.assert_allclose(lemma1_bound(p), expected, rtol=1e-12)
 
     def test_positive_and_finite(self):
-        for p in (SEC5, SEC5.replaced(K=8, n=50), SEC5.replaced(sigma=3.0)):
+        cases = (dataclasses.replace(SEC5, K=8, n=50), dataclasses.replace(SEC5, sigma=3.0))
+        for p in (SEC5,) + cases:
             value = lemma1_bound(p)
             assert math.isfinite(value) and value > 0.0
 
 
 class TestLemma2:
     def test_identical_priors_vanish(self):
-        p = SEC5.replaced(delta=1e-12)
+        p = dataclasses.replace(SEC5, delta=1e-12)
         assert lemma2_bound(p, mu_star_maxnorm=0.6, epsilon=0.0) < 1e-6
 
     def test_affine_in_epsilon(self):
@@ -165,7 +171,7 @@ class TestLemma2:
     def test_epsilon_term_quadratic_in_n(self):
         eps = 1e-3
         small = lemma2_bound(SEC5, 0.5, eps) - lemma2_bound(SEC5, 0.5, 0.0)
-        p2 = SEC5.replaced(n=400)
+        p2 = dataclasses.replace(SEC5, n=400)
         large = lemma2_bound(p2, 0.5, eps) - lemma2_bound(p2, 0.5, 0.0)
         np.testing.assert_allclose(large, 4.0 * small, rtol=1e-9)
 
@@ -226,12 +232,12 @@ class TestTheorem1:
 
     def test_first_term_linear_in_m(self):
         t1 = theorem1_bound(SEC5)
-        t2 = theorem1_bound(SEC5.replaced(m=40))
+        t2 = theorem1_bound(dataclasses.replace(SEC5, m=40))
         np.testing.assert_allclose(t2.first_term, 2.0 * t1.first_term, rtol=1e-12)
 
     def test_second_term_sqrt_m(self):
         t1 = theorem1_bound(SEC5)
-        t4 = theorem1_bound(SEC5.replaced(m=80))
+        t4 = theorem1_bound(dataclasses.replace(SEC5, m=80))
         np.testing.assert_allclose(t4.second_term, 2.0 * t1.second_term, rtol=1e-12)
 
     def test_term_accounting(self):
@@ -253,7 +259,7 @@ class TestTheorem1:
         }
 
     def test_residue_affine_in_m(self):
-        r = [theorem1_bound(SEC5.replaced(m=m)).residue for m in (10, 20, 30)]
+        r = [theorem1_bound(dataclasses.replace(SEC5, m=m)).residue for m in (10, 20, 30)]
         np.testing.assert_allclose(r[2] - r[1], r[1] - r[0], rtol=1e-12)
 
 

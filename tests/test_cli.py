@@ -323,6 +323,25 @@ class TestCheckBounds:
         assert report["technical_lemmas"]["failures"] == 0
 
 
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["--runs", "0"], "--runs"),
+            (["--lemma3-delta", "2"], "--lemma3-delta"),
+            (["--lemma3-delta", "nan"], "--lemma3-delta"),
+            (["--trials", "-5"], "--trials"),
+            (["--seed", "-1"], "--seed"),
+            (["n=1", "K=3"], "n must be >= K"),
+        ],
+    )
+    def test_certify_flag_out_of_domain_names_flag(self, capsys, args, flag):
+        code = main(["check-bounds", "--certify", *args])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+
+
 class TestSelftestCommand:
     def test_passes_on_correct_build(self, capsys):
         code = main(["selftest", "--trials", "200"])
@@ -330,6 +349,13 @@ class TestSelftestCommand:
         assert code == EXIT_OK
         assert "selftest: all checks passed" in out
         assert out.count("ok ") >= 5
+
+    def test_negative_trials_names_flag(self, capsys):
+        code = main(["selftest", "--trials", "-5"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--trials" in captured.err
 
 
 class TestHelp:

@@ -2,21 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metats.envs import (
     BanditInstance,
     BetaProductPrior,
-    CategoricalMetaPrior,
+    CategoricalWeights,
     GaussianDiagPrior,
-    GaussianMetaPrior,
+    GaussianDiagState,
     LinearGaussianPrior,
-    LinearMetaPrior,
+    LinearState,
     optimal_arm,
     reward_table,
     sample_instance_prior,
     sample_task_instance,
 )
-from metats.rng import derive_stream
+from metats.posteriors import sample_meta_posterior
+from metats.rng import derive_stream, sample_gaussian
 
 
 def beta_pair():
@@ -26,12 +29,26 @@ def beta_pair():
     )
 
 
+def gaussian_meta(sigma_q=0.5, num_arms=2, sigma_0=0.1):
+    """The Gaussian meta-prior N(0, sigma_q^2 I): the meta-state at zero tasks."""
+    return GaussianDiagState(
+        mu=np.zeros(num_arms), var=np.full(num_arms, sigma_q**2), sigma_0=sigma_0, sigma=1.0
+    )
+
+
 def test_categorical_meta_prior_validation():
     p1, p2 = beta_pair()
-    with pytest.raises(ValueError):
-        CategoricalMetaPrior(weights=np.array([0.7, 0.4]), priors=(p1, p2))
-    with pytest.raises(ValueError):
-        CategoricalMetaPrior(weights=np.array([1.2, -0.2]), priors=(p1, p2))
+    with pytest.raises(ValueError, match="sum to 1"):
+        CategoricalWeights(weights=np.array([0.7, 0.4]), priors=(p1, p2))
+    with pytest.raises(ValueError, match="nonnegative"):
+        CategoricalWeights(weights=np.array([1.2, -0.2]), priors=(p1, p2))
+    with pytest.raises(ValueError, match="need one weight per candidate prior"):
+        CategoricalWeights(weights=np.array([1.0]), priors=(p1, p2))
+    with pytest.raises(ValueError, match="nonempty finite vector"):
+        CategoricalWeights(weights=np.array([np.nan, 1.0]), priors=(p1, p2))
+    three = BetaProductPrior(alpha=np.ones(3), beta=np.ones(3))
+    with pytest.raises(ValueError, match="share the arm count"):
+        CategoricalWeights(weights=np.array([0.5, 0.5]), priors=(p1, three))
 
 
 def test_beta_prior_validation():
@@ -42,36 +59,42 @@ def test_beta_prior_validation():
 def test_gaussian_prior_validation():
     with pytest.raises(ValueError):
         GaussianDiagPrior(mu=np.zeros(2), sigma_0=0.0)
-    with pytest.raises(ValueError):
-        GaussianMetaPrior(sigma_q=-0.5, num_arms=2, sigma_0=0.1)
+    with pytest.raises(ValueError, match="meta variances must be > 0"):
+        gaussian_meta(sigma_q=0.0)
+    with pytest.raises(ValueError, match="sigma_0 must be > 0"):
+        gaussian_meta(sigma_0=0.0)
+    with pytest.raises(ValueError, match="nonempty"):
+        gaussian_meta(num_arms=0)
+
+
+def linear_meta(Lambda, Sigma=np.eye(2)):
+    return LinearState(
+        mu=np.zeros(2), Lambda=Lambda, Sigma=Sigma, sigma=1.0, features=np.zeros((3, 2))
+    )
 
 
 def test_linear_meta_prior_requires_spd():
-    with pytest.raises(ValueError):
-        LinearMetaPrior(
-            mu_0=np.zeros(2),
-            Lambda_0=np.array([[1.0, 2.0], [2.0, 1.0]]),  # indefinite
-            Sigma=np.eye(2),
-            features=np.zeros((3, 2)),
-        )
-    with pytest.raises(ValueError):
-        LinearMetaPrior(
-            mu_0=np.zeros(2),
-            Lambda_0=np.array([[1.0, 0.5], [0.4, 1.0]]),  # asymmetric
-            Sigma=np.eye(2),
-            features=np.zeros((3, 2)),
+    with pytest.raises(ValueError, match="Lambda must be positive-definite"):
+        linear_meta(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
+    with pytest.raises(ValueError, match="Lambda must be symmetric"):
+        linear_meta(np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
+    with pytest.raises(ValueError, match="Sigma must be positive-definite"):
+        linear_meta(np.eye(2), Sigma=np.ones((2, 2)))  # singular
+    with pytest.raises(ValueError, match="features must be a K x d matrix"):
+        LinearState(
+            mu=np.zeros(2), Lambda=np.eye(2), Sigma=np.eye(2), sigma=1.0, features=np.zeros(3)
         )
 
 
 def test_categorical_degenerate_weights_select_first():
     p1, p2 = beta_pair()
-    meta = CategoricalMetaPrior(weights=np.array([1.0, 0.0]), priors=(p1, p2))
+    meta = CategoricalWeights(weights=np.array([1.0, 0.0]), priors=(p1, p2))
     s = derive_stream(1, 0, 0)
     assert all(sample_instance_prior(meta, s) is p1 for _ in range(20))
 
 
 def test_gaussian_meta_prior_variance():
-    meta = GaussianMetaPrior(sigma_q=0.5, num_arms=2, sigma_0=0.1)
+    meta = gaussian_meta()
     s = derive_stream(2, 0, 0)
     mus = np.array([sample_instance_prior(meta, s).mu for _ in range(100_000)])
     assert np.all(np.abs(mus.var(axis=0, ddof=1) - 0.25) < 0.005)
@@ -79,15 +102,16 @@ def test_gaussian_meta_prior_variance():
 
 
 def test_linear_meta_prior_near_delta():
-    meta = LinearMetaPrior(
-        mu_0=np.array([0.4, -0.2]),
-        Lambda_0=1e9 * np.eye(2),
+    meta = LinearState(
+        mu=np.array([0.4, -0.2]),
+        Lambda=1e9 * np.eye(2),
         Sigma=0.01 * np.eye(2),
+        sigma=1.0,
         features=np.zeros((3, 2)),
     )
     s = derive_stream(3, 0, 0)
     prior = sample_instance_prior(meta, s)
-    assert np.all(np.abs(prior.theta_0 - meta.mu_0) < 1e-3)
+    assert np.all(np.abs(prior.theta_0 - meta.mu) < 1e-3)
 
 
 def test_beta_instance_mean():
@@ -121,7 +145,7 @@ def test_linear_instance_deterministic_map():
 
 def test_gaussian_marginal_consistency():
     # Composing the two sampling levels gives variance sigma_q^2 + sigma_0^2
-    meta = GaussianMetaPrior(sigma_q=0.5, num_arms=2, sigma_0=0.1)
+    meta = gaussian_meta()
     s = derive_stream(7, 0, 0)
     n = 100_000
     thetas = np.empty((n, 2))
@@ -200,3 +224,37 @@ def test_optimal_arm_append_smaller_invariant():
         family="gaussian", theta=np.array([0.4, 0.9, 0.1, 0.85]), reward_noise=1.0
     )
     assert optimal_arm(bigger) == (arm, best)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    sigma_q=st.floats(-150.0, 150.0).map(lambda e: 10.0**e),
+    num_arms=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_gaussian_zero_state_draw_is_the_meta_prior_draw(sigma_q, num_arms, seed):
+    # The zero-task state's draw, mean 0 and variance sigma_q^2 per arm, takes
+    # the same normals with the same bits as N(0, sigma_q^2) of size K did;
+    # the stream stands at the same place after it, and MetaTS's sample of the
+    # same state is the same draw.
+    meta = gaussian_meta(sigma_q=sigma_q, num_arms=num_arms)
+    streams = [derive_stream(seed, 0, 0) for _ in range(3)]
+    expected = sample_gaussian(streams[0], 0.0, sigma_q**2, size=num_arms)
+    for draw, stream in ((sample_instance_prior, streams[1]), (sample_meta_posterior, streams[2])):
+        assert draw(meta, stream).mu.tobytes() == expected.tobytes()
+    following = [stream.gen.standard_normal() for stream in streams]
+    assert following[1:] == following[:1] * 2
+
+
+def test_categorical_meta_draws_agree():
+    p1, p2 = beta_pair()
+    meta = CategoricalWeights(weights=np.array([0.3, 0.7]), priors=(p1, p2))
+    a, b = derive_stream(8, 0, 0), derive_stream(8, 0, 0)
+    for _ in range(50):
+        assert sample_instance_prior(meta, a) is sample_meta_posterior(meta, b)
+
+
+def test_draw_from_a_non_state_raises():
+    for draw in (sample_instance_prior, sample_meta_posterior):
+        with pytest.raises(TypeError, match="not a meta posterior"):
+            draw(object(), derive_stream(0, 0, 0))

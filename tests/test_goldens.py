@@ -1,7 +1,8 @@
 """Byte-level reproducibility: SHA-256 digests of the emitted reports.
 
 Small configs that cover every family, the misspecified MetaTS variants
-(name-keyed streams), forced terminal pulls (through the lemma 3
+of the Gaussian and linear families (name-keyed streams, the scaled
+meta-prior width), forced terminal pulls (through the lemma 3
 certification) and the certification JSON. A refactor of the simulation
 must leave every digest unchanged. To see what moved, regenerate with
 
@@ -24,6 +25,23 @@ GOLDENS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "goldens.json
 SEED = 23
 SMALL = {"runs": 3, "m": 5}
 PRESETS = ("gaussian-smoke", "bernoulli-smoke", "gaussian-misspec", "linear-d4")
+# Configs no preset covers: a base preset plus overrides of SMALL.
+VARIANTS = {
+    "linear-misspec": (
+        "linear-d4",
+        {
+            "m": 3,
+            "n": 30,
+            "agents": [
+                {"kind": "oracle"},
+                {"kind": "metats"},
+                {"kind": "metats", "misspecification_scale": 3.0},
+                {"kind": "metats", "misspecification_scale": 0.3},
+                {"kind": "agnostic"},
+            ],
+        },
+    ),
+}
 REPORT_FILES = ("rows.csv", "summary.csv", "report.json")
 
 
@@ -38,9 +56,11 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_digests(preset: str, out_dir: str) -> dict:
+def run_digests(case: str, out_dir: str) -> dict:
+    preset, overrides = VARIANTS.get(case, (case, {}))
     data = _preset(preset)
     data.update(SMALL, master_seed=SEED)
+    data.update(overrides)
     emit_report(run_experiment(ExperimentConfig(**data)), out_dir)
     digests = {}
     for name in REPORT_FILES:
@@ -56,7 +76,7 @@ def certify_digest() -> str:
 
 
 def all_digests(work_dir: str) -> dict:
-    out = {p: run_digests(p, os.path.join(work_dir, p)) for p in PRESETS}
+    out = {c: run_digests(c, os.path.join(work_dir, c)) for c in PRESETS + tuple(VARIANTS)}
     out["certify"] = certify_digest()
     return out
 
@@ -67,7 +87,7 @@ def goldens():
         return json.load(fh)
 
 
-@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("preset", PRESETS + tuple(VARIANTS))
 def test_report_digests(preset, goldens, tmp_path):
     assert run_digests(preset, str(tmp_path)) == goldens[preset]
 

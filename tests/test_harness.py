@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,14 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metats import harness
-from metats.agents import Agent, AgentSpec
+from metats.agents import Agent, AgentSpec, play_tasks
 from metats.envs import (
     BanditInstance,
     BetaProductPrior,
-    CategoricalMetaPrior,
+    CategoricalWeights,
     GaussianDiagPrior,
-    GaussianMetaPrior,
-    LinearMetaPrior,
+    GaussianDiagState,
+    LinearState,
+    reward_table,
+    sample_instance_prior,
+    sample_task_instance,
 )
 from metats.harness import (
     DEFAULT_BERNOULLI_PRIOR_TABLE,
@@ -242,7 +246,7 @@ class TestPriorConstruction:
     def test_bernoulli_meta_prior(self):
         config = ExperimentConfig(family="bernoulli")
         meta = build_meta_prior(config, derive_stream(0, 0, 0, 0))
-        assert isinstance(meta, CategoricalMetaPrior)
+        assert isinstance(meta, CategoricalWeights)
         np.testing.assert_array_equal(meta.weights, [0.5, 0.5])
         np.testing.assert_array_equal(meta.priors[0].alpha, [6.0, 2.0])
         np.testing.assert_array_equal(meta.priors[1].beta, [6.0, 2.0])
@@ -250,20 +254,23 @@ class TestPriorConstruction:
     def test_gaussian_meta_prior(self):
         config = ExperimentConfig()
         meta = build_meta_prior(config, derive_stream(0, 0, 0, 0))
-        assert isinstance(meta, GaussianMetaPrior)
-        assert (meta.sigma_q, meta.num_arms, meta.sigma_0) == (0.5, 2, 0.1)
+        assert isinstance(meta, GaussianDiagState)
+        np.testing.assert_array_equal(meta.mu, [0.0, 0.0])
+        np.testing.assert_array_equal(meta.var, [0.25, 0.25])
+        assert (meta.sigma_0, meta.sigma) == (0.1, 1.0)
 
     def test_linear_meta_prior_draws_features(self):
         config = ExperimentConfig(family="linear", K=10, d=2)
         meta_a = build_meta_prior(config, derive_stream(5, 3, 0, 0))
         meta_b = build_meta_prior(config, derive_stream(5, 3, 0, 0))
         meta_c = build_meta_prior(config, derive_stream(5, 4, 0, 0))
-        assert isinstance(meta_a, LinearMetaPrior)
+        assert isinstance(meta_a, LinearState)
         assert meta_a.features.shape == (10, 2)
         assert np.all(np.abs(meta_a.features) <= 0.5)
         np.testing.assert_array_equal(meta_a.features, meta_b.features)
         assert not np.array_equal(meta_a.features, meta_c.features)
-        np.testing.assert_allclose(meta_a.Lambda_0, np.eye(2) / 0.25, rtol=1e-15)
+        np.testing.assert_array_equal(meta_a.mu, [0.0, 0.0])
+        np.testing.assert_allclose(meta_a.Lambda, np.eye(2) / 0.25, rtol=1e-15)
         np.testing.assert_allclose(meta_a.Sigma, 0.01 * np.eye(2), rtol=1e-15)
 
     def test_agnostic_priors(self):
@@ -284,9 +291,62 @@ class TestPriorConstruction:
         assert prior.features is meta.features
 
 
+def _state_bits(state) -> tuple:
+    return tuple(np.asarray(getattr(state, f.name)).tobytes() for f in fields(state))
+
+
+class TestMetaTSStartStates:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(["gaussian", "linear"]),
+        sigma_q=st.floats(-3.0, 2.0).map(lambda e: 10.0**e),
+        scale=st.just(1.0) | st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+    )
+    def test_start_states_are_the_scaled_meta_prior(self, family, sigma_q, scale):
+        # The start state of a MetaTS at scale s has variance (sigma_q s)^2
+        # (Gaussian) or precision I / sigma_q^2 / s^2 (linear), bit for bit.
+        # The scale-1 agent starts from the run's meta-prior object itself;
+        # after a task it holds a new state and that object is unchanged.
+        config = ExperimentConfig(
+            family=family,
+            K=3,
+            d=2,
+            m=2,
+            n=5,
+            runs=1,
+            sigma_q=sigma_q,
+            agents=(
+                {"kind": "metats", "name": "start"},
+                {"kind": "metats", "misspecification_scale": scale, "name": "scaled"},
+                {"kind": "oracle"},
+            ),
+        )
+        meta_prior = build_meta_prior(config, derive_stream(0, 0, 0, 0))
+        true_prior = sample_instance_prior(meta_prior, derive_stream(0, 0, 0, 1))
+        agents = harness._materialize_agents(config, meta_prior, true_prior)
+        assert agents[0].meta is meta_prior
+        for agent, s in zip(agents, (1.0, scale)):
+            if family == "gaussian":
+                got, expected = agent.meta.var, np.full(config.K, (sigma_q * s) ** 2)
+            else:
+                got, expected = agent.meta.Lambda, np.eye(config.d) / sigma_q**2 / s**2
+            assert got.tobytes() == expected.tobytes()
+        before = _state_bits(meta_prior)
+        instance = sample_task_instance(true_prior, derive_stream(0, 0, 1, 1), config.sigma)
+        table = reward_table(instance, config.n, derive_stream(0, 0, 1, 2))
+        streams = [derive_stream(0, 0, 1, 16 + i) for i in range(len(agents))]
+        for agent, stream in zip(agents, streams):
+            agent.begin_task(stream, config.n)
+        play_tasks(agents, streams, [table] * len(agents))
+        for agent in agents:
+            agent.end_task()
+        assert agents[0].meta is not meta_prior
+        assert _state_bits(meta_prior) == before
+
+
 def point_mass_agent(mu):
     prior = GaussianDiagPrior(mu=np.asarray(mu, dtype=float), sigma_0=1e-9)
-    return Agent(AgentSpec(kind="agnostic", agnostic_prior=prior))
+    return Agent(AgentSpec(kind="agnostic", prior=prior))
 
 
 class TestRunTask:

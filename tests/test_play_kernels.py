@@ -53,7 +53,7 @@ def _play(case):
     else:
         prior = BetaProductPrior(alpha=case["shapes"][:k], beta=case["shapes"][8 : 8 + k])
         table = (gen.random((n, k)) < 0.5).astype(float)
-    spec = AgentSpec(kind="oracle", true_instance_prior=prior, forced_last_k=case["forced"])
+    spec = AgentSpec(kind="oracle", prior=prior, forced_last_k=case["forced"])
     agent = Agent(spec, reward_noise=case["sigma"])
     stream = derive_stream(seed, 0, 1, 99)
     agent.begin_task(stream, n)
@@ -159,7 +159,7 @@ def test_bernoulli_play_rejects_a_non_binary_reward(forced):
     # Without forced pulls play sees the reward; with them and n = K no round
     # is drawn, so absorb sees it.
     prior = BetaProductPrior(alpha=[1.0, 1.0], beta=[1.0, 1.0])
-    agent = Agent(AgentSpec(kind="oracle", true_instance_prior=prior, forced_last_k=forced))
+    agent = Agent(AgentSpec(kind="oracle", prior=prior, forced_last_k=forced))
     stream = derive_stream(5, 0, 1, 99)
     agent.begin_task(stream, 2)
     with pytest.raises(ValueError, match="Bernoulli reward must be 0 or 1, got 0.5"):

@@ -67,8 +67,7 @@ def _setup(case):
     def make_agent():
         spec = AgentSpec(
             kind=case["kind"],
-            meta_prior=meta_prior if case["kind"] == "metats" else None,
-            true_instance_prior=true_prior if case["kind"] == "oracle" else None,
+            prior=meta_prior if case["kind"] == "metats" else true_prior,
             forced_last_k=case["forced"],
         )
         return Agent(spec, reward_noise=SIGMA)
@@ -200,13 +199,12 @@ def _linear_pairs(case):
         run_stream = derive_stream(seed, r, 0, 0)
         meta_prior = build_meta_prior(config, run_stream)
         true_prior = sample_instance_prior(meta_prior, run_stream)
-        spec = AgentSpec(
-            kind=kind,
-            meta_prior=meta_prior if kind == "metats" else None,
-            true_instance_prior=true_prior if kind == "oracle" else None,
-            agnostic_prior=agnostic_prior_for(config, meta_prior) if kind == "agnostic" else None,
-            forced_last_k=case["forced"][r],
-        )
+        prior = {
+            "metats": meta_prior,
+            "oracle": true_prior,
+            "agnostic": agnostic_prior_for(config, meta_prior),
+        }[kind]
+        spec = AgentSpec(kind=kind, prior=prior, forced_last_k=case["forced"][r])
         agent = Agent(spec, reward_noise=SIGMA)
         instance = sample_task_instance(true_prior, derive_stream(seed, r, 1, 1), SIGMA)
         stream = derive_stream(seed, r, 1, 99)

@@ -677,16 +677,23 @@ class TestLinearMeta:
 
     def test_singular_task_covariance_raises(self):
         # The Woodbury form inverts the task covariance; a numerically
-        # singular Sigma must fail loudly, not silently produce garbage.
-        state = LinearState(
-            mu=np.zeros(2),
-            Lambda=np.eye(2),
-            Sigma=np.array([[1.0, 1.0], [1.0, 1.0]]),
-            sigma=1.0,
-            features=np.array([[1.0, 0.0], [0.0, 1.0]]),
-        )
+        # singular Sigma must fail loudly, not silently produce garbage. An
+        # exactly singular one is refused when the state is built; one that
+        # factors but has a pivot below the floor is refused by the update.
+        def state(sigma):
+            return LinearState(
+                mu=np.zeros(2),
+                Lambda=np.eye(2),
+                Sigma=sigma,
+                sigma=1.0,
+                features=np.array([[1.0, 0.0], [0.0, 1.0]]),
+            )
+
+        with pytest.raises(ValueError, match="Sigma must be positive-definite"):
+            state(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        near_singular = state(np.diag([1.0, 1e-26]))
         with pytest.raises(NumericalError, match="condition"):
-            update_meta_posterior_linear(state, make_log(2, [(0, 0.5)]))
+            update_meta_posterior_linear(near_singular, make_log(2, [(0, 0.5)]))
 
     def test_matches_batch_bayes_oracle(self):
         # Closed-form oracle: integrating theta_s out, a task's rows are
