@@ -77,7 +77,7 @@ class Agent:
     """One policy instance: a single-threaded state machine for one run.
 
     Lifecycle per task: begin_task, then the task's rounds, then end_task.
-    The rounds are played either all at once with play_task against a
+    The rounds are played either all at once with play_tasks against a
     pre-drawn reward table, through the posterior's play, or one at a time
     with select_action followed by observe of that same arm; both draw the
     same Thompson noise from the stream and apply the same posterior math,
@@ -157,16 +157,6 @@ class Agent:
         self.log.append(arm, reward)
         self.rounds_played += 1
         self._pending_arm = None
-
-    def play_task(self, stream: RngStream, rewards: np.ndarray) -> list:
-        """Play every remaining round of the task; returns the arms pulled.
-
-        rewards is the horizon x K table (row t: what each arm pays in round
-        t). The Thompson noise of all drawn rounds comes from stream in one
-        call, the posterior is updated in place, and the log is written once
-        at the end. This is play_tasks for one agent.
-        """
-        return play_tasks([self], [stream], [rewards])[0]
 
     def _play_rounds(self, stream: RngStream, rewards: np.ndarray) -> list:
         """The rest of a Bernoulli or Gaussian task: one play call, then the forced pulls."""

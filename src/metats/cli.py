@@ -20,7 +20,7 @@ from dataclasses import MISSING, fields
 from importlib import resources
 
 from .bounds import BoundParams, bounds_report
-from .harness import ExperimentConfig, emit_report, run_experiment
+from .harness import MAX_REGRET_CELLS, ExperimentConfig, emit_report, run_experiment
 from .posteriors import NumericalError
 from .selftest import run_selftest
 
@@ -222,6 +222,10 @@ def _check_certify_flags(args, params: BoundParams, seed) -> None:
     """Reject out-of-domain certification inputs before any simulation starts."""
     checks = (
         (args.runs >= 1, f"--runs must be >= 1, got {args.runs}"),
+        (
+            args.runs * params.m <= MAX_REGRET_CELLS,
+            f"--runs * m must be <= {MAX_REGRET_CELLS}, got {args.runs} * {params.m}",
+        ),
         (
             0.0 < args.lemma3_delta < 1.0,
             f"--lemma3-delta must be in (0, 1), got {args.lemma3_delta!r}",

@@ -409,7 +409,7 @@ def run_task(
     """
     if horizon != agent.horizon:
         raise ValueError(f"horizon {horizon} != the agent's task horizon {agent.horizon}")
-    arms = agent.play_task(action_stream, rewards)
+    arms = play_tasks([agent], [action_stream], [rewards])[0]
     return agent.log, _pseudo_regret(instance, arms)
 
 
@@ -432,9 +432,11 @@ def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> list
     pairs share one stacked kernel; streams are keyed by (run, task, agent),
     so every pair's numbers equal those of simulating its run alone. The keys
     of all tasks come from one stream_keys call (per KEY_BLOCK keys), and
-    each stream of a run is one RngStream re-keyed before every task. After
-    each task, progress (if given) gets the finished (run, task) cells of the
-    whole experiment, counting every run before the chunk as finished.
+    each stream of a run is one RngStream re-keyed before every task. Each
+    Gaussian MetaTS pair records its sampled-prior error per task (see
+    RegretReport.prior_error). After each task, progress (if given) gets the
+    finished (run, task) cells of the whole experiment, counting every run
+    before the chunk as finished.
     """
     seed = config.master_seed
     noise = 0.0 if config.family == BERNOULLI else config.sigma
@@ -457,16 +459,19 @@ def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> list
                     trace = np.zeros(config.m + 1)
                     trace[0] = agent.meta.weights[j_star]
                     traces[agent.name] = trace
+        errors = {}
+        if config.family == GAUSSIAN:
+            errors = {a.name: np.zeros(config.m) for a in agents if a.spec.kind == METATS}
         # One stream per substream, re-keyed before every task.
         slots = [derive_stream(seed, run_idx, 0, sub) for sub in subs]
-        chunk.append((run_idx, true_prior, agents, per_task, traces, j_star, slots))
+        chunk.append((run_idx, true_prior, agents, per_task, traces, errors, j_star, slots))
 
     block = max(1, KEY_BLOCK // (len(runs) * len(subs)))
     for s in range(1, config.m + 1):
         if (s - 1) % block == 0:
             keys = stream_keys(seed, runs, range(s, min(s + block, config.m + 1)), subs)
         instances, pairs, streams, tables = [], [], [], []
-        for (run_idx, true_prior, agents, *_, slots), run_keys in zip(
+        for (run_idx, true_prior, agents, _, _, errors, _, slots), run_keys in zip(
             chunk, keys[:, (s - 1) % block]
         ):
             for slot, sub, key in zip(slots, subs, run_keys):
@@ -476,11 +481,14 @@ def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> list
             instances.append(instance)
             for agent, stream in zip(agents, slots[2:]):
                 agent.begin_task(stream, config.n)
+                if agent.name in errors:
+                    gap = np.abs(agent.task_prior.mu - true_prior.mu)
+                    errors[agent.name][s - 1] = float(np.max(gap))
                 pairs.append(agent)
                 streams.append(stream)
                 tables.append(table)
         played = iter(play_tasks(pairs, streams, tables))
-        for (_, _, agents, per_task, traces, j_star, _), instance in zip(chunk, instances):
+        for (_, _, agents, per_task, traces, _, j_star, _), instance in zip(chunk, instances):
             for a_idx, agent in enumerate(agents):
                 regrets = _pseudo_regret(instance, next(played))
                 agent.end_task()
@@ -489,7 +497,7 @@ def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> list
                     traces[agent.name][s] = agent.meta.weights[j_star]
         if progress is not None:
             progress(runs.start * config.m + s * len(runs), config.runs * config.m)
-    return [(per_task, traces) for _, _, _, per_task, traces, _, _ in chunk]
+    return [(per_task, traces, errors) for _, _, _, per_task, traces, errors, _, _ in chunk]
 
 
 def _run_payload(args):
@@ -499,7 +507,12 @@ def _run_payload(args):
 
 @dataclass(eq=False)
 class RegretReport:
-    """Per-(agent, run, task) cumulative pseudo-regret plus aggregation."""
+    """Per-(agent, run, task) cumulative pseudo-regret plus aggregation.
+
+    prior_error maps each Gaussian MetaTS agent to a (runs, tasks) array: the
+    max-norm distance of the prior mean it sampled at the start of a task
+    from the true prior mean. It is not emitted.
+    """
 
     agent_names: tuple
     cum_regret: np.ndarray  # shape (agents, runs, tasks)
@@ -507,6 +520,7 @@ class RegretReport:
     master_seed: int
     version: str = __version__
     true_prior_weight: dict = field(default_factory=dict)
+    prior_error: dict = field(default_factory=dict)
 
     @property
     def num_tasks(self) -> int:
@@ -593,14 +607,15 @@ def run_experiment(
     """
     num_agents = len(config.agents)
     per_task = np.zeros((num_agents, config.runs, config.m))
-    traces = {}
+    traces, errors = {}, {}
 
     def _store(runs, results):
-        for run_idx, (run_regret, run_traces) in zip(runs, results):
+        for run_idx, (run_regret, *per_run) in zip(runs, results):
             per_task[:, run_idx, :] = run_regret
-            for name, trace in run_traces.items():
-                traces.setdefault(name, np.zeros((config.runs, config.m + 1)))
-                traces[name][run_idx] = trace
+            for store, run_values in zip((traces, errors), per_run):
+                for name, values in run_values.items():
+                    store.setdefault(name, np.zeros((config.runs, len(values))))
+                    store[name][run_idx] = values
 
     size = _runs_per_chunk(config)
     if threads > 1:
@@ -625,6 +640,7 @@ def run_experiment(
         config=config.echo(),
         master_seed=config.master_seed,
         true_prior_weight=traces,
+        prior_error=errors,
     )
 
 

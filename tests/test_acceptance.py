@@ -12,8 +12,8 @@ import subprocess
 import sys
 import time
 
-from metats.bounds import certify_lemma1, certify_lemma3, check_technical_lemmas
-from metats.harness import ExperimentConfig, regret_slope
+from metats.bounds import certify_lemma1, certify_lemma3, check_technical_lemmas, lemma3_config
+from metats.harness import ExperimentConfig, regret_slope, run_experiment
 from metats.selftest import (
     check_categorical_vs_grid,
     check_gaussian_linear_identity,
@@ -153,7 +153,8 @@ def test_criterion_07_oracle_equivalences(capsys):
 
 def test_criterion_08_bound_certifications(capsys):
     cert = certify_lemma1(ExperimentConfig(master_seed=SEED), R=1000)
-    freq = certify_lemma3(ExperimentConfig(m=5, master_seed=SEED), R=1000, delta=0.1)
+    lemma3 = run_experiment(lemma3_config(ExperimentConfig(m=5, master_seed=SEED), R=1000))
+    freq = certify_lemma3(lemma3, delta=0.1)
     tech = check_technical_lemmas(trials=10_000)
     ok = cert.passed and freq <= 5 * 0.1 and tech["passed"]
     verdict(

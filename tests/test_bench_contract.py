@@ -64,8 +64,9 @@ def _run_worker(tmp_path, name, trace):
 def test_worker_prints_a_correct_result_line(tmp_path, name):
     result = _run_worker(tmp_path, name, "0")
     if name == "certify":
-        # 4 lemma-1 runs of 200 rounds, plus 4 replications x 20 tasks x 200
-        # rounds that certify_lemma3 plays through bounds.run_task.
+        # 16,800 = 800 + 16,000: 4 lemma-1 runs of 200 rounds, plus the
+        # Lemma 3 run of 4 runs x 20 tasks x 200 rounds, both counted
+        # through bounds.run_experiment.
         assert result["agent_rounds"] == 16_800
 
 

@@ -6,11 +6,15 @@ arithmetic with math functions) rather than trusted from the implementation.
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from metats import bounds
+from metats import bounds, harness
+from metats.agents import Agent, AgentSpec
 from metats.bounds import (
     BoundParams,
     CertResult,
@@ -21,14 +25,70 @@ from metats.bounds import (
     check_technical_lemmas,
     lemma1_bound,
     lemma2_bound,
+    lemma3_config,
     lemma3_radius,
     root_gap,
     theorem1_bound,
 )
-from metats.harness import ExperimentConfig
-from metats.rng import derive_stream
+from metats.envs import reward_table, sample_instance_prior, sample_task_instance
+from metats.harness import (
+    SUB_INSTANCE,
+    SUB_REWARDS,
+    SUB_RUN,
+    ExperimentConfig,
+    build_meta_prior,
+    run_experiment,
+    run_task,
+)
+from metats.rng import derive_stream, name_substream
 
 SEC5 = BoundParams()  # K=2, n=200, m=20, sigma=1, sigma_0=0.1, sigma_q=0.5, delta=0.05
+
+
+def lemma3_frequency(config, R, delta):
+    """certify_lemma3 over a plain run of lemma3_config."""
+    return certify_lemma3(run_experiment(lemma3_config(config, R=R)), delta=delta)
+
+
+def lemma3_frequency_oracle(config, R, delta):
+    """The Lemma 3 violation frequency replayed one replication at a time.
+
+    Every stream is a fresh derive_stream of its (run, task, substream)
+    identity, and a replication stops at its first task outside the radius.
+    """
+    p = BoundParams(
+        K=config.K,
+        n=config.n,
+        m=config.m,
+        sigma=config.sigma,
+        sigma_0=config.sigma_0,
+        sigma_q=config.sigma_q,
+        delta=delta,
+    )
+    seed = config.master_seed
+    violations = 0
+    for rep in range(R):
+        run_stream = derive_stream(seed, rep, 0, SUB_RUN)
+        meta_prior = build_meta_prior(config, run_stream)
+        true_prior = sample_instance_prior(meta_prior, run_stream)
+        agent = Agent(
+            AgentSpec(kind="metats", prior=meta_prior, forced_last_k=True),
+            reward_noise=config.sigma,
+        )
+        for s in range(1, config.m + 1):
+            stream = derive_stream(seed, rep, s, name_substream(agent.name))
+            agent.begin_task(stream, config.n)
+            gap = float(np.max(np.abs(agent.task_prior.mu - true_prior.mu)))
+            if gap > bounds.lemma3_radius(p, s):
+                violations += 1
+                break
+            instance = sample_task_instance(
+                true_prior, derive_stream(seed, rep, s, SUB_INSTANCE), reward_noise=config.sigma
+            )
+            table = reward_table(instance, config.n, derive_stream(seed, rep, s, SUB_REWARDS))
+            run_task(agent, instance, config.n, stream, rewards=table)
+            agent.end_task()
+    return violations / float(R)
 
 
 def per_case_lemmas(trials, seed):
@@ -331,37 +391,116 @@ class TestCertifications:
 
     def test_lemma3_frequency_within_guarantee(self):
         config = ExperimentConfig(m=2, n=20, master_seed=23)
-        freq = certify_lemma3(config, R=80, delta=0.3)
+        freq = lemma3_frequency(config, R=80, delta=0.3)
         assert 0.0 <= freq <= 1.0
         assert freq <= 2 * 0.3
 
     def test_lemma3_vacuous_delta(self):
         # m * delta >= 1 imposes nothing; the frequency is still a frequency.
         config = ExperimentConfig(m=2, n=20, master_seed=23)
-        freq = certify_lemma3(config, R=40, delta=0.9)
+        freq = lemma3_frequency(config, R=40, delta=0.9)
         assert 0.0 <= freq <= 1.0
 
     def test_lemma3_key_blocks_do_not_change_the_frequency(self, monkeypatch):
-        # Keys derived for every replication at once or a few at a time give
-        # the same streams. A radius shrunk to 0.3x makes about half the
-        # replications break early, at a task that depends on every draw.
+        # Keys derived for every run at once or a few at a time give the same
+        # streams. A radius shrunk to 0.3x puts about half the runs outside it
+        # at some task, which depends on every draw before it.
         radius = bounds.lemma3_radius
         monkeypatch.setattr(bounds, "lemma3_radius", lambda p, s: 0.3 * radius(p, s))
         config = ExperimentConfig(m=3, n=10, master_seed=23)
-        whole = certify_lemma3(config, R=30, delta=0.1)
+        whole = lemma3_frequency(config, R=30, delta=0.1)
         assert whole == 17 / 30
-        monkeypatch.setattr(bounds, "KEY_BLOCK", 20)
-        assert certify_lemma3(config, R=30, delta=0.1) == whole
+        monkeypatch.setattr(harness, "KEY_BLOCK", 20)
+        assert lemma3_frequency(config, R=30, delta=0.1) == whole
 
     def test_lemma3_degenerate_meta_prior(self):
         config = ExperimentConfig(sigma_q=1e-6, m=2, n=20, master_seed=23)
-        assert certify_lemma3(config, R=80, delta=0.1) == 0.0
+        assert lemma3_frequency(config, R=80, delta=0.1) == 0.0
 
     def test_lemma3_input_validation(self):
         with pytest.raises(ValueError, match="gaussian"):
-            certify_lemma3(ExperimentConfig(family="bernoulli"), R=10)
+            lemma3_config(ExperimentConfig(family="bernoulli"), R=10)
         with pytest.raises(ValueError, match="horizon"):
-            certify_lemma3(ExperimentConfig(n=1, K=2), R=10)
+            lemma3_config(ExperimentConfig(n=1, K=2), R=10)
+        small = dict(runs=1, m=1, n=2)
+        with pytest.raises(ValueError, match="gaussian"):
+            certify_lemma3(run_experiment(ExperimentConfig(family="bernoulli", **small)))
+        forced = ({"kind": "metats", "forced_last_k": True},)
+        short = ExperimentConfig(n=1, K=2, runs=1, m=1, agents=forced)
+        with pytest.raises(ValueError, match="horizon"):
+            certify_lemma3(run_experiment(short))
+        run = run_experiment(lemma3_config(ExperimentConfig(m=2, n=5), R=2))
+        loaded = harness.RegretReport.from_json_dict(run.to_json_dict())
+        with pytest.raises(ValueError, match="no prior_error"):
+            certify_lemma3(loaded)
+
+    @pytest.mark.parametrize(
+        "agents",
+        [
+            ({"kind": "oracle"}, {"kind": "metats"}),
+            ({"kind": "metats", "forced_last_k": True}, {"kind": "metats", "name": "twin"}),
+            ({"kind": "metats", "forced_last_k": True, "misspecification_scale": 2.0},),
+        ],
+    )
+    def test_lemma3_needs_one_forced_correct_metats_agent(self, agents):
+        report = run_experiment(ExperimentConfig(runs=1, m=1, n=2, agents=agents))
+        with pytest.raises(ValueError, match="exactly one MetaTS agent"):
+            certify_lemma3(report)
+
+    def test_lemma3_config_is_a_plain_metats_run(self):
+        config = ExperimentConfig(m=4, n=30, runs=3, master_seed=9)
+        cert = lemma3_config(config, R=7)
+        assert cert.runs == 7
+        assert cert.agent_names == ("MetaTS",)
+        assert cert.agents[0]["forced_last_k"] is True
+        assert dataclasses.replace(cert, runs=3, agents=config.agents) == config
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    Kn=st.integers(2, 4).flatmap(lambda K: st.tuples(st.just(K), st.integers(K, 30))),
+    m=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    R=st.integers(1, 40),
+    scale=st.sampled_from([0.3, 0.5, 1.0]),
+)
+def test_lemma3_reduction_equals_the_replication_loop(Kn, m, seed, R, scale):
+    # Playing on past a task outside the radius cannot change the count: the
+    # check at task s reads only draws keyed up to task s.
+    config = ExperimentConfig(K=Kn[0], n=Kn[1], m=m, master_seed=seed)
+    radius = bounds.lemma3_radius
+    with mock.patch.object(bounds, "lemma3_radius", lambda p, s: scale * radius(p, s)):
+        assert lemma3_frequency(config, R, 0.1) == lemma3_frequency_oracle(config, R, 0.1)
+
+
+class TestPriorError:
+    AGENTS = (
+        {"kind": "oracle"},
+        {"kind": "metats"},
+        {"kind": "metats", "misspecification_scale": 3.0},
+        {"kind": "agnostic"},
+    )
+
+    def test_only_gaussian_metats_agents_record_it(self):
+        config = ExperimentConfig(K=3, m=3, n=10, runs=4, agents=self.AGENTS)
+        report = run_experiment(config)
+        assert set(report.prior_error) == {"MetaTS", "MetaTSx3"}
+        for errors in report.prior_error.values():
+            assert errors.shape == (4, 3)
+            assert np.all(errors > 0.0)
+        assert "prior_error" not in report.to_json_dict()
+        for family in ("bernoulli", "linear"):
+            agents = self.AGENTS[:2] if family == "bernoulli" else self.AGENTS
+            plain = ExperimentConfig(family=family, m=2, n=5, runs=2, agents=agents)
+            assert run_experiment(plain).prior_error == {}
+
+    def test_thread_count_does_not_change_it(self):
+        config = ExperimentConfig(K=3, m=3, n=10, runs=4, agents=self.AGENTS)
+        serial = run_experiment(config, threads=1).prior_error
+        pooled = run_experiment(config, threads=2).prior_error
+        assert serial.keys() == pooled.keys()
+        for name in serial:
+            np.testing.assert_array_equal(serial[name], pooled[name])
 
 
 class TestBoundsReport:
@@ -385,3 +524,32 @@ class TestBoundsReport:
         assert report["empirical"]["passed"] is True
         assert 0.0 <= report["violation_frequency"] <= 1.0
         assert report["technical_lemmas"]["passed"] is True
+
+    def test_certified_report_runs_both_simulations_through_run_experiment(self, monkeypatch):
+        # Benchmarks time bounds.run_experiment and bounds.certify_lemma3
+        # separately and add the two up, so the Lemma 3 run must happen in
+        # bounds_report, not inside certify_lemma3.
+        configs, inside = [], []
+        run, certify = bounds.run_experiment, bounds.certify_lemma3
+
+        def counted_run(config, *args, **kwargs):
+            configs.append(config)
+            return run(config, *args, **kwargs)
+
+        def counted_certify(*args, **kwargs):
+            before = len(configs)
+            try:
+                return certify(*args, **kwargs)
+            finally:
+                inside.append(len(configs) - before)
+
+        monkeypatch.setattr(bounds, "run_experiment", counted_run)
+        monkeypatch.setattr(harness, "run_experiment", counted_run)
+        monkeypatch.setattr(bounds, "certify_lemma3", counted_certify)
+        p = BoundParams(n=20, m=2)
+        bounds_report(p, certify=True, runs=3, trials=10, master_seed=23)
+        assert len(configs) == 2
+        assert inside == [0]
+        rounds = sum(c.runs * c.m * c.n * len(c.agents) for c in configs)
+        assert rounds == 3 * 20 + 3 * 2 * 20
+        assert bounds.run_task is harness.run_task

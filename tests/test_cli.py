@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from metats import harness
 from metats.cli import EXIT_CONFIG, EXIT_OK, list_presets, main
 
 TINY = ["m=2", "n=10", "runs=2"]
@@ -332,9 +333,15 @@ class TestCheckBounds:
             (["--trials", "-5"], "--trials"),
             (["--seed", "-1"], "--seed"),
             (["n=1", "K=3"], "n must be >= K"),
+            (["--runs", "10000001"], "--runs"),
+            (["--runs", "500001"], "--runs"),
         ],
     )
-    def test_certify_flag_out_of_domain_names_flag(self, capsys, args, flag):
+    def test_certify_flag_out_of_domain_names_flag(self, capsys, monkeypatch, args, flag):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a simulation started")
+
+        monkeypatch.setattr(harness, "_simulate_runs", no_simulation)
         code = main(["check-bounds", "--certify", *args])
         assert code == EXIT_CONFIG
         captured = capsys.readouterr()

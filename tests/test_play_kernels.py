@@ -44,7 +44,7 @@ def _bits(values) -> bytes:
 
 
 def _play(case):
-    """An oracle agent of the case's family plays one task through play_task."""
+    """An oracle agent of the case's family plays one task through play_tasks."""
     k, n, seed = case["K"], case["n"], case["seed"]
     gen = np.random.default_rng(seed)
     if case["family"] == "gaussian":
@@ -57,7 +57,7 @@ def _play(case):
     agent = Agent(spec, reward_noise=case["sigma"])
     stream = derive_stream(seed, 0, 1, 99)
     agent.begin_task(stream, n)
-    arms = agent.play_task(stream, table)
+    arms = play_tasks([agent], [stream], [table])[0]
     return agent, prior, table, arms
 
 

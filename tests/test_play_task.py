@@ -1,4 +1,4 @@
-"""Properties of whole-task play (run_task / Agent.play_task / play_tasks).
+"""Properties of whole-task play (run_task / play_tasks).
 
 The task loop draws all Thompson noise of a task in one call and updates the
 posterior in place; these properties pin it to the conjugate algebra, to
@@ -222,7 +222,7 @@ def test_stacked_linear_play_equals_one_pair_at_a_time(case):
     arms = play_tasks(stacked, streams, tables)
     alone, streams, tables = _linear_pairs(case)
     for r, agent in enumerate(alone):
-        assert agent.play_task(streams[r], tables[r]) == arms[r]
+        assert play_tasks([agent], [streams[r]], [tables[r]])[0] == arms[r]
         a, b = stacked[r], agent
         assert a.log.arms == b.log.arms == arms[r]
         assert a.log.rewards == b.log.rewards
