@@ -22,6 +22,7 @@ from .posteriors import (
     init_task_posterior,
     play_linear,
     sample_meta_posterior,
+    sample_task_posterior,
     update_meta_posterior_categorical,
     update_meta_posterior_gaussian,
     update_meta_posterior_linear,
@@ -66,11 +67,6 @@ class AgentSpec:
             raise ValueError(f"unknown agent kind {self.kind!r}")
         if self.name is None:
             self.name = _default_name(self.kind, 1.0)
-
-
-def _argmax(draw: list) -> int:
-    """Index of the largest sample; the first maximum wins, as in np.argmax."""
-    return draw.index(max(draw))
 
 
 class Agent:
@@ -143,8 +139,8 @@ class Agent:
         if self.rounds_played >= free:
             arm = self.rounds_played - free
         else:
-            post = self.task_posterior
-            arm = _argmax(post.thompson(post.noise(stream.gen, 1)[0]))
+            # np.argmax takes the first maximum, as the play kernels do.
+            arm = int(np.argmax(sample_task_posterior(self.task_posterior, stream)))
         self._pending_arm = arm
         return arm
 
@@ -154,8 +150,7 @@ class Agent:
                 f"observe({arm}) does not match the selected action {self._pending_arm}"
             )
         self.task_posterior.absorb(arm, reward)
-        self.log.append(arm, reward)
-        self.rounds_played += 1
+        self._record([arm], [reward])
         self._pending_arm = None
 
     def _play_rounds(self, stream: RngStream, rewards: np.ndarray) -> list:
@@ -172,10 +167,14 @@ class Agent:
             arms.append(arm)
         return arms
 
-    def _record(self, arms: list, rewards: np.ndarray) -> None:
-        start = self.rounds_played
-        self.log.extend(arms, rewards[np.arange(start, self.horizon), arms].tolist())
-        self.rounds_played = self.horizon
+    def _record(self, arms, rewards) -> None:
+        """Append the rounds just played, arms and their rewards, to the task
+        log; the one place a log grows."""
+        if self.rounds_played:
+            arms = np.concatenate((self.log.arms, arms))
+            rewards = np.concatenate((self.log.rewards, rewards))
+        self.log = TaskLog(self.log.num_arms, arms, rewards)
+        self.rounds_played = len(self.log)
 
     def end_task(self) -> None:
         if not self._in_task:
@@ -195,48 +194,46 @@ class Agent:
         self._in_task = False
 
 
-def play_tasks(agents: list, streams: list, tables: list) -> list:
+def play_tasks(agents: list, streams: list, tables: list) -> np.ndarray:
     """Play every remaining round of each agent's current task.
 
-    Agent i plays against its horizon x K reward table tables[i] and draws
-    the Thompson noise of all its drawn rounds from streams[i] in one call,
-    after begin_task. Returns each agent's arms.
+    Every agent must stand at the same round of equal horizons. Agent i plays
+    against its horizon x K reward table tables[i] and draws the Thompson
+    noise of all its drawn rounds from streams[i] in one call, after
+    begin_task. Returns the arms as one (agents, rounds) int array. An
+    agent's log may hold its row itself, not a copy, so callers only read it.
 
     Linear agents play in lockstep through posteriors.play_linear, with one
-    stacked Cholesky and three stacked solves per round for all of them, so
-    they must stand at the same round of equal horizons. Bernoulli and
-    Gaussian agents play one after another through their posterior's play:
-    Beta draws are rejection-sampled, and a Gaussian round there costs
-    0.6-1.2 us at K=2 (2-core x86-64 host), what a stacked numpy round costs
-    per pair at two dozen pairs. Either way, each agent's arms, log and
-    posterior equal those of playing it alone.
+    stacked Cholesky and three stacked solves per round for all of them.
+    Bernoulli and Gaussian agents play one after another through their
+    posterior's play: Beta draws are rejection-sampled, and a Gaussian round
+    there costs 0.6-1.2 us at K=2 (2-core x86-64 host), what a stacked numpy
+    round costs per pair at two dozen pairs. Either way, each agent's arms,
+    log and posterior equal those of playing it alone.
     """
     for agent in agents:
         agent._check_can_select()
-    arms = [None] * len(agents)
-    linear = [
-        i for i, agent in enumerate(agents)
-        if isinstance(agent.task_posterior, LinearGaussianPosterior)
-    ]
-    if linear:
-        start, horizon = agents[linear[0]].rounds_played, agents[linear[0]].horizon
-        if any((agents[i].rounds_played, agents[i].horizon) != (start, horizon) for i in linear):
-            raise ValueError("linear agents played together must share the round and horizon")
-        free = [agents[i]._free_rounds - start for i in linear]
+    start, horizon = agents[0].rounds_played, agents[0].horizon
+    if any((agent.rounds_played, agent.horizon) != (start, horizon) for agent in agents):
+        raise ValueError("agents played together must share the round and horizon")
+    rounds = np.arange(start, horizon)
+    arms = np.empty((len(agents), horizon - start), dtype=int)
+    linear = [isinstance(agent.task_posterior, LinearGaussianPosterior) for agent in agents]
+    if any(linear):
+        lockstep = [i for i, flag in enumerate(linear) if flag]
+        free = [agents[i]._free_rounds - start for i in lockstep]
         noise = [
             agents[i].task_posterior.noise(streams[i].gen, max(f, 0))
-            for i, f in zip(linear, free)
+            for i, f in zip(lockstep, free)
         ]
-        played = play_linear(
-            [agents[i].task_posterior for i in linear],
+        arms[lockstep] = play_linear(
+            [agents[i].task_posterior for i in lockstep],
             noise,
-            np.stack([tables[i][start:horizon] for i in linear]),
+            np.stack([tables[i][start:horizon] for i in lockstep]),
             free,
         )
-        for i, row in zip(linear, played.tolist()):
-            arms[i] = row
     for i, agent in enumerate(agents):
-        if arms[i] is None:
+        if not linear[i]:
             arms[i] = agent._play_rounds(streams[i], tables[i])
-        agent._record(arms[i], tables[i])
+        agent._record(arms[i], tables[i][rounds, arms[i]])
     return arms

@@ -10,12 +10,13 @@ the sampled-prior errors a run of lemma3_config records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .envs import GAUSSIAN
-from .harness import ExperimentConfig, RegretReport, check_widths, run_experiment
+from .harness import ExperimentConfig, RegretReport, _as_float, _as_int, check_widths
+from .harness import run_experiment
 # perfbench/worker.py wraps bounds.run_task before any run, so the name stays.
 from .harness import run_task  # noqa: F401
 from .rng import derive_stream
@@ -51,6 +52,10 @@ class BoundParams:
     delta: float = 0.05
 
     def __post_init__(self):
+        for key in ("K", "n", "m"):
+            object.__setattr__(self, key, _as_int(key, getattr(self, key)))
+        for key in ("sigma", "sigma_0", "sigma_q", "delta"):
+            object.__setattr__(self, key, _as_float(key, getattr(self, key)))
         if self.K < 1 or self.n < 1 or self.m < 1:
             raise ValueError("K, n, m must be >= 1")
         check_widths(self.sigma, self.sigma_0, self.sigma_q)
@@ -136,16 +141,7 @@ class Theorem1Bound:
         return self.leading_terms + self.residue
 
     def to_json_dict(self) -> dict:
-        return {
-            "c1": self.c1,
-            "c2": self.c2,
-            "c3": self.c3,
-            "first_term": self.first_term,
-            "second_term": self.second_term,
-            "residue": self.residue,
-            "leading_terms": self.leading_terms,
-            "full": self.full,
-        }
+        return {**asdict(self), "leading_terms": self.leading_terms, "full": self.full}
 
 
 def theorem1_bound(p: BoundParams) -> Theorem1Bound:
@@ -184,12 +180,7 @@ class CertResult:
         return self.empirical <= self.bound + 3.0 * self.stderr
 
     def to_json_dict(self) -> dict:
-        return {
-            "empirical": self.empirical,
-            "bound": self.bound,
-            "stderr": self.stderr,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def certify_lemma1(config: ExperimentConfig, R: int = 1000) -> CertResult:
@@ -197,19 +188,7 @@ def certify_lemma1(config: ExperimentConfig, R: int = 1000) -> CertResult:
     delta = 1/n. Runs R independent single-task Gaussian experiments."""
     if config.family != GAUSSIAN:
         raise ValueError("lemma 1 certification needs the gaussian family")
-    cert = ExperimentConfig(
-        family=GAUSSIAN,
-        K=config.K,
-        m=1,
-        n=config.n,
-        runs=int(R),
-        sigma=config.sigma,
-        sigma_0=config.sigma_0,
-        sigma_q=config.sigma_q,
-        agents=({"kind": "oracle"},),
-        master_seed=config.master_seed,
-    )
-    report = run_experiment(cert)
+    report = run_experiment(replace(config, m=1, runs=int(R), agents=({"kind": "oracle"},)))
     name = report.agent_names[0]
     # delta = 1/n, clamped below 1 so the n=1 degenerate horizon stays valid
     # (log(1/delta) -> 0 there, leaving only the n*delta part of c(delta)).
@@ -332,15 +311,7 @@ def bounds_report(
     t1 = theorem1_bound(p)
     marginal_width = math.sqrt(p.sigma_q**2 + p.sigma_0**2)
     report = {
-        "params": {
-            "K": p.K,
-            "n": p.n,
-            "m": p.m,
-            "sigma": p.sigma,
-            "sigma_0": p.sigma_0,
-            "sigma_q": p.sigma_q,
-            "delta": p.delta,
-        },
+        "params": asdict(p),
         "root_gap_prior": root_gap(p.n, p.K, p.sigma, p.sigma_0),
         "root_gap_marginal": root_gap(p.n, p.K, p.sigma, marginal_width),
         "lemma1_bound": lemma1_bound(p),

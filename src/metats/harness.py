@@ -4,7 +4,10 @@ One experiment is R independent runs. Each run draws one instance prior from
 the meta-prior, then m task instances from it, and plays every configured
 agent against the same instances and the same pre-drawn reward tables (common
 random numbers). Runs are keyed by index, so serial and parallel execution
-produce bit-identical reports.
+produce bit-identical reports. A chunk of runs plays each task in one
+play_tasks call, whose (pairs, rounds) arms array gives every pair's task
+regret in one gather. A config value of the wrong type (a bool, a fraction
+for an integer key, a non-numeric string) is a ValueError naming its key.
 """
 
 from __future__ import annotations
@@ -92,6 +95,26 @@ def _normal_finite(x: float) -> bool:
     return sys.float_info.min <= x < math.inf
 
 
+def _as_float(key: str, value, what: str = "a number") -> float:
+    """A float key's value: a number or a numeric string, never a bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{key} must be {what}, got {value!r}")
+
+
+def _as_int(key: str, value) -> int:
+    """An integer key's value: an int, an integral float or a numeric string."""
+    if isinstance(value, str) and value.strip().lstrip("-").isdecimal():
+        value = int(value)  # exact, also beyond 2**53
+    number = _as_float(key, value, "an integer")
+    if not number.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value) if isinstance(value, (int, np.integer)) else int(number)
+
+
 def check_widths(sigma, sigma_0, sigma_q) -> None:
     """Reject reward-noise and prior widths the conjugate updates cannot use.
 
@@ -145,9 +168,9 @@ class ExperimentConfig:
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         for key in ("K", "d", "m", "n", "runs", "master_seed"):
-            setattr(self, key, int(getattr(self, key)))
+            setattr(self, key, _as_int(key, getattr(self, key)))
         for key in ("sigma", "sigma_0", "sigma_q"):
-            setattr(self, key, float(getattr(self, key)))
+            setattr(self, key, _as_float(key, getattr(self, key)))
         if self.K < 2:
             raise ValueError("K must be >= 2")
         if self.d < 1:
@@ -222,7 +245,10 @@ class ExperimentConfig:
             kind = entry.get("kind")
             if kind not in KINDS:
                 raise ValueError(f"agent kind must be one of {KINDS}, got {kind!r}")
-            scale = float(entry.get("misspecification_scale", 1.0))
+            scale = _as_float("misspecification_scale", entry.get("misspecification_scale", 1.0))
+            forced = entry.get("forced_last_k", False)
+            if not isinstance(forced, bool):
+                raise ValueError(f"forced_last_k must be true or false, got {forced!r}")
             if not scale > 0.0:
                 raise ValueError("misspecification_scale must be > 0")
             if kind != METATS and scale != 1.0:
@@ -238,7 +264,7 @@ class ExperimentConfig:
             resolved.append(
                 {
                     "kind": kind,
-                    "forced_last_k": bool(entry.get("forced_last_k", False)),
+                    "forced_last_k": forced,
                     "misspecification_scale": scale,
                     "name": name,
                 }
@@ -410,11 +436,7 @@ def run_task(
     if horizon != agent.horizon:
         raise ValueError(f"horizon {horizon} != the agent's task horizon {agent.horizon}")
     arms = play_tasks([agent], [action_stream], [rewards])[0]
-    return agent.log, _pseudo_regret(instance, arms)
-
-
-def _pseudo_regret(instance: BanditInstance, arms: list) -> np.ndarray:
-    return optimal_arm(instance)[1] - instance.theta[arms]
+    return agent.log, optimal_arm(instance)[1] - instance.theta[arms]
 
 
 def _runs_per_chunk(config: ExperimentConfig) -> int:
@@ -424,80 +446,83 @@ def _runs_per_chunk(config: ExperimentConfig) -> int:
     return max(1, min(config.runs, CHUNK_CELLS // cells))
 
 
-def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> list:
-    """Independent runs, simulated together task by task; one result per run.
+def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> tuple:
+    """Independent runs, simulated together task by task.
 
     Every agent of a run faces the same environment draws. For each task all
     (run, agent) pairs of the chunk play in one play_tasks call, so linear
     pairs share one stacked kernel; streams are keyed by (run, task, agent),
     so every pair's numbers equal those of simulating its run alone. The keys
     of all tasks come from one stream_keys call (per KEY_BLOCK keys), and
-    each stream of a run is one RngStream re-keyed before every task. Each
-    Gaussian MetaTS pair records its sampled-prior error per task (see
-    RegretReport.prior_error). After each task, progress (if given) gets the
-    finished (run, task) cells of the whole experiment, counting every run
-    before the chunk as finished.
+    each stream of a run is one RngStream re-keyed before every task. After
+    each task, progress (if given) gets the finished (run, task) cells of the
+    whole experiment, counting every run before the chunk as finished.
+
+    Returns the chunk's per-task pseudo-regret, shape (agents, runs, m), and
+    two dicts of per-run arrays keyed by MetaTS agent name: the Bernoulli
+    weight traces (runs, m + 1) and the Gaussian sampled-prior errors
+    (runs, m) (see RegretReport).
     """
     seed = config.master_seed
     noise = 0.0 if config.family == BERNOULLI else config.sigma
     subs = [SUB_INSTANCE, SUB_REWARDS] + [name_substream(n) for n in config.agent_names]
+    num_agents = len(config.agents)
+    regret = np.zeros((num_agents, len(runs), config.m))
+    learners = [entry["name"] for entry in config.agents if entry["kind"] == METATS]
+    traces, errors = {}, {}
+    if config.family == BERNOULLI:
+        traces = {name: np.zeros((len(runs), config.m + 1)) for name in learners}
+    if config.family == GAUSSIAN:
+        errors = {name: np.zeros((len(runs), config.m)) for name in learners}
     chunk = []
-    for run_idx in runs:
+    for r, run_idx in enumerate(runs):
         run_stream = derive_stream(seed, run_idx, 0, SUB_RUN)
         meta_prior = build_meta_prior(config, run_stream)
         true_prior = sample_instance_prior(meta_prior, run_stream)
         agents = _materialize_agents(config, meta_prior, true_prior)
-        per_task = np.zeros((len(agents), config.m))
-        traces = {}
         j_star = None
-        if config.family == BERNOULLI:
-            j_star = next(
-                i for i, p in enumerate(meta_prior.priors) if p is true_prior
-            )
-            for agent in agents:
-                if isinstance(agent.meta, CategoricalWeights):
-                    trace = np.zeros(config.m + 1)
-                    trace[0] = agent.meta.weights[j_star]
-                    traces[agent.name] = trace
-        errors = {}
-        if config.family == GAUSSIAN:
-            errors = {a.name: np.zeros(config.m) for a in agents if a.spec.kind == METATS}
+        if traces:
+            j_star = next(i for i, p in enumerate(meta_prior.priors) if p is true_prior)
+            for name in traces:
+                traces[name][r, 0] = meta_prior.weights[j_star]
         # One stream per substream, re-keyed before every task.
         slots = [derive_stream(seed, run_idx, 0, sub) for sub in subs]
-        chunk.append((run_idx, true_prior, agents, per_task, traces, errors, j_star, slots))
+        chunk.append((run_idx, true_prior, agents, j_star, slots))
 
     block = max(1, KEY_BLOCK // (len(runs) * len(subs)))
     for s in range(1, config.m + 1):
         if (s - 1) % block == 0:
             keys = stream_keys(seed, runs, range(s, min(s + block, config.m + 1)), subs)
-        instances, pairs, streams, tables = [], [], [], []
-        for (run_idx, true_prior, agents, _, _, errors, _, slots), run_keys in zip(
-            chunk, keys[:, (s - 1) % block]
+        theta, pairs, streams, tables = [], [], [], []
+        for r, ((run_idx, true_prior, agents, _, slots), run_keys) in enumerate(
+            zip(chunk, keys[:, (s - 1) % block])
         ):
             for slot, sub, key in zip(slots, subs, run_keys):
                 slot.rekey(run_idx, s, sub, key)
             instance = sample_task_instance(true_prior, slots[0], reward_noise=noise)
             table = reward_table(instance, config.n, slots[1])
-            instances.append(instance)
+            theta.append(instance.theta)
             for agent, stream in zip(agents, slots[2:]):
                 agent.begin_task(stream, config.n)
                 if agent.name in errors:
                     gap = np.abs(agent.task_prior.mu - true_prior.mu)
-                    errors[agent.name][s - 1] = float(np.max(gap))
+                    errors[agent.name][r, s - 1] = float(np.max(gap))
                 pairs.append(agent)
                 streams.append(stream)
                 tables.append(table)
-        played = iter(play_tasks(pairs, streams, tables))
-        for (_, _, agents, per_task, traces, _, j_star, _), instance in zip(chunk, instances):
-            for a_idx, agent in enumerate(agents):
-                regrets = _pseudo_regret(instance, next(played))
+        arms = play_tasks(pairs, streams, tables)
+        # Row sums of a C-contiguous array equal np.sum of each row bit for bit.
+        theta = np.repeat(np.stack(theta), num_agents, axis=0)
+        gaps = theta.max(axis=1)[:, None] - np.take_along_axis(theta, arms, axis=1)
+        regret[:, :, s - 1] = gaps.sum(axis=1).reshape(len(runs), num_agents).T
+        for r, (_, _, agents, j_star, _) in enumerate(chunk):
+            for agent in agents:
                 agent.end_task()
-                per_task[a_idx, s - 1] = float(regrets.sum())
                 if agent.name in traces:
-                    traces[agent.name][s] = agent.meta.weights[j_star]
+                    traces[agent.name][r, s] = agent.meta.weights[j_star]
         if progress is not None:
             progress(runs.start * config.m + s * len(runs), config.runs * config.m)
-    return [(per_task, traces, errors) for _, _, _, per_task, traces, errors, _, _ in chunk]
+    return regret, traces, errors
 
 
 def _run_payload(args):
@@ -609,13 +634,13 @@ def run_experiment(
     per_task = np.zeros((num_agents, config.runs, config.m))
     traces, errors = {}, {}
 
-    def _store(runs, results):
-        for run_idx, (run_regret, *per_run) in zip(runs, results):
-            per_task[:, run_idx, :] = run_regret
-            for store, run_values in zip((traces, errors), per_run):
-                for name, values in run_values.items():
-                    store.setdefault(name, np.zeros((config.runs, len(values))))
-                    store[name][run_idx] = values
+    def _store(runs, result):
+        chunk_regret, *named = result
+        rows = slice(runs.start, runs.stop)
+        per_task[:, rows] = chunk_regret
+        for store, chunk_values in zip((traces, errors), named):
+            for name, values in chunk_values.items():
+                store.setdefault(name, np.zeros((config.runs, values.shape[1])))[rows] = values
 
     size = _runs_per_chunk(config)
     if threads > 1:
@@ -629,8 +654,8 @@ def run_experiment(
             _store(runs, _simulate_runs(config, runs, progress))
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for runs, results in pool.map(_run_payload, [(config, c) for c in chunks]):
-                _store(runs, results)
+            for runs, result in pool.map(_run_payload, [(config, c) for c in chunks]):
+                _store(runs, result)
                 if progress is not None:
                     progress(runs.stop * config.m, config.runs * config.m)
 

@@ -12,7 +12,10 @@ into the state. Linear tasks are played through play_linear, which runs the
 same round math for many (run, agent) pairs at once.
 
 Across tasks the agent holds a meta-posterior over instance priors, updated
-exactly once per completed task from the task's full interaction log. Its
+exactly once per completed task from the task's full interaction log. A
+TaskLog holds that log as two arrays, the pulled arms and their rewards, and
+the meta updates read it through array reductions: pull counts, canonical
+per-arm reward sums and, for Bernoulli logs, success counts. Its
 classes (CategoricalWeights, GaussianDiagState, LinearState) live in envs,
 because the meta-prior is the same state at zero tasks, and are re-exported
 here. Meta updates are pure: they return new state objects and never mutate
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -101,24 +104,29 @@ def _spd_solve(mat: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
     return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
 
 
-@dataclass
+@dataclass(eq=False)
 class TaskLog:
-    """Interaction record of one task: pulls in order plus per-arm summaries."""
+    """Interaction record of one task: the pulled arms and their rewards, in
+    round order, as a 1-D int array and a 1-D float array, plus per-arm
+    summaries. Built once from whole arrays; every arm is checked against K."""
 
     num_arms: int
-    arms: list = field(default_factory=list)
-    rewards: list = field(default_factory=list)
+    arms: np.ndarray = ()
+    rewards: np.ndarray = ()
 
-    def append(self, arm: int, reward: float) -> None:
-        self.extend([arm], [reward])
-
-    def extend(self, arms: list, rewards: list) -> None:
-        """Append rounds in order; every arm is checked against K."""
-        if arms and not (0 <= min(arms) and max(arms) < self.num_arms):
-            bad = next(a for a in arms if not 0 <= a < self.num_arms)
+    def __post_init__(self):
+        self.arms = np.asarray(self.arms, dtype=np.int64)
+        self.rewards = np.asarray(self.rewards, dtype=float)
+        if self.arms.ndim != 1 or self.arms.shape != self.rewards.shape:
+            raise ValueError(
+                f"a task log needs one reward per arm; got arms of shape "
+                f"{self.arms.shape} and rewards of shape {self.rewards.shape}"
+            )
+        # One max over the unsigned view checks both ends (a negative arm
+        # reads as a huge one) and makes no temporary, however long the log.
+        if self.arms.size and self.arms.view(np.uint64).max() >= self.num_arms:
+            bad = int(self.arms[(self.arms < 0) | (self.arms >= self.num_arms)][0])
             raise ValueError(f"arm {bad} out of range for K={self.num_arms}")
-        self.arms.extend(map(int, arms))
-        self.rewards.extend(map(float, rewards))
 
     def __len__(self) -> int:
         return len(self.arms)
@@ -131,8 +139,7 @@ class TaskLog:
     def reward_sums(self) -> np.ndarray:
         # Summation in a canonical order (by arm, then value) so that permuting
         # rounds cannot change the result by even one ulp.
-        arms = np.asarray(self.arms, dtype=int)
-        rewards = np.asarray(self.rewards, dtype=float)
+        arms, rewards = self.arms, self.rewards
         order = np.lexsort((rewards, arms))
         return np.bincount(
             arms[order], weights=rewards[order], minlength=self.num_arms
@@ -141,18 +148,16 @@ class TaskLog:
     @property
     def positive_counts(self) -> np.ndarray:
         """Per-arm count of reward 1 (Bernoulli logs)."""
-        self._check_binary()
+        binary = (self.rewards == 0.0) | (self.rewards == 1.0)
+        if not binary.all():
+            bad = float(self.rewards[~binary][0])
+            raise ValueError(f"non-binary reward {bad!r} in a Bernoulli log")
         return self.reward_sums
 
     @property
     def negative_counts(self) -> np.ndarray:
         """Per-arm count of reward 0 (Bernoulli logs)."""
         return self.pull_counts - self.positive_counts
-
-    def _check_binary(self) -> None:
-        for r in self.rewards:
-            if r not in (0.0, 1.0):
-                raise ValueError(f"non-binary reward {r!r} in a Bernoulli log")
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +517,7 @@ def update_meta_posterior_linear(meta: LinearState, log: TaskLog) -> LinearState
     if len(log) == 0:
         return meta
     x_rows = meta.features[log.arms]
-    y = np.asarray(log.rewards, dtype=float)
+    y = log.rewards
     sig2 = meta.sigma**2
     s_t = x_rows.T @ x_rows / sig2
     c_t = x_rows.T @ y / sig2

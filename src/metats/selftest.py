@@ -56,15 +56,11 @@ class CheckResult:
 
 
 def _random_log(gen, num_arms: int, horizon: int, binary: bool) -> TaskLog:
-    log = TaskLog(num_arms=num_arms)
+    arms, rewards = [], []
     for _ in range(horizon):
-        arm = int(gen.integers(0, num_arms))
-        if binary:
-            reward = float(gen.integers(0, 2))
-        else:
-            reward = float(gen.normal())
-        log.append(arm, reward)
-    return log
+        arms.append(int(gen.integers(0, num_arms)))
+        rewards.append(float(gen.integers(0, 2)) if binary else float(gen.normal()))
+    return TaskLog(num_arms, arms, rewards)
 
 
 def _grid_log_evidence(prior: BetaProductPrior, log: TaskLog) -> float:
@@ -148,9 +144,7 @@ def check_gaussian_vs_joint(cases: int = 100, seed: int = 12) -> CheckResult:
         state = GaussianDiagState(
             mu=mu_hat.copy(), var=var.copy(), sigma_0=sigma_0, sigma=sigma
         )
-        log = TaskLog(num_arms=num_arms)
-        for r in rewards:
-            log.append(arm, float(r))
+        log = TaskLog(num_arms, np.full(pulls, arm), rewards)
         updated = update_meta_posterior_gaussian(state, log)
 
         v = var[arm]
@@ -193,7 +187,7 @@ def direct_linear_meta_update(meta: LinearState, log: TaskLog) -> LinearState:
     """Oracle for the linear meta-update: one solve of the pull-count-sized
     system sigma^2 I + X_t Sigma X_t^T, where the update solves d x d ones."""
     x_rows = meta.features[log.arms]
-    y = np.asarray(log.rewards, dtype=float)
+    y = log.rewards
     mid = meta.sigma**2 * np.eye(len(y)) + x_rows @ meta.Sigma @ x_rows.T
     gain = np.linalg.solve(mid, x_rows)
     lam_new = meta.Lambda + x_rows.T @ gain

@@ -136,11 +136,23 @@ class TestBoundParams:
             dict(sigma_q=1e-200),
             dict(sigma_0=1e200),
             dict(sigma=1e150, sigma_0=1e-150),
+            # Scalars of the wrong type (messages: test_cli.py).
+            dict(K=2.5),
+            dict(m=True),
+            dict(m=math.inf),
+            dict(K="abc"),
+            dict(delta="nan"),
+            dict(sigma=True),
         ],
     )
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             BoundParams(**kw)
+
+    def test_numeric_coercion(self):
+        p = BoundParams(K="3", n=50.0, sigma="2", delta="0.1")
+        assert (p.K, p.n, p.sigma, p.delta) == (3, 50, 2.0, 0.1)
+        assert isinstance(p.n, int) and isinstance(p.sigma, float)
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -180,6 +180,29 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith("error: sigma_q gives a linear posterior")
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("K=2.9", "K must be an integer, got 2.9"),
+            ("n=true", "n must be an integer, got True"),
+            ("runs=1e400", "runs must be an integer, got inf"),
+            ("K=abc", "K must be an integer, got 'abc'"),
+            (
+                'agents=[{"kind": "oracle", "forced_last_k": "false"}]',
+                "forced_last_k must be true or false, got 'false'",
+            ),
+            (
+                'agents=[{"kind": "metats", "misspecification_scale": true}]',
+                "misspecification_scale must be a number, got True",
+            ),
+        ],
+    )
+    def test_scalar_of_the_wrong_type_names_key(self, tmp_path, capsys, override, message):
+        code = main(["run", "--preset", "gaussian-smoke", "--output", str(tmp_path), override])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_unknown_override_key(self, tmp_path, capsys):
         code = main(["run", "--output", str(tmp_path), "sigma_9=1", *TINY])
         assert code == EXIT_CONFIG
@@ -297,6 +320,22 @@ class TestCheckBounds:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{key} " in captured.err
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("K=2.5", "K must be an integer, got 2.5"),
+            ("m=true", "m must be an integer, got True"),
+            ("m=1e400", "m must be an integer, got inf"),
+            ("K=abc", "K must be an integer, got 'abc'"),
+            ("delta=nan", "delta must be in (0, 1)"),
+        ],
+    )
+    def test_scalar_of_the_wrong_type_names_key(self, capsys, override, message):
+        code = main(["check-bounds", override])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
     def test_unknown_key(self, capsys):
         code = main(["check-bounds", "kappa=3"])

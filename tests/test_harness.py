@@ -34,7 +34,7 @@ from metats.harness import (
     run_experiment,
     run_task,
 )
-from metats.rng import derive_stream
+from metats.rng import derive_stream, name_substream
 
 SMALL = dict(m=3, n=15, runs=2)
 # Log-uniform over 340 decades, plus every float (zero, subnormal, inf, nan).
@@ -95,6 +95,14 @@ class TestExperimentConfig:
             # Checked in arithmetic before anything is allocated.
             (dict(runs=10**7), r"^runs \* m \* agents must be <= 10000000"),
             (dict(runs=10**5, m=10**5, agents=({"kind": "oracle"},)), r"^runs \* m \* agents"),
+            # Integer keys take ints, integral floats and numeric strings only.
+            (dict(K=2.9), r"^K must be an integer, got 2.9$"),
+            (dict(n=True), r"^n must be an integer, got True$"),
+            (dict(runs=float("inf")), r"^runs must be an integer, got inf$"),
+            (dict(K="abc"), r"^K must be an integer, got 'abc'$"),
+            (dict(master_seed=None), r"^master_seed must be an integer, got None$"),
+            (dict(sigma=True), r"^sigma must be a number, got True$"),
+            (dict(sigma_0="wide"), r"^sigma_0 must be a number, got 'wide'$"),
         ],
     )
     def test_scalar_validation(self, kw, msg):
@@ -116,6 +124,12 @@ class TestExperimentConfig:
             ExperimentConfig(
                 agents=({"kind": "oracle", "misspecification_scale": 3.0},)
             )
+        with pytest.raises(ValueError, match="^forced_last_k must be true or false, got 'false'$"):
+            ExperimentConfig(agents=({"kind": "oracle", "forced_last_k": "false"},))
+        with pytest.raises(ValueError, match="^forced_last_k must be true or false, got 1$"):
+            ExperimentConfig(agents=({"kind": "oracle", "forced_last_k": 1},))
+        with pytest.raises(ValueError, match="^misspecification_scale must be a number, got True$"):
+            ExperimentConfig(agents=({"kind": "metats", "misspecification_scale": True},))
 
     def test_duplicate_detection_uses_default_names(self):
         # Two metats entries at the same scale collide unless renamed.
@@ -370,6 +384,80 @@ class TestRunTask:
         agent.end_task()
         np.testing.assert_allclose(regret, np.full(8, 0.7), rtol=1e-15)
         np.testing.assert_array_equal(log.pull_counts, [8.0, 0.0])
+
+
+experiments = st.fixed_dictionaries(
+    {
+        "family": st.sampled_from(["gaussian", "bernoulli", "linear"]),
+        "K": st.integers(2, 5),
+        "d": st.integers(1, 3),
+        "m": st.integers(1, 4),
+        "n": st.integers(1, 40),
+        "runs": st.integers(1, 4),
+        "kinds": st.lists(
+            st.sampled_from(["oracle", "metats", "agnostic"]), min_size=1, max_size=3, unique=True
+        ),
+        "forced": st.booleans(),
+        "seed": st.integers(0, 2**16),
+    }
+)
+
+
+def _experiment_config(case) -> ExperimentConfig:
+    table = None
+    if case["family"] == "bernoulli":
+        gen = np.random.default_rng(case["seed"])
+        table = tuple(
+            tuple(tuple(gen.uniform(0.5, 6.0, size=2)) for _ in range(case["K"]))
+            for _ in range(2)
+        )
+    return ExperimentConfig(
+        family=case["family"],
+        K=case["K"],
+        d=case["d"],
+        m=case["m"],
+        n=case["n"],
+        runs=case["runs"],
+        prior_table=table,
+        agents=tuple({"kind": kind, "forced_last_k": case["forced"]} for kind in case["kinds"]),
+        master_seed=case["seed"],
+    )
+
+
+def cum_regret_oracle(config: ExperimentConfig) -> np.ndarray:
+    """run_experiment's cum_regret replayed one (run, agent) pair at a time.
+
+    Every stream is a fresh derive_stream of its (run, task, substream)
+    identity, and every task is played alone through run_task.
+    """
+    seed = config.master_seed
+    noise = 0.0 if config.family == "bernoulli" else config.sigma
+    per_task = np.zeros((len(config.agents), config.runs, config.m))
+    for run in range(config.runs):
+        run_stream = derive_stream(seed, run, 0, harness.SUB_RUN)
+        meta_prior = build_meta_prior(config, run_stream)
+        true_prior = sample_instance_prior(meta_prior, run_stream)
+        agents = harness._materialize_agents(config, meta_prior, true_prior)
+        for s in range(1, config.m + 1):
+            instance = sample_task_instance(
+                true_prior, derive_stream(seed, run, s, harness.SUB_INSTANCE), reward_noise=noise
+            )
+            table = reward_table(instance, config.n, derive_stream(seed, run, s, harness.SUB_REWARDS))
+            for a, agent in enumerate(agents):
+                stream = derive_stream(seed, run, s, name_substream(agent.name))
+                agent.begin_task(stream, config.n)
+                _, regret = run_task(agent, instance, config.n, stream, rewards=table)
+                agent.end_task()
+                per_task[a, run, s - 1] = float(regret.sum())
+    return np.cumsum(per_task, axis=2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(experiments)
+def test_cum_regret_equals_a_pair_at_a_time_replay(case):
+    config = _experiment_config(case)
+    report = run_experiment(config)
+    assert report.cum_regret.tobytes() == cum_regret_oracle(config).tobytes()
 
 
 class TestRunExperiment:

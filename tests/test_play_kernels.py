@@ -100,8 +100,9 @@ def _beta_counts(prior, arms, rewards):
 @given(kernel_cases)
 def test_play_kernels_equal_a_round_by_round_replay(case):
     agent, prior, table, arms = _play(case)
-    log_arms = np.asarray(agent.log.arms, dtype=int)
-    assert arms == agent.log.arms == _oracle_arms(case, prior, table, log_arms)
+    log_arms = agent.log.arms
+    assert np.array_equal(arms, log_arms)
+    assert np.array_equal(log_arms, _oracle_arms(case, prior, table, log_arms))
     rewards = table[np.arange(case["n"]), log_arms]
     post = agent.task_posterior
     if case["family"] == "gaussian":

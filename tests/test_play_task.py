@@ -13,7 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metats.agents import Agent, AgentSpec, play_tasks
-from metats.envs import reward_table, sample_instance_prior, sample_task_instance
+from metats.envs import (
+    GaussianDiagPrior,
+    reward_table,
+    sample_instance_prior,
+    sample_task_instance,
+)
 from metats.harness import ExperimentConfig, agnostic_prior_for, build_meta_prior, run_task
 from metats.posteriors import BetaCounts, GaussianArms, init_task_posterior
 from metats.rng import derive_stream
@@ -135,7 +140,7 @@ def test_final_posterior_is_the_batch_posterior_of_the_log(case):
 def test_forced_last_k_ends_with_every_arm_in_order(case):
     case = dict(case, forced=True, n=max(case["n"], case["K"]))
     _, log, _, _, _ = _play(case)
-    assert log.arms[-case["K"]:] == list(range(case["K"]))
+    assert np.array_equal(log.arms[-case["K"]:], range(case["K"]))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -155,8 +160,8 @@ def test_step_api_matches_whole_task_play(case):
         arm = step.select_action(stream)
         step.observe(arm, float(table[t, arm]))
 
-    assert step.log.arms == whole.log.arms
-    assert step.log.rewards == whole.log.rewards
+    assert np.array_equal(step.log.arms, whole.log.arms)
+    assert np.array_equal(step.log.rewards, whole.log.rewards)
     a, b = step.task_posterior, whole.task_posterior
     if isinstance(a, (BetaCounts, GaussianArms)):
         assert a == b
@@ -172,6 +177,41 @@ def test_step_api_matches_whole_task_play(case):
                 np.testing.assert_array_equal(
                     getattr(step.meta, name), getattr(whole.meta, name)
                 )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(cases, st.integers(0, 29))
+def test_whole_task_play_after_step_rounds_logs_every_round(case, split):
+    make_agent, instance, table = _setup(case)
+    n = case["n"]
+    split = min(split, n - 1)
+    whole = make_agent()
+    stream = derive_stream(case["seed"], 0, 1, 99)
+    whole.begin_task(stream, n)
+    run_task(whole, instance, n, stream, rewards=table)
+
+    mixed = make_agent()
+    stream = derive_stream(case["seed"], 0, 1, 99)
+    mixed.begin_task(stream, n)
+    for t in range(split):
+        arm = mixed.select_action(stream)
+        mixed.observe(arm, float(table[t, arm]))
+    _, regret = run_task(mixed, instance, n, stream, rewards=table)
+
+    assert regret.shape == (n - split,) and mixed.rounds_played == n
+    assert np.array_equal(mixed.log.arms, whole.log.arms)
+    assert np.array_equal(mixed.log.rewards, whole.log.rewards)
+
+
+def test_play_tasks_needs_a_common_round_and_horizon_in_every_family():
+    prior = GaussianDiagPrior(mu=np.zeros(2), sigma_0=1.0)
+    agents = [Agent(AgentSpec(kind="oracle", prior=prior)) for _ in range(2)]
+    streams = [derive_stream(1, r, 1, 99) for r in range(2)]
+    tables = [np.zeros((4, 2)), np.zeros((5, 2))]
+    for agent, stream, table in zip(agents, streams, tables):
+        agent.begin_task(stream, len(table))
+    with pytest.raises(ValueError, match="must share the round and horizon"):
+        play_tasks(agents, streams, tables)
 
 
 linear_stacks = st.fixed_dictionaries(
@@ -220,12 +260,14 @@ def _linear_pairs(case):
 def test_stacked_linear_play_equals_one_pair_at_a_time(case):
     stacked, streams, tables = _linear_pairs(case)
     arms = play_tasks(stacked, streams, tables)
+    assert arms.shape == (case["R"], case["n"]) and arms.dtype.kind == "i"
     alone, streams, tables = _linear_pairs(case)
     for r, agent in enumerate(alone):
-        assert play_tasks([agent], [streams[r]], [tables[r]])[0] == arms[r]
+        assert np.array_equal(play_tasks([agent], [streams[r]], [tables[r]])[0], arms[r])
         a, b = stacked[r], agent
-        assert a.log.arms == b.log.arms == arms[r]
-        assert a.log.rewards == b.log.rewards
+        assert np.array_equal(a.log.arms, b.log.arms)
+        assert np.array_equal(a.log.arms, arms[r])
+        assert np.array_equal(a.log.rewards, b.log.rewards)
         np.testing.assert_array_equal(a.task_posterior.precision, b.task_posterior.precision)
         np.testing.assert_array_equal(a.task_posterior.info, b.task_posterior.info)
 

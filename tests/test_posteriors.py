@@ -43,10 +43,8 @@ from metats.special import log_gamma
 
 
 def make_log(num_arms, pairs):
-    log = TaskLog(num_arms=num_arms)
-    for arm, reward in pairs:
-        log.append(arm, reward)
-    return log
+    pairs = list(pairs)
+    return TaskLog(num_arms, [arm for arm, _ in pairs], [reward for _, reward in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -61,11 +59,23 @@ class TestTaskLog:
         np.testing.assert_allclose(log.reward_sums, [0.75, 0.0, 2.5])
 
     def test_out_of_range_arm(self):
-        log = TaskLog(num_arms=2)
-        with pytest.raises(ValueError, match="out of range"):
-            log.append(2, 1.0)
-        with pytest.raises(ValueError, match="out of range"):
-            log.append(-1, 1.0)
+        with pytest.raises(ValueError, match="arm 2 out of range for K=2"):
+            TaskLog(2, [0, 2], [1.0, 1.0])
+        with pytest.raises(ValueError, match="arm -1 out of range for K=2"):
+            TaskLog(2, [1, -1], [1.0, 1.0])
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="one reward per arm"):
+            TaskLog(2, [0, 1], [1.0])
+        with pytest.raises(ValueError, match="one reward per arm"):
+            TaskLog(2, [], [0.5])
+
+    def test_holds_arrays(self):
+        log = make_log(3, [(0, 1.0), (2, 0.5)])
+        assert log.arms.dtype.kind == "i" and log.rewards.dtype == float
+        assert np.array_equal(log.arms, [0, 2]) and np.array_equal(log.rewards, [1.0, 0.5])
+        empty = TaskLog(num_arms=3)
+        assert len(empty) == 0 and empty.arms.shape == empty.rewards.shape == (0,)
 
     def test_binary_counts(self):
         log = make_log(2, [(0, 1.0), (0, 0.0), (1, 1.0), (0, 1.0)])
@@ -75,8 +85,8 @@ class TestTaskLog:
         np.testing.assert_array_equal(total, log.pull_counts)
 
     def test_non_binary_reward_rejected_by_binary_views(self):
-        log = make_log(2, [(0, 0.5)])
-        with pytest.raises(ValueError, match="non-binary"):
+        log = make_log(2, [(0, 1.0), (1, 0.5), (0, 2.0)])
+        with pytest.raises(ValueError, match=r"^non-binary reward 0.5 in a Bernoulli log$"):
             log.positive_counts
         with pytest.raises(ValueError, match="non-binary"):
             log.negative_counts
@@ -535,9 +545,7 @@ class TestGaussianMeta:
             mu=np.zeros(1), var=np.array([0.25]), sigma_0=0.1, sigma=1.0
         )
         t = 100_000_000
-        log = TaskLog(num_arms=1)
-        log.arms = np.zeros(t, dtype=int)
-        log.rewards = np.full(t, 0.3)
+        log = TaskLog(1, np.zeros(t, dtype=int), np.full(t, 0.3))
         updated = update_meta_posterior_gaussian(meta, log)
         increment = 1.0 / updated.var[0] - 4.0
         np.testing.assert_allclose(increment, 100.0, rtol=1e-6)
