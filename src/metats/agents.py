@@ -1,16 +1,14 @@
 """Thompson sampling policies: meta-learning, oracle, and prior-agnostic.
 
 All three run the same within-task TS loop over a conjugate posterior; they
-differ only in where the task prior comes from, which AgentSpec.prior gives.
-MetaTS samples it from a meta-posterior that starts at its meta-prior (the
-meta-state at zero tasks) and is updated after every completed task; OracleTS
-uses the true instance prior; the agnostic baseline uses a fixed marginal or
-uninformative prior and never learns across tasks.
+differ only in where the task prior comes from, which an agent's kind and
+prior give. MetaTS samples it from a meta-posterior that starts at its
+meta-prior (the meta-state at zero tasks) and is updated after every
+completed task; OracleTS uses the true instance prior; the agnostic baseline
+uses a fixed marginal or uninformative prior and never learns across tasks.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +25,8 @@ from .posteriors import (
     update_meta_posterior_gaussian,
     update_meta_posterior_linear,
 )
-from .rng import RngStream
 
-__all__ = ["METATS", "ORACLE", "AGNOSTIC", "KINDS", "AgentSpec", "Agent", "play_tasks"]
+__all__ = ["METATS", "ORACLE", "AGNOSTIC", "KINDS", "Agent", "play_tasks"]
 
 METATS = "metats"
 ORACLE = "oracle"
@@ -49,26 +46,6 @@ def _default_name(kind: str, scale: float) -> str:
     return f"MetaTS/{1.0 / scale:g}"
 
 
-@dataclass
-class AgentSpec:
-    """Static description of one policy.
-
-    prior is MetaTS's meta-state at zero tasks (its meta-prior), or the fixed
-    instance prior of OracleTS (the true one) and of TS (the agnostic one).
-    """
-
-    kind: str
-    prior: object
-    forced_last_k: bool = False
-    name: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown agent kind {self.kind!r}")
-        if self.name is None:
-            self.name = _default_name(self.kind, 1.0)
-
-
 class Agent:
     """One policy instance: a single-threaded state machine for one run.
 
@@ -80,16 +57,30 @@ class Agent:
     so they pick the same arms. With forced_last_k the last K rounds pull
     arms 0..K-1 in order without a draw. MetaTS updates its meta-posterior
     in end_task, never mid-task.
+
+    prior is MetaTS's meta-state at zero tasks (its meta-prior), or the fixed
+    instance prior of OracleTS (the true one) and of TS (the agnostic one).
     """
 
-    def __init__(self, spec: AgentSpec, reward_noise: float = 1.0):
-        self.spec = spec
-        self.name = spec.name
+    def __init__(
+        self,
+        kind: str,
+        prior,
+        forced_last_k: bool = False,
+        name: str | None = None,
+        reward_noise: float = 1.0,
+    ):
+        if kind not in KINDS:
+            raise ValueError(f"unknown agent kind {kind!r}")
+        self.kind = kind
+        self.prior = prior
+        self.forced_last_k = forced_last_k
+        self.name = _default_name(kind, 1.0) if name is None else name
         self.reward_noise = float(reward_noise)
-        self.meta = spec.prior if spec.kind == METATS else None
+        self.meta = prior if kind == METATS else None
         self.task_prior = None
         self.task_posterior = None
-        self.log = None
+        self._arms = self._rewards = None
         self.horizon = 0
         self.rounds_played = 0
         self.tasks_completed = 0
@@ -105,22 +96,23 @@ class Agent:
     @property
     def _free_rounds(self) -> int:
         """Rounds before the forced pulls; negative when the horizon is below K."""
-        if self.spec.forced_last_k:
+        if self.forced_last_k:
             return self.horizon - self.num_arms
         return self.horizon
 
-    def begin_task(self, stream: RngStream, horizon: int) -> None:
+    def begin_task(self, stream: np.random.Generator, horizon: int) -> None:
         if self._in_task:
             raise RuntimeError("begin_task called before the previous task ended")
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.spec.kind == METATS:
+        if self.kind == METATS:
             self.task_prior = sample_meta_posterior(self.meta, stream)
         else:
-            self.task_prior = self.spec.prior
+            self.task_prior = self.prior
         self.task_posterior = init_task_posterior(self.task_prior, sigma=self.reward_noise)
-        self.log = TaskLog(num_arms=self.task_prior.num_arms)
         self.horizon = int(horizon)
+        self._arms = np.empty(self.horizon, dtype=np.int64)
+        self._rewards = np.empty(self.horizon)
         self.rounds_played = 0
         self._pending_arm = None
         self._in_task = True
@@ -133,7 +125,7 @@ class Agent:
         if self.rounds_played >= self.horizon:
             raise RuntimeError("horizon exhausted; call end_task")
 
-    def select_action(self, stream: RngStream) -> int:
+    def select_action(self, stream: np.random.Generator) -> int:
         self._check_can_select()
         free = self._free_rounds
         if self.rounds_played >= free:
@@ -153,14 +145,14 @@ class Agent:
         self._record([arm], [reward])
         self._pending_arm = None
 
-    def _play_rounds(self, stream: RngStream, rewards: np.ndarray) -> list:
+    def _play_rounds(self, stream: np.random.Generator, rewards: np.ndarray) -> list:
         """The rest of a Bernoulli or Gaussian task: one play call, then the forced pulls."""
         post = self.task_posterior
         start = self.rounds_played
         free = self._free_rounds
         table = rewards.tolist()
         drawn = max(free - start, 0)
-        arms = post.play(stream.gen, table[start:start + drawn])
+        arms = post.play(stream, table[start:start + drawn])
         for t in range(start + drawn, self.horizon):
             arm = t - free
             post.absorb(arm, table[t][arm])
@@ -168,13 +160,20 @@ class Agent:
         return arms
 
     def _record(self, arms, rewards) -> None:
-        """Append the rounds just played, arms and their rewards, to the task
-        log; the one place a log grows."""
-        if self.rounds_played:
-            arms = np.concatenate((self.log.arms, arms))
-            rewards = np.concatenate((self.log.rewards, rewards))
-        self.log = TaskLog(self.log.num_arms, arms, rewards)
-        self.rounds_played = len(self.log)
+        """Write the rounds just played, arms and their rewards, into the task's
+        buffers; the one place a log grows."""
+        played = self.rounds_played + len(arms)
+        self._arms[self.rounds_played:played] = arms
+        self._rewards[self.rounds_played:played] = rewards
+        self.rounds_played = played
+
+    @property
+    def log(self) -> TaskLog | None:
+        """The current (or last) task's rounds so far, as views of its buffers."""
+        if self._arms is None:
+            return None
+        played = self.rounds_played
+        return TaskLog(self.task_prior.num_arms, self._arms[:played], self._rewards[:played])
 
     def end_task(self) -> None:
         if not self._in_task:
@@ -183,7 +182,7 @@ class Agent:
             raise RuntimeError(
                 f"end_task after {self.rounds_played}/{self.horizon} rounds"
             )
-        if self.spec.kind == METATS:
+        if self.kind == METATS:
             if isinstance(self.meta, CategoricalWeights):
                 self.meta = update_meta_posterior_categorical(self.meta, self.log)
             elif isinstance(self.meta, GaussianDiagState):
@@ -200,8 +199,9 @@ def play_tasks(agents: list, streams: list, tables: list) -> np.ndarray:
     Every agent must stand at the same round of equal horizons. Agent i plays
     against its horizon x K reward table tables[i] and draws the Thompson
     noise of all its drawn rounds from streams[i] in one call, after
-    begin_task. Returns the arms as one (agents, rounds) int array. An
-    agent's log may hold its row itself, not a copy, so callers only read it.
+    begin_task. Returns the arms as one (agents, rounds) int array; each
+    agent copies its row into its own log buffers, so the array is the
+    caller's to keep or change.
 
     Linear agents play in lockstep through posteriors.play_linear, with one
     stacked Cholesky and three stacked solves per round for all of them.
@@ -223,7 +223,7 @@ def play_tasks(agents: list, streams: list, tables: list) -> np.ndarray:
         lockstep = [i for i, flag in enumerate(linear) if flag]
         free = [agents[i]._free_rounds - start for i in lockstep]
         noise = [
-            agents[i].task_posterior.noise(streams[i].gen, max(f, 0))
+            agents[i].task_posterior.noise(streams[i], max(f, 0))
             for i, f in zip(lockstep, free)
         ]
         arms[lockstep] = play_linear(

@@ -260,9 +260,9 @@ def check_technical_lemmas(trials: int = 10_000, seed: int = 0) -> dict:
     worst_sqrt = -math.inf
     worst_log = -math.inf
     cases = [(1, 0.0), (100, 0.0), (10, 1.0)]
-    ns = stream.gen.integers(1, 10_000 + 1, size=trials)
-    avals = stream.gen.uniform(0.0, 1_000.0, size=trials)
-    zero_a = stream.gen.random(size=trials) < 0.125
+    ns = stream.integers(1, 10_000 + 1, size=trials)
+    avals = stream.uniform(0.0, 1_000.0, size=trials)
+    zero_a = stream.random(size=trials) < 0.125
     avals[zero_a] = 0.0
     cases.extend(zip(ns.tolist(), avals.tolist()))
 

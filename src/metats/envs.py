@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import RngStream, sample_beta, sample_categorical, sample_gaussian
+from .rng import sample_beta, sample_categorical, sample_gaussian
 
 __all__ = [
     "BetaProductPrior",
@@ -244,7 +244,7 @@ class BanditInstance:
         return self.theta.size
 
 
-def sample_instance_prior(meta, stream: RngStream):
+def sample_instance_prior(meta, stream: np.random.Generator):
     """Draw one instance prior from the meta-prior (a meta-state at zero tasks)."""
     if isinstance(meta, LinearState):
         cov = np.linalg.inv(meta.Lambda)
@@ -253,7 +253,7 @@ def sample_instance_prior(meta, stream: RngStream):
     return _sample_prior(meta, stream)
 
 
-def _sample_prior(meta, stream: RngStream):
+def _sample_prior(meta, stream: np.random.Generator):
     """One instance prior from a categorical or Gaussian meta-state.
 
     Shared by the true-prior draw and MetaTS's meta-posterior sample; the two
@@ -267,7 +267,7 @@ def _sample_prior(meta, stream: RngStream):
     raise TypeError(f"not a meta posterior: {type(meta).__name__}")
 
 
-def _sample_mvn_zero(cov: np.ndarray, stream: RngStream) -> np.ndarray:
+def _sample_mvn_zero(cov: np.ndarray, stream: np.random.Generator) -> np.ndarray:
     """Zero-mean multivariate normal draw; tolerates semidefinite covariance."""
     z = sample_gaussian(stream, 0.0, 1.0, size=cov.shape[0])
     z = np.atleast_1d(z)
@@ -279,7 +279,9 @@ def _sample_mvn_zero(cov: np.ndarray, stream: RngStream) -> np.ndarray:
     return root @ z
 
 
-def sample_task_instance(prior, stream: RngStream, reward_noise: float = 0.0) -> BanditInstance:
+def sample_task_instance(
+    prior, stream: np.random.Generator, reward_noise: float = 0.0
+) -> BanditInstance:
     """Draw one bandit instance from an instance prior.
 
     reward_noise is the observation noise sigma attached to the instance for
@@ -305,7 +307,9 @@ def sample_task_instance(prior, stream: RngStream, reward_noise: float = 0.0) ->
     raise TypeError(f"not an instance prior: {type(prior).__name__}")
 
 
-def reward_table(instance: BanditInstance, horizon: int, stream: RngStream) -> np.ndarray:
+def reward_table(
+    instance: BanditInstance, horizon: int, stream: np.random.Generator
+) -> np.ndarray:
     """Pre-draw the full horizon x K reward matrix for one task.
 
     Row t holds the rewards every arm would have paid in round t. Drawing the
@@ -316,8 +320,8 @@ def reward_table(instance: BanditInstance, horizon: int, stream: RngStream) -> n
         raise ValueError("horizon must be >= 1")
     k = instance.num_arms
     if instance.family == BERNOULLI:
-        return (stream.gen.random((horizon, k)) < instance.theta).astype(float)
-    noise = stream.gen.standard_normal((horizon, k))
+        return (stream.random((horizon, k)) < instance.theta).astype(float)
+    noise = stream.standard_normal((horizon, k))
     return instance.theta + instance.reward_noise * noise
 
 

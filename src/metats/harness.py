@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .agents import AGNOSTIC, KINDS, METATS, ORACLE, Agent, AgentSpec, _default_name, play_tasks
+from .agents import AGNOSTIC, KINDS, METATS, ORACLE, Agent, _default_name, play_tasks
 from .envs import (
     BERNOULLI,
     FAMILIES,
@@ -40,7 +40,7 @@ from .envs import (
     sample_instance_prior,
     sample_task_instance,
 )
-from .rng import derive_stream, name_substream, stream_keys
+from .rng import derive_stream, name_substream, rekey, stream_keys
 
 __all__ = [
     "ExperimentConfig",
@@ -102,6 +102,15 @@ def _as_float(key: str, value, what: str = "a number") -> float:
             return float(value)
         except (TypeError, ValueError, OverflowError):
             pass
+    raise ValueError(f"{key} must be {what}, got {value!r}")
+
+
+def _as_list(key: str, value, what: str, length: int | None = None) -> tuple:
+    """A list key's value: a list, tuple or array (never a string or a
+    scalar), of the given length if one is given, as a tuple."""
+    if isinstance(value, (list, tuple)) or getattr(value, "ndim", 0) > 0:
+        if length is None or len(value) == length:
+            return tuple(value)
     raise ValueError(f"{key} must be {what}, got {value!r}")
 
 
@@ -202,34 +211,44 @@ class ExperimentConfig:
             self.prior_table = DEFAULT_BERNOULLI_PRIOR_TABLE
             if self.prior_weights is None:
                 self.prior_weights = DEFAULT_BERNOULLI_WEIGHTS
-        table = tuple(
-            tuple((float(a), float(b)) for a, b in candidate)
-            for candidate in self.prior_table
-        )
-        if len(table) < 1:
-            raise ValueError("prior_table must list at least one candidate prior")
-        for candidate in table:
-            if len(candidate) != self.K:
+        table = []
+        for candidate in _as_list("prior_table", self.prior_table, "a list of candidates"):
+            pairs = _as_list("prior_table candidate", candidate, "a list of (alpha, beta) pairs")
+            if len(pairs) != self.K:
                 raise ValueError("each prior_table candidate needs one (alpha, beta) per arm")
-            for a, b in candidate:
-                if not (
-                    MIN_BETA_SHAPE <= a and MIN_BETA_SHAPE <= b
-                    and a + b + self.n <= MAX_BETA_SHAPE_SUM
-                ):
-                    raise ValueError(
-                        f"prior_table shapes must be > 0 and finite, at least "
-                        f"{MIN_BETA_SHAPE:g}, with alpha + beta + n <= "
-                        f"{MAX_BETA_SHAPE_SUM:g}; got ({a!r}, {b!r})"
-                    )
+            table.append(tuple(map(self._beta_shapes, pairs)))
+        if not table:
+            raise ValueError("prior_table must list at least one candidate prior")
         if self.prior_weights is None:
             self.prior_weights = tuple(1.0 / len(table) for _ in table)
-        weights = tuple(float(w) for w in self.prior_weights)
+        weights = tuple(
+            _as_float("prior_weights entry", w)
+            for w in _as_list("prior_weights", self.prior_weights, "a list of numbers")
+        )
         if len(weights) != len(table):
             raise ValueError("prior_weights length must match prior_table")
         if not (all(w >= 0.0 for w in weights) and abs(sum(weights) - 1.0) <= 1e-9):
             raise ValueError("prior_weights must be nonnegative and sum to 1")
-        self.prior_table = table
+        self.prior_table = tuple(table)
         self.prior_weights = weights
+
+    def _beta_shapes(self, pair) -> tuple:
+        """One prior_table (alpha, beta) pair as floats, within the range where
+        the Beta-Binomial log-evidence stays finite."""
+        a, b = (
+            _as_float("prior_table shape", x)
+            for x in _as_list("prior_table pair", pair, "an (alpha, beta) pair", 2)
+        )
+        if not (
+            MIN_BETA_SHAPE <= a and MIN_BETA_SHAPE <= b
+            and a + b + self.n <= MAX_BETA_SHAPE_SUM
+        ):
+            raise ValueError(
+                f"prior_table shapes must be > 0 and finite, at least "
+                f"{MIN_BETA_SHAPE:g}, with alpha + beta + n <= "
+                f"{MAX_BETA_SHAPE_SUM:g}; got ({a!r}, {b!r})"
+            )
+        return a, b
 
     def _validate_agents(self, entries) -> tuple:
         if not entries:
@@ -358,7 +377,7 @@ def build_meta_prior(config: ExperimentConfig, stream):
             sigma_0=config.sigma_0,
             sigma=config.sigma,
         )
-    features = stream.gen.uniform(-0.5, 0.5, size=(config.K, config.d))
+    features = stream.uniform(-0.5, 0.5, size=(config.K, config.d))
     return LinearState(
         mu=np.zeros(config.d),
         Lambda=np.eye(config.d) / config.sigma_q**2,
@@ -401,19 +420,14 @@ def _metats_start(config: ExperimentConfig, meta_prior, scale: float):
 def _materialize_agents(config: ExperimentConfig, meta_prior, true_prior):
     agents = []
     for entry in config.agents:
-        if entry["kind"] == METATS:
+        kind = entry["kind"]
+        if kind == METATS:
             prior = _metats_start(config, meta_prior, entry["misspecification_scale"])
-        elif entry["kind"] == ORACLE:
+        elif kind == ORACLE:
             prior = true_prior
         else:
             prior = agnostic_prior_for(config, meta_prior)
-        spec = AgentSpec(
-            kind=entry["kind"],
-            prior=prior,
-            forced_last_k=entry["forced_last_k"],
-            name=entry["name"],
-        )
-        agents.append(Agent(spec, reward_noise=config.sigma))
+        agents.append(Agent(kind, prior, entry["forced_last_k"], entry["name"], config.sigma))
     return agents
 
 
@@ -454,7 +468,7 @@ def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> tupl
     pairs share one stacked kernel; streams are keyed by (run, task, agent),
     so every pair's numbers equal those of simulating its run alone. The keys
     of all tasks come from one stream_keys call (per KEY_BLOCK keys), and
-    each stream of a run is one RngStream re-keyed before every task. After
+    each stream of a run is one generator re-keyed before every task. After
     each task, progress (if given) gets the finished (run, task) cells of the
     whole experiment, counting every run before the chunk as finished.
 
@@ -497,8 +511,8 @@ def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> tupl
         for r, ((run_idx, true_prior, agents, _, slots), run_keys) in enumerate(
             zip(chunk, keys[:, (s - 1) % block])
         ):
-            for slot, sub, key in zip(slots, subs, run_keys):
-                slot.rekey(run_idx, s, sub, key)
+            for slot, key in zip(slots, run_keys):
+                rekey(slot, key)
             instance = sample_task_instance(true_prior, slots[0], reward_noise=noise)
             table = reward_table(instance, config.n, slots[1])
             theta.append(instance.theta)

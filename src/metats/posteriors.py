@@ -39,7 +39,7 @@ from .envs import (
     LinearState,
     _sample_prior,
 )
-from .rng import RngStream, sample_gaussian
+from .rng import sample_gaussian
 from .special import log_gamma
 
 __all__ = [
@@ -437,10 +437,10 @@ def update_task_posterior(post, arm: int, reward: float):
     return new
 
 
-def sample_task_posterior(post, stream: RngStream) -> np.ndarray:
+def sample_task_posterior(post, stream: np.random.Generator) -> np.ndarray:
     """One posterior sample of the arm-mean vector, with fresh noise from stream."""
     _check_task_posterior(post)
-    return np.array(post.thompson(post.noise(stream.gen, 1)[0]))
+    return np.array(post.thompson(post.noise(stream, 1)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +535,7 @@ def update_meta_posterior_linear(meta: LinearState, log: TaskLog) -> LinearState
     return replace(meta, mu=mu_new, Lambda=lam_new)
 
 
-def sample_meta_posterior(meta, stream: RngStream):
+def sample_meta_posterior(meta, stream: np.random.Generator):
     """Draw one instance prior from the current meta-posterior."""
     if isinstance(meta, LinearState):
         lower = _spd_factor(meta.Lambda, "linear meta posterior sampling")

@@ -1,17 +1,17 @@
 """Deterministic random streams for reproducible parallel simulation.
 
-Every piece of randomness in the simulator flows through an RngStream derived
+Every piece of randomness in the simulator flows through a stream derived
 from a key (master_seed, run_id, task_id, substream). Streams with the same key
 produce the same draws no matter which thread or process asks, and in which
 order, so runs can be farmed out to workers without changing a single number.
 
-Key contract: a stream is a Philox generator whose key is
+Key contract: a stream is a Philox np.random.Generator whose key is
 SeedSequence(entropy=(master_seed, run_id, task_id, substream))
 .generate_state(2, np.uint64), with counter 0. derive_stream builds one
 stream that way through numpy. stream_keys reproduces numpy's SeedSequence
 hash in vectorized uint32 arithmetic, so a simulation computes the keys of a
-whole chunk of runs in one call and re-keys a few RngStreams in place
-(RngStream.rekey); the draws are those of derive_stream, bit for bit.
+whole chunk of runs in one call and re-keys a few streams in place (rekey);
+the draws are those of derive_stream, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import itertools
 import numpy as np
 
 __all__ = [
-    "RngStream",
     "derive_stream",
+    "rekey",
     "stream_keys",
     "name_substream",
     "sample_gaussian",
@@ -32,42 +32,21 @@ __all__ = [
 ]
 
 
-class RngStream:
-    """A counter-based random stream addressed by (master_seed, run_id, task_id).
-
-    Thin wrapper over a Philox generator keyed by the stream identity. The
-    identity fields are kept for introspection.
-    """
-
-    __slots__ = ("master_seed", "run_id", "task_id", "substream", "gen")
-
-    def __init__(self, master_seed: int, run_id: int, task_id: int, substream: int = 0):
-        if master_seed < 0 or run_id < 0 or task_id < 0 or substream < 0:
-            raise ValueError("stream key components must be nonnegative")
-        self.master_seed = master_seed
-        self.run_id = run_id
-        self.task_id = task_id
-        self.substream = substream
-        seq = np.random.SeedSequence(entropy=(master_seed, run_id, task_id, substream))
-        self.gen = np.random.Generator(np.random.Philox(seq))
-
-    def rekey(self, run_id: int, task_id: int, substream: int, key) -> None:
-        """Re-point the stream in place at the Philox key of another identity
-        (its row of stream_keys), with counter 0 and no buffered output; it
-        then draws exactly what a fresh derive_stream of that identity draws."""
-        self.run_id, self.task_id, self.substream = run_id, task_id, substream
-        self.gen.bit_generator.state = dict(_FRESH, state={"counter": _ZEROS, "key": key})
-
-    def __repr__(self) -> str:
-        return (
-            f"RngStream(master_seed={self.master_seed}, run_id={self.run_id}, "
-            f"task_id={self.task_id}, substream={self.substream})"
-        )
+def derive_stream(
+    master_seed: int, run_id: int, task_id: int, substream: int = 0
+) -> np.random.Generator:
+    """Return the Philox generator of a key; the same key always yields the same draws."""
+    if master_seed < 0 or run_id < 0 or task_id < 0 or substream < 0:
+        raise ValueError("stream key components must be nonnegative")
+    seq = np.random.SeedSequence(entropy=(master_seed, run_id, task_id, substream))
+    return np.random.Generator(np.random.Philox(seq))
 
 
-def derive_stream(master_seed: int, run_id: int, task_id: int, substream: int = 0) -> RngStream:
-    """Return the stream for a key; the same key always yields the same draws."""
-    return RngStream(master_seed, run_id, task_id, substream)
+def rekey(stream: np.random.Generator, key) -> None:
+    """Re-point a stream in place at the Philox key of another identity (its
+    row of stream_keys), with counter 0 and no buffered output; it then draws
+    exactly what a fresh derive_stream of that identity draws."""
+    stream.bit_generator.state = dict(_FRESH, state={"counter": _ZEROS, "key": key})
 
 
 _ZEROS = np.zeros(4, dtype=np.uint64)
@@ -175,26 +154,26 @@ def name_substream(name: str) -> int:
     return 16 + int.from_bytes(digest, "big")
 
 
-def sample_gaussian(stream: RngStream, mean, variance, size=None):
+def sample_gaussian(stream: np.random.Generator, mean, variance, size=None):
     """Draw from N(mean, variance); variance 0 returns the mean exactly."""
     variance = np.asarray(variance, dtype=float)
     if np.any(variance < 0.0) or not np.all(np.isfinite(variance)):
         raise ValueError("variance must be finite and >= 0")
-    draw = stream.gen.normal(loc=mean, scale=np.sqrt(variance), size=size)
+    draw = stream.normal(loc=mean, scale=np.sqrt(variance), size=size)
     return float(draw) if np.ndim(draw) == 0 else draw
 
 
-def sample_beta(stream: RngStream, alpha, beta, size=None):
+def sample_beta(stream: np.random.Generator, alpha, beta, size=None):
     """Draw from Beta(alpha, beta); shapes must be strictly positive."""
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     if np.any(alpha <= 0.0) or np.any(beta <= 0.0):
         raise ValueError("Beta shapes must be > 0")
-    draw = stream.gen.beta(alpha, beta, size=size)
+    draw = stream.beta(alpha, beta, size=size)
     return float(draw) if np.ndim(draw) == 0 else draw
 
 
-def sample_categorical(stream: RngStream, weights) -> int:
+def sample_categorical(stream: np.random.Generator, weights) -> int:
     """Draw an index with the given probabilities (inverse-CDF on one uniform)."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
@@ -204,7 +183,7 @@ def sample_categorical(stream: RngStream, weights) -> int:
     total = float(w.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"weights must sum to 1 within 1e-9, got {total!r}")
-    u = stream.gen.random()
+    u = stream.random()
     # Search the cumulative sum; the final bucket absorbs rounding slack.
     idx = int(np.searchsorted(np.cumsum(w), u * total, side="right"))
     return min(idx, w.size - 1)

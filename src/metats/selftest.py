@@ -91,7 +91,7 @@ def check_categorical_vs_grid(cases: int = 100, seed: int = 11) -> CheckResult:
     trapezoid cannot certify 1e-5, so those lie outside the oracle's domain.
     """
     tol = 1e-5
-    gen = derive_stream(seed, 0, 0, 0).gen
+    gen = derive_stream(seed, 0, 0, 0)
     worst = 0.0
     for case in range(cases):
         num_arms = int(gen.integers(1, 4))
@@ -129,7 +129,7 @@ def check_gaussian_vs_joint(cases: int = 100, seed: int = 12) -> CheckResult:
     on Y must reproduce the closed-form update exactly.
     """
     tol = 1e-10
-    gen = derive_stream(seed, 0, 0, 0).gen
+    gen = derive_stream(seed, 0, 0, 0)
     worst = 0.0
     for _ in range(cases):
         num_arms = int(gen.integers(1, 4))
@@ -199,7 +199,7 @@ def direct_linear_meta_update(meta: LinearState, log: TaskLog) -> LinearState:
 def check_woodbury_vs_direct(cases: int = 100, seed: int = 13) -> CheckResult:
     """The linear meta-update must agree entrywise with the direct oracle."""
     tol = 1e-8
-    gen = derive_stream(seed, 0, 0, 0).gen
+    gen = derive_stream(seed, 0, 0, 0)
     worst = 0.0
     for case in range(cases):
         d = int(gen.integers(1, 6))
@@ -229,7 +229,7 @@ def check_woodbury_vs_direct(cases: int = 100, seed: int = 13) -> CheckResult:
 def check_gaussian_linear_identity(cases: int = 50, seed: int = 14) -> CheckResult:
     """On identity features the linear family must collapse to the Gaussian one."""
     tol = 1e-10
-    gen = derive_stream(seed, 0, 0, 0).gen
+    gen = derive_stream(seed, 0, 0, 0)
     worst = 0.0
     for _ in range(cases):
         k = int(gen.integers(1, 5))
@@ -271,7 +271,7 @@ def check_gaussian_linear_identity(cases: int = 50, seed: int = 14) -> CheckResu
 def check_stream_keys_vs_seedsequence(masters: int = 4, seed: int = 15) -> CheckResult:
     """Vectorized stream keys vs. numpy's SeedSequence, key by key, for ids of
     one to four 32-bit words (0 to 13 random bytes) and a 64-bit substream."""
-    gen = derive_stream(seed, 0, 0, 0).gen
+    gen = derive_stream(seed, 0, 0, 0)
 
     def ids(count):
         return [int.from_bytes(gen.bytes(int(gen.integers(0, 14))), "little") for _ in range(count)]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from metats.agents import Agent, AgentSpec, _default_name
+from metats.agents import Agent, _default_name
 from metats.envs import (
     BetaProductPrior,
     CategoricalWeights,
@@ -20,8 +20,8 @@ CAT_META = CategoricalWeights(weights=[0.5, 0.5], priors=(P1, P2))
 GAUSS_META = GaussianDiagState(mu=np.zeros(2), var=np.full(2, 0.25), sigma_0=0.1, sigma=1.0)
 
 
-def oracle_spec(prior=None, **kw):
-    return AgentSpec(kind="oracle", prior=prior or P1, **kw)
+def oracle_agent(prior=None, **kw):
+    return Agent(kind="oracle", prior=prior or P1, **kw)
 
 
 def metats_start(family, scale, **config):
@@ -45,16 +45,18 @@ def drive_task(agent, horizon, stream, reward_fn):
 
 
 class TestAgentSpec:
+    """An agent is built from its kind and prior, with an optional name."""
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown agent kind"):
-            AgentSpec(kind="ucb", prior=P1)
+            Agent(kind="ucb", prior=P1)
 
     def test_exactly_one_prior(self):
-        # One prior field serves every kind, and it is required.
+        # One prior argument serves every kind, and it is required.
         with pytest.raises(TypeError, match="prior"):
-            AgentSpec(kind="metats")
+            Agent(kind="metats")
         with pytest.raises(TypeError, match="meta_prior"):
-            AgentSpec(kind="metats", prior=CAT_META, meta_prior=CAT_META)
+            Agent(kind="metats", prior=CAT_META, meta_prior=CAT_META)
 
     def test_scale_validation(self):
         # The scale is a config key; the config checks it per agent entry.
@@ -64,25 +66,25 @@ class TestAgentSpec:
             ExperimentConfig(agents=({"kind": "oracle", "misspecification_scale": 3.0},))
 
     def test_default_names(self):
-        assert oracle_spec().name == "OracleTS"
-        assert AgentSpec(kind="agnostic", prior=P1).name == "TS"
-        assert AgentSpec(kind="metats", prior=CAT_META).name == "MetaTS"
+        assert oracle_agent().name == "OracleTS"
+        assert Agent(kind="agnostic", prior=P1).name == "TS"
+        assert Agent(kind="metats", prior=CAT_META).name == "MetaTS"
         assert _default_name("metats", 3.0) == "MetaTSx3"
         assert _default_name("metats", 1 / 3) == "MetaTS/3"
         assert metats_start("gaussian", 3.0).name == "MetaTSx3"
 
     def test_explicit_name_kept(self):
-        assert oracle_spec(name="ideal").name == "ideal"
+        assert oracle_agent(name="ideal").name == "ideal"
 
 
 class TestStateMachine:
     def test_select_outside_task(self):
-        agent = Agent(oracle_spec())
+        agent = oracle_agent()
         with pytest.raises(RuntimeError, match="outside a task"):
             agent.select_action(derive_stream(0, 0, 0, 0))
 
     def test_double_select(self):
-        agent = Agent(oracle_spec())
+        agent = oracle_agent()
         stream = derive_stream(0, 0, 0, 0)
         agent.begin_task(stream, horizon=5)
         agent.select_action(stream)
@@ -90,7 +92,7 @@ class TestStateMachine:
             agent.select_action(stream)
 
     def test_observe_mismatched_arm(self):
-        agent = Agent(oracle_spec())
+        agent = oracle_agent()
         stream = derive_stream(0, 0, 1, 0)
         agent.begin_task(stream, horizon=5)
         arm = agent.select_action(stream)
@@ -98,7 +100,7 @@ class TestStateMachine:
             agent.observe(1 - arm, 1.0)
 
     def test_premature_end_task(self):
-        agent = Agent(oracle_spec())
+        agent = oracle_agent()
         stream = derive_stream(0, 0, 2, 0)
         agent.begin_task(stream, horizon=5)
         arm = agent.select_action(stream)
@@ -107,14 +109,14 @@ class TestStateMachine:
             agent.end_task()
 
     def test_begin_during_task(self):
-        agent = Agent(oracle_spec())
+        agent = oracle_agent()
         stream = derive_stream(0, 0, 3, 0)
         agent.begin_task(stream, horizon=5)
         with pytest.raises(RuntimeError, match="before the previous task ended"):
             agent.begin_task(stream, horizon=5)
 
     def test_horizon_exhausted(self):
-        agent = Agent(oracle_spec())
+        agent = oracle_agent()
         stream = derive_stream(0, 0, 4, 0)
         agent.begin_task(stream, horizon=2)
         for _ in range(2):
@@ -127,12 +129,12 @@ class TestStateMachine:
         assert agent.tasks_completed == 1
 
     def test_end_outside_task(self):
-        agent = Agent(oracle_spec())
+        agent = oracle_agent()
         with pytest.raises(RuntimeError, match="outside a task"):
             agent.end_task()
 
     def test_bad_horizon(self):
-        agent = Agent(oracle_spec())
+        agent = oracle_agent()
         with pytest.raises(ValueError, match=">= 1"):
             agent.begin_task(derive_stream(0, 0, 5, 0), horizon=0)
 
@@ -141,7 +143,7 @@ class TestActionSelection:
     def test_point_mass_always_best_arm(self):
         # Effectively deterministic posterior at (0.2, 0.9): arm index 1 always.
         prior = GaussianDiagPrior(mu=[0.2, 0.9], sigma_0=1e-9)
-        agent = Agent(AgentSpec(kind="agnostic", prior=prior))
+        agent = Agent(kind="agnostic", prior=prior)
         stream = derive_stream(1, 0, 0, 0)
         agent.begin_task(stream, horizon=100)
         for _ in range(100):
@@ -154,7 +156,7 @@ class TestActionSelection:
         prior = LinearGaussianPrior(
             theta_0=[0.3], Sigma=[[0.5]], features=[[1.0], [1.0]]
         )
-        agent = Agent(AgentSpec(kind="agnostic", prior=prior))
+        agent = Agent(kind="agnostic", prior=prior)
         stream = derive_stream(1, 0, 1, 0)
         agent.begin_task(stream, horizon=50)
         for _ in range(50):
@@ -166,7 +168,7 @@ class TestActionSelection:
         # Uninformative Beta(1,1) on both arms at the first round of each
         # task: each arm should win about half of 10^5 selections.
         prior = BetaProductPrior(alpha=[1.0, 1.0], beta=[1.0, 1.0])
-        agent = Agent(AgentSpec(kind="agnostic", prior=prior))
+        agent = Agent(kind="agnostic", prior=prior)
         stream = derive_stream(2, 0, 0, 0)
         wins = 0
         trials = 100_000
@@ -182,9 +184,7 @@ class TestActionSelection:
         # Horizon 200, K=2: the TS rounds are 1..198, then round 199 pulls the
         # first arm and round 200 the second.
         prior = GaussianDiagPrior(mu=[0.9, 0.1], sigma_0=1e-9)
-        agent = Agent(
-            AgentSpec(kind="agnostic", prior=prior, forced_last_k=True)
-        )
+        agent = Agent(kind="agnostic", prior=prior, forced_last_k=True)
         stream = derive_stream(3, 0, 0, 0)
         actions = []
         agent.begin_task(stream, horizon=200)
@@ -205,9 +205,7 @@ class TestActionSelection:
         horizon, k = 30, 2
         actions = {}
         for forced in (False, True):
-            agent = Agent(
-                AgentSpec(kind="agnostic", prior=prior, forced_last_k=forced)
-            )
+            agent = Agent(kind="agnostic", prior=prior, forced_last_k=forced)
             acts = []
             agent.begin_task(derive_stream(4, 0, 0, 9), horizon)
             for t in range(horizon):
@@ -223,7 +221,7 @@ class TestActionSelection:
 
 class TestPriorWiring:
     def test_oracle_prior_constant_across_tasks(self):
-        agent = Agent(oracle_spec())
+        agent = oracle_agent()
         for task in range(3):
             drive_task(
                 agent, 4, derive_stream(5, 0, task, 0), lambda t, arm: float(t % 2)
@@ -232,7 +230,7 @@ class TestPriorWiring:
 
     def test_agnostic_prior_constant_across_tasks(self):
         prior = GaussianDiagPrior(mu=[0.0, 0.0], sigma_0=np.sqrt(0.26))
-        agent = Agent(AgentSpec(kind="agnostic", prior=prior))
+        agent = Agent(kind="agnostic", prior=prior)
         for task in range(3):
             drive_task(
                 agent, 4, derive_stream(6, 0, task, 0), lambda t, arm: 0.1 * t
@@ -243,7 +241,7 @@ class TestPriorWiring:
 
     def test_metats_samples_prior_from_meta(self):
         meta = CategoricalWeights(weights=[1.0, 0.0], priors=(P1, P2))
-        agent = Agent(AgentSpec(kind="metats", prior=meta))
+        agent = Agent(kind="metats", prior=meta)
         for task in range(3):
             agent.begin_task(derive_stream(7, 0, task, 0), horizon=2)
             assert agent.task_prior is P1
@@ -277,7 +275,7 @@ class TestPriorWiring:
 
 class TestMetaLearning:
     def test_gaussian_meta_variance_decreases_for_pulled_arms(self):
-        agent = Agent(AgentSpec(kind="metats", prior=GAUSS_META))
+        agent = Agent(kind="metats", prior=GAUSS_META)
         var_before = agent.meta.var.copy()
         gen = np.random.default_rng(11)
         agent.begin_task(derive_stream(9, 0, 0, 0), horizon=6)
@@ -291,7 +289,7 @@ class TestMetaLearning:
         assert np.all(agent.meta.var[unpulled] == var_before[unpulled])
 
     def test_oracle_end_task_changes_only_counters(self):
-        agent = Agent(oracle_spec())
+        agent = oracle_agent()
         drive_task(agent, 3, derive_stream(10, 0, 0, 0), lambda t, arm: 1.0)
         assert agent.tasks_completed == 1
         assert agent.meta is None
@@ -305,7 +303,7 @@ class TestMetaLearning:
         traces = np.zeros((reps, tasks + 1))
         for rep in range(reps):
             gen = np.random.default_rng(1000 + rep)
-            agent = Agent(AgentSpec(kind="metats", prior=CAT_META))
+            agent = Agent(kind="metats", prior=CAT_META)
             traces[rep, 0] = agent.meta.weights[0]
             for s in range(tasks):
                 theta = np.array([gen.beta(6.0, 2.0), gen.beta(2.0, 6.0)])
@@ -327,8 +325,8 @@ class TestMetaLearning:
         # A meta-prior concentrated on the true instance prior makes MetaTS
         # and OracleTS take identical actions under identical streams.
         meta = CategoricalWeights(weights=[1.0, 0.0], priors=(P1, P2))
-        metats = Agent(AgentSpec(kind="metats", prior=meta))
-        oracle = Agent(oracle_spec(P1))
+        metats = Agent(kind="metats", prior=meta)
+        oracle = oracle_agent(P1)
         gen = np.random.default_rng(17)
         horizon, tasks = 25, 3
         for s in range(tasks):

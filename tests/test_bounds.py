@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metats import bounds, harness
-from metats.agents import Agent, AgentSpec
+from metats.agents import Agent
 from metats.bounds import (
     BoundParams,
     CertResult,
@@ -71,10 +71,7 @@ def lemma3_frequency_oracle(config, R, delta):
         run_stream = derive_stream(seed, rep, 0, SUB_RUN)
         meta_prior = build_meta_prior(config, run_stream)
         true_prior = sample_instance_prior(meta_prior, run_stream)
-        agent = Agent(
-            AgentSpec(kind="metats", prior=meta_prior, forced_last_k=True),
-            reward_noise=config.sigma,
-        )
+        agent = Agent("metats", meta_prior, forced_last_k=True, reward_noise=config.sigma)
         for s in range(1, config.m + 1):
             stream = derive_stream(seed, rep, s, name_substream(agent.name))
             agent.begin_task(stream, config.n)
@@ -93,7 +90,7 @@ def lemma3_frequency_oracle(config, R, delta):
 
 def per_case_lemmas(trials, seed):
     """check_technical_lemmas with fresh index arrays for every case."""
-    gen = derive_stream(seed, 0, 0, 0).gen
+    gen = derive_stream(seed, 0, 0, 0)
     cases = [(1, 0.0), (100, 0.0), (10, 1.0)]
     ns = gen.integers(1, 10_000 + 1, size=trials)
     avals = gen.uniform(0.0, 1_000.0, size=trials)

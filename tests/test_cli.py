@@ -203,6 +203,29 @@ class TestConfigErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("prior_weights=[true, false]", "prior_weights entry must be a number, got True"),
+            ("prior_weights=0.5", "prior_weights must be a list of numbers, got 0.5"),
+            ("prior_table=[[[true, 1], [1, 1]]]", "prior_table shape must be a number, got True"),
+            ('prior_table=[[["a", 1], [1, 1]]]', "prior_table shape must be a number, got 'a'"),
+            (
+                "prior_table=[[[1, 1, 1], [1, 1]]]",
+                "prior_table pair must be an (alpha, beta) pair, got [1, 1, 1]",
+            ),
+            ("prior_table=5", "prior_table must be a list of candidates, got 5"),
+        ],
+    )
+    def test_bernoulli_table_of_the_wrong_type_names_key(
+        self, tmp_path, capsys, override, message
+    ):
+        args = ["run", "--preset", "bernoulli-sec5", "--output", str(tmp_path), override]
+        code = main([*args, "m=1", "n=2", "runs=1"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_unknown_override_key(self, tmp_path, capsys):
         code = main(["run", "--output", str(tmp_path), "sigma_9=1", *TINY])
         assert code == EXIT_CONFIG

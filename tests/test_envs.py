@@ -242,7 +242,7 @@ def test_gaussian_zero_state_draw_is_the_meta_prior_draw(sigma_q, num_arms, seed
     expected = sample_gaussian(streams[0], 0.0, sigma_q**2, size=num_arms)
     for draw, stream in ((sample_instance_prior, streams[1]), (sample_meta_posterior, streams[2])):
         assert draw(meta, stream).mu.tobytes() == expected.tobytes()
-    following = [stream.gen.standard_normal() for stream in streams]
+    following = [stream.standard_normal() for stream in streams]
     assert following[1:] == following[:1] * 2
 
 

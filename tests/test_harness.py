@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metats import harness
-from metats.agents import Agent, AgentSpec, play_tasks
+from metats.agents import Agent, play_tasks
 from metats.envs import (
     BanditInstance,
     BetaProductPrior,
@@ -183,6 +183,27 @@ class TestExperimentConfig:
                     prior_table=DEFAULT_BERNOULLI_PRIOR_TABLE,
                     prior_weights=weights,
                 )
+
+    @pytest.mark.parametrize(
+        "kw, msg",
+        [
+            (dict(prior_weights=(True, False)), "prior_weights entry must be a number, got True"),
+            (dict(prior_weights=0.5), "prior_weights must be a list of numbers, got 0.5"),
+            (dict(prior_table=(((True, 1.0), (1.0, 1.0)),)),
+             "prior_table shape must be a number, got True"),
+            (dict(prior_table=((("a", 1.0), (1.0, 1.0)),)),
+             "prior_table shape must be a number, got 'a'"),
+            (dict(prior_table=(((1.0, 1.0, 1.0), (1.0, 1.0)),)),
+             r"prior_table pair must be an \(alpha, beta\) pair, got \(1.0, 1.0, 1.0\)"),
+            (dict(prior_table=5), "prior_table must be a list of candidates, got 5"),
+            (dict(prior_table=(5,)),
+             r"prior_table candidate must be a list of \(alpha, beta\) pairs, got 5"),
+        ],
+    )
+    def test_bernoulli_table_entries_name_the_key(self, kw, msg):
+        # Shapes and weights take numbers only, and shapes come in pairs.
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            ExperimentConfig(family="bernoulli", **kw)
 
     def test_echo_excludes_output_dir_and_round_trips(self):
         config = ExperimentConfig(family="bernoulli", output_dir="/tmp/x", **SMALL)
@@ -360,7 +381,7 @@ class TestMetaTSStartStates:
 
 def point_mass_agent(mu):
     prior = GaussianDiagPrior(mu=np.asarray(mu, dtype=float), sigma_0=1e-9)
-    return Agent(AgentSpec(kind="agnostic", prior=prior))
+    return Agent("agnostic", prior)
 
 
 class TestRunTask:
@@ -524,7 +545,7 @@ class TestRunExperiment:
         # master seed above 2**32 takes two key words.
         def fresh_streams(seed, runs, tasks, subs):
             return np.array(
-                [[[derive_stream(seed, r, t, s).gen.bit_generator.state["state"]["key"]
+                [[[derive_stream(seed, r, t, s).bit_generator.state["state"]["key"]
                    for s in subs] for t in tasks] for r in runs]
             )
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metats.agents import Agent, AgentSpec, play_tasks
+from metats.agents import Agent, play_tasks
 from metats.envs import BetaProductPrior, GaussianDiagPrior
 from metats.posteriors import BetaCounts, GaussianArms
 from metats.rng import derive_stream
@@ -53,8 +53,7 @@ def _play(case):
     else:
         prior = BetaProductPrior(alpha=case["shapes"][:k], beta=case["shapes"][8 : 8 + k])
         table = (gen.random((n, k)) < 0.5).astype(float)
-    spec = AgentSpec(kind="oracle", prior=prior, forced_last_k=case["forced"])
-    agent = Agent(spec, reward_noise=case["sigma"])
+    agent = Agent("oracle", prior, forced_last_k=case["forced"], reward_noise=case["sigma"])
     stream = derive_stream(seed, 0, 1, 99)
     agent.begin_task(stream, n)
     arms = play_tasks([agent], [stream], [table])[0]
@@ -66,7 +65,7 @@ def _oracle_arms(case, prior, table, log_arms) -> list:
     k, n = case["K"], case["n"]
     free = n - k if case["forced"] else n
     drawn = max(free, 0)
-    twin = derive_stream(case["seed"], 0, 1, 99).gen
+    twin = derive_stream(case["seed"], 0, 1, 99)
     rewards = table[np.arange(n), log_arms]
     arms = []
     if case["family"] == "gaussian":
@@ -160,7 +159,7 @@ def test_bernoulli_play_rejects_a_non_binary_reward(forced):
     # Without forced pulls play sees the reward; with them and n = K no round
     # is drawn, so absorb sees it.
     prior = BetaProductPrior(alpha=[1.0, 1.0], beta=[1.0, 1.0])
-    agent = Agent(AgentSpec(kind="oracle", prior=prior, forced_last_k=forced))
+    agent = Agent("oracle", prior, forced_last_k=forced)
     stream = derive_stream(5, 0, 1, 99)
     agent.begin_task(stream, 2)
     with pytest.raises(ValueError, match="Bernoulli reward must be 0 or 1, got 0.5"):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metats.agents import Agent, AgentSpec, play_tasks
+from metats.agents import Agent, play_tasks
 from metats.envs import (
     GaussianDiagPrior,
     reward_table,
@@ -70,12 +70,12 @@ def _setup(case):
     table = reward_table(instance, case["n"], derive_stream(seed, 0, 1, 2))
 
     def make_agent():
-        spec = AgentSpec(
-            kind=case["kind"],
-            prior=meta_prior if case["kind"] == "metats" else true_prior,
+        return Agent(
+            case["kind"],
+            meta_prior if case["kind"] == "metats" else true_prior,
             forced_last_k=case["forced"],
+            reward_noise=SIGMA,
         )
-        return Agent(spec, reward_noise=SIGMA)
 
     return make_agent, instance, table
 
@@ -205,7 +205,7 @@ def test_whole_task_play_after_step_rounds_logs_every_round(case, split):
 
 def test_play_tasks_needs_a_common_round_and_horizon_in_every_family():
     prior = GaussianDiagPrior(mu=np.zeros(2), sigma_0=1.0)
-    agents = [Agent(AgentSpec(kind="oracle", prior=prior)) for _ in range(2)]
+    agents = [Agent("oracle", prior) for _ in range(2)]
     streams = [derive_stream(1, r, 1, 99) for r in range(2)]
     tables = [np.zeros((4, 2)), np.zeros((5, 2))]
     for agent, stream, table in zip(agents, streams, tables):
@@ -244,8 +244,7 @@ def _linear_pairs(case):
             "oracle": true_prior,
             "agnostic": agnostic_prior_for(config, meta_prior),
         }[kind]
-        spec = AgentSpec(kind=kind, prior=prior, forced_last_k=case["forced"][r])
-        agent = Agent(spec, reward_noise=SIGMA)
+        agent = Agent(kind, prior, forced_last_k=case["forced"][r], reward_noise=SIGMA)
         instance = sample_task_instance(true_prior, derive_stream(seed, r, 1, 1), SIGMA)
         stream = derive_stream(seed, r, 1, 99)
         agent.begin_task(stream, case["n"])

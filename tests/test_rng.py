@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metats.rng import (
-    RngStream,
     derive_stream,
     name_substream,
+    rekey,
     sample_beta,
     sample_categorical,
     sample_gaussian,
@@ -48,10 +48,10 @@ def test_order_independence():
 
 
 def test_negative_key_rejected():
-    with pytest.raises(ValueError):
-        RngStream(-1, 0, 0)
-    with pytest.raises(ValueError):
-        RngStream(0, 0, -2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        derive_stream(-1, 0, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        derive_stream(0, 0, -2)
 
 
 def test_gaussian_zero_variance_exact():
@@ -192,13 +192,12 @@ def test_rekeyed_stream_draws_like_a_fresh_one(seed, run, task, sub, normals, wo
     # A stream that has drawn, including a uint32 draw that leaves half a
     # 64-bit word buffered, re-keyed, draws bit for bit like derive_stream.
     stream = derive_stream(3, 1, 4, 2)
-    stream.gen.normal(size=normals)
-    stream.gen.integers(0, 2**32, size=2 * words + 1, dtype=np.uint32)
-    assert stream.gen.bit_generator.state["has_uint32"] == 1
-    stream.rekey(run, task, sub, stream_keys(seed, [run], [task], [sub])[0, 0, 0])
+    stream.normal(size=normals)
+    stream.integers(0, 2**32, size=2 * words + 1, dtype=np.uint32)
+    assert stream.bit_generator.state["has_uint32"] == 1
+    rekey(stream, stream_keys(seed, [run], [task], [sub])[0, 0, 0])
     fresh = derive_stream(seed, run, task, sub)
-    assert (stream.run_id, stream.task_id, stream.substream) == (run, task, sub)
-    for gen in (stream.gen, fresh.gen):
+    for gen in (stream, fresh):
         assert gen.bit_generator.state["has_uint32"] == 0
     for draw in (
         lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
@@ -206,7 +205,7 @@ def test_rekeyed_stream_draws_like_a_fresh_one(seed, run, task, sub, normals, wo
         lambda g: g.beta(2.0, 3.0, size=4),
         lambda g: g.random(),
     ):
-        np.testing.assert_array_equal(draw(stream.gen), draw(fresh.gen))
+        np.testing.assert_array_equal(draw(stream), draw(fresh))
 
 
 def test_stream_keys_reject_negative_ids():
