@@ -60,6 +60,8 @@ class Agent:
 
     prior is MetaTS's meta-state at zero tasks (its meta-prior), or the fixed
     instance prior of OracleTS (the true one) and of TS (the agnostic one).
+    The reward noise sigma that the task posteriors assume is the task
+    prior's, which a meta-state passes to every prior it draws.
     """
 
     def __init__(
@@ -68,7 +70,6 @@ class Agent:
         prior,
         forced_last_k: bool = False,
         name: str | None = None,
-        reward_noise: float = 1.0,
     ):
         if kind not in KINDS:
             raise ValueError(f"unknown agent kind {kind!r}")
@@ -76,7 +77,6 @@ class Agent:
         self.prior = prior
         self.forced_last_k = forced_last_k
         self.name = _default_name(kind, 1.0) if name is None else name
-        self.reward_noise = float(reward_noise)
         self.meta = prior if kind == METATS else None
         self.task_prior = None
         self.task_posterior = None
@@ -109,7 +109,7 @@ class Agent:
             self.task_prior = sample_meta_posterior(self.meta, stream)
         else:
             self.task_prior = self.prior
-        self.task_posterior = init_task_posterior(self.task_prior, sigma=self.reward_noise)
+        self.task_posterior = init_task_posterior(self.task_prior)
         self.horizon = int(horizon)
         self._arms = np.empty(self.horizon, dtype=np.int64)
         self._rewards = np.empty(self.horizon)

@@ -20,7 +20,9 @@ from dataclasses import MISSING, fields
 from importlib import resources
 
 from .bounds import BoundParams, bounds_report
-from .harness import MAX_REGRET_CELLS, ExperimentConfig, emit_report, run_experiment
+from .harness import (
+    MAX_REGRET_CELLS, ExperimentConfig, check_task_cells, emit_report, run_experiment
+)
 from .posteriors import NumericalError
 from .selftest import run_selftest
 
@@ -244,6 +246,11 @@ def _check_certify_flags(args, params: BoundParams, seed) -> None:
     for ok, message in checks:
         if not ok:
             raise ConfigError(message)
+    try:
+        # Each certify run plays one agent, at the config's default d.
+        check_task_cells(params.n, 1, params.K, ExperimentConfig.d)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _cmd_selftest(args) -> int:

@@ -13,11 +13,10 @@ updates in posteriors refine these states task by task.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .rng import sample_beta, sample_categorical, sample_gaussian
 
 __all__ = [
     "BetaProductPrior",
@@ -89,16 +88,19 @@ class BetaProductPrior:
 
 @dataclass
 class GaussianDiagPrior:
-    """N(mu_i, sigma_0^2) prior per arm, shared width sigma_0."""
+    """N(mu_i, sigma_0^2) prior per arm, shared width sigma_0; sigma is the
+    reward noise of the instances it draws."""
 
     mu: np.ndarray
     sigma_0: float
+    sigma: float
 
     def __post_init__(self):
         self.mu = _as_vector(self.mu, "mu")
         self.sigma_0 = float(self.sigma_0)
-        if not self.sigma_0 > 0.0:
-            raise ValueError("sigma_0 must be > 0")
+        if not (self.sigma_0 > 0.0 and self.sigma_0 * self.sigma_0 < math.inf):
+            raise ValueError(f"sigma_0 must be > 0 with a finite square, got {self.sigma_0!r}")
+        self.sigma = float(self.sigma)
 
     @property
     def num_arms(self) -> int:
@@ -107,14 +109,17 @@ class GaussianDiagPrior:
 
 @dataclass
 class LinearGaussianPrior:
-    """Latent parameter theta ~ N(theta_0, Sigma); arm means are X @ theta."""
+    """Latent parameter theta ~ N(theta_0, Sigma); arm means are X @ theta,
+    observed with reward noise sigma."""
 
     theta_0: np.ndarray
     Sigma: np.ndarray
     features: np.ndarray
+    sigma: float
 
     def __post_init__(self):
         self.theta_0 = _as_vector(self.theta_0, "theta_0")
+        self.sigma = float(self.sigma)
         # Semidefinite allowed: a zero covariance is the degenerate point prior.
         self.Sigma = _check_spd(self.Sigma, "Sigma", allow_semidefinite=True)
         self.features = np.asarray(self.features, dtype=float)
@@ -164,7 +169,8 @@ class GaussianDiagState:
 
     The meta-prior N(0, sigma_q^2 I_K) is this state at zero tasks (mu = 0,
     var = sigma_q^2). sigma_0 is the known width of the instance priors it
-    ranges over, sigma the reward noise its updates assume.
+    ranges over, sigma the reward noise its updates assume and the priors it
+    draws carry.
     """
 
     mu: np.ndarray
@@ -178,10 +184,10 @@ class GaussianDiagState:
         self.sigma_0 = float(self.sigma_0)
         if self.mu.shape != self.var.shape:
             raise ValueError("mu and var must have equal length")
-        if np.any(self.var <= 0.0):
-            raise ValueError("meta variances must be > 0")
-        if not self.sigma_0 > 0.0:
-            raise ValueError("sigma_0 must be > 0")
+        if not np.all((self.var > 0.0) & (self.var < math.inf)):
+            raise ValueError("meta variances must be > 0 and finite")
+        if not (self.sigma_0 > 0.0 and self.sigma_0 * self.sigma_0 < math.inf):
+            raise ValueError(f"sigma_0 must be > 0 with a finite square, got {self.sigma_0!r}")
 
 
 @dataclass
@@ -249,7 +255,7 @@ def sample_instance_prior(meta, stream: np.random.Generator):
     if isinstance(meta, LinearState):
         cov = np.linalg.inv(meta.Lambda)
         theta_0 = meta.mu + _sample_mvn_zero(cov, stream)
-        return LinearGaussianPrior(theta_0=theta_0, Sigma=meta.Sigma, features=meta.features)
+        return LinearGaussianPrior(theta_0, meta.Sigma, meta.features, meta.sigma)
     return _sample_prior(meta, stream)
 
 
@@ -260,17 +266,19 @@ def _sample_prior(meta, stream: np.random.Generator):
     linear draws differ in bits and stay with their callers.
     """
     if isinstance(meta, CategoricalWeights):
-        return meta.priors[sample_categorical(stream, meta.weights)]
+        # Inverse CDF on one uniform; the last bucket absorbs rounding slack.
+        w = meta.weights
+        j = int(np.searchsorted(np.cumsum(w), stream.random() * float(w.sum()), side="right"))
+        return meta.priors[min(j, w.size - 1)]
     if isinstance(meta, GaussianDiagState):
-        mu = np.atleast_1d(sample_gaussian(stream, meta.mu, meta.var))
-        return GaussianDiagPrior(mu=mu, sigma_0=meta.sigma_0)
+        mu = stream.normal(meta.mu, np.sqrt(meta.var))
+        return GaussianDiagPrior(mu, meta.sigma_0, meta.sigma)
     raise TypeError(f"not a meta posterior: {type(meta).__name__}")
 
 
 def _sample_mvn_zero(cov: np.ndarray, stream: np.random.Generator) -> np.ndarray:
     """Zero-mean multivariate normal draw; tolerates semidefinite covariance."""
-    z = sample_gaussian(stream, 0.0, 1.0, size=cov.shape[0])
-    z = np.atleast_1d(z)
+    z = stream.normal(0.0, 1.0, size=cov.shape[0])
     try:
         root = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -279,28 +287,23 @@ def _sample_mvn_zero(cov: np.ndarray, stream: np.random.Generator) -> np.ndarray
     return root @ z
 
 
-def sample_task_instance(
-    prior, stream: np.random.Generator, reward_noise: float = 0.0
-) -> BanditInstance:
+def sample_task_instance(prior, stream: np.random.Generator) -> BanditInstance:
     """Draw one bandit instance from an instance prior.
 
-    reward_noise is the observation noise sigma attached to the instance for
-    the Gaussian and linear families; the Bernoulli family ignores it.
+    Gaussian and linear instances carry the prior's reward noise sigma;
+    Bernoulli instances have none.
     """
     if isinstance(prior, BetaProductPrior):
-        theta = sample_beta(stream, prior.alpha, prior.beta)
-        return BanditInstance(family=BERNOULLI, theta=np.atleast_1d(theta))
+        return BanditInstance(family=BERNOULLI, theta=stream.beta(prior.alpha, prior.beta))
     if isinstance(prior, GaussianDiagPrior):
-        theta = sample_gaussian(stream, prior.mu, prior.sigma_0**2)
-        return BanditInstance(
-            family=GAUSSIAN, theta=np.atleast_1d(theta), reward_noise=reward_noise
-        )
+        theta = stream.normal(prior.mu, prior.sigma_0)
+        return BanditInstance(family=GAUSSIAN, theta=theta, reward_noise=prior.sigma)
     if isinstance(prior, LinearGaussianPrior):
         param = prior.theta_0 + _sample_mvn_zero(prior.Sigma, stream)
         return BanditInstance(
             family=LINEAR,
             theta=prior.features @ param,
-            reward_noise=reward_noise,
+            reward_noise=prior.sigma,
             param=param,
             features=prior.features,
         )

@@ -49,6 +49,7 @@ __all__ = [
     "DEFAULT_BERNOULLI_WEIGHTS",
     "build_meta_prior",
     "check_widths",
+    "check_task_cells",
     "agnostic_prior_for",
     "run_task",
     "run_experiment",
@@ -88,6 +89,12 @@ MAX_LINEAR_CONDITION = 1e10
 # Largest runs * m * agents: the regret array and the report hold one value
 # per (agent, run, task).
 MAX_REGRET_CELLS = 10**7
+
+# Largest n * agents * (K + d), the reward and noise cells one run holds per
+# task (the cells _runs_per_chunk counts). Peak memory grows by up to about
+# 35 bytes per cell (Gaussian play, whose rows go through Python lists), so a
+# task at the bound peaks near 350 MB.
+MAX_TASK_CELLS = 10**7
 
 
 def _normal_finite(x: float) -> bool:
@@ -150,6 +157,18 @@ def check_widths(sigma, sigma_0, sigma_q) -> None:
             )
 
 
+def check_task_cells(n: int, agents: int, K: int, d: int) -> int:
+    """The reward and noise cells one run holds per task; a task with more
+    than MAX_TASK_CELLS of them is rejected before anything is allocated."""
+    cells = n * agents * (K + d)
+    if cells > MAX_TASK_CELLS:
+        raise ValueError(
+            f"n * agents * (K + d) must be <= {MAX_TASK_CELLS}; got "
+            f"{n} * {agents} * ({K} + {d}) = {cells}"
+        )
+    return cells
+
+
 @dataclass
 class ExperimentConfig:
     """Fully validated experiment description; field names match the JSON keys."""
@@ -199,6 +218,7 @@ class ExperimentConfig:
                 f"runs * m * agents must be <= {MAX_REGRET_CELLS}; got "
                 f"{self.runs} * {self.m} * {len(self.agents)} = {cells}"
             )
+        check_task_cells(self.n, len(self.agents), self.K, self.d)
 
     def _validate_bernoulli_table(self) -> None:
         if self.family != BERNOULLI:
@@ -277,6 +297,12 @@ class ExperimentConfig:
             name = entry.get("name")
             if name is None:
                 name = _default_name(kind, scale)
+            elif not (isinstance(name, str) and name) or any(c in name for c in ',"\r\n'):
+                # The name is a rows.csv field and keys the agent's stream.
+                raise ValueError(
+                    "agent name must be a non-empty string with no comma, quote or "
+                    f"line break, got {name!r}"
+                )
             if name in names:
                 raise ValueError(f"duplicate agent name {name!r}")
             names.add(name)
@@ -397,11 +423,9 @@ def agnostic_prior_for(config: ExperimentConfig, meta_prior):
         return BetaProductPrior(alpha=np.ones(config.K), beta=np.ones(config.K))
     if config.family == GAUSSIAN:
         width = float(np.sqrt(config.sigma_q**2 + config.sigma_0**2))
-        return GaussianDiagPrior(mu=np.zeros(config.K), sigma_0=width)
+        return GaussianDiagPrior(np.zeros(config.K), width, config.sigma)
     marginal = (config.sigma_q**2 + config.sigma_0**2) * np.eye(config.d)
-    return LinearGaussianPrior(
-        theta_0=np.zeros(config.d), Sigma=marginal, features=meta_prior.features
-    )
+    return LinearGaussianPrior(np.zeros(config.d), marginal, meta_prior.features, config.sigma)
 
 
 def _metats_start(config: ExperimentConfig, meta_prior, scale: float):
@@ -427,7 +451,7 @@ def _materialize_agents(config: ExperimentConfig, meta_prior, true_prior):
             prior = true_prior
         else:
             prior = agnostic_prior_for(config, meta_prior)
-        agents.append(Agent(kind, prior, entry["forced_last_k"], entry["name"], config.sigma))
+        agents.append(Agent(kind, prior, entry["forced_last_k"], entry["name"]))
     return agents
 
 
@@ -456,7 +480,7 @@ def run_task(
 def _runs_per_chunk(config: ExperimentConfig) -> int:
     """Runs simulated together, so that a chunk holds at most CHUNK_CELLS
     reward and noise cells per task whatever n, K, d and the agent count are."""
-    cells = config.n * len(config.agents) * (config.K + config.d)
+    cells = check_task_cells(config.n, len(config.agents), config.K, config.d)
     return max(1, min(config.runs, CHUNK_CELLS // cells))
 
 
@@ -478,7 +502,6 @@ def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> tupl
     (runs, m) (see RegretReport).
     """
     seed = config.master_seed
-    noise = 0.0 if config.family == BERNOULLI else config.sigma
     subs = [SUB_INSTANCE, SUB_REWARDS] + [name_substream(n) for n in config.agent_names]
     num_agents = len(config.agents)
     regret = np.zeros((num_agents, len(runs), config.m))
@@ -513,7 +536,7 @@ def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> tupl
         ):
             for slot, key in zip(slots, run_keys):
                 rekey(slot, key)
-            instance = sample_task_instance(true_prior, slots[0], reward_noise=noise)
+            instance = sample_task_instance(true_prior, slots[0])
             table = reward_table(instance, config.n, slots[1])
             theta.append(instance.theta)
             for agent, stream in zip(agents, slots[2:]):

@@ -39,7 +39,6 @@ from .envs import (
     LinearState,
     _sample_prior,
 )
-from .rng import sample_gaussian
 from .special import log_gamma
 
 __all__ = [
@@ -388,11 +387,10 @@ def play_linear(posts: list, noise: list, rewards: np.ndarray, free) -> np.ndarr
 _TASK_POSTERIORS = (BetaCounts, GaussianArms, LinearGaussianPosterior)
 
 
-def init_task_posterior(prior, sigma: float = 1.0):
+def init_task_posterior(prior):
     """Posterior at zero observations: the prior itself.
 
-    sigma is the known reward noise used by the Gaussian and linear families;
-    the Bernoulli family ignores it.
+    Gaussian and linear posteriors assume the prior's reward noise sigma.
     """
     if isinstance(prior, BetaProductPrior):
         return BetaCounts(alpha=prior.alpha.tolist(), beta=prior.beta.tolist())
@@ -401,7 +399,7 @@ def init_task_posterior(prior, sigma: float = 1.0):
         post = GaussianArms(
             prior_mu=prior.mu.tolist(),
             sigma_0=prior.sigma_0,
-            sigma=float(sigma),
+            sigma=prior.sigma,
             pulls=[0.0] * k,
             sums=[0.0] * k,
         )
@@ -418,7 +416,7 @@ def init_task_posterior(prior, sigma: float = 1.0):
         return LinearGaussianPosterior(
             precision=precision,
             info=precision @ prior.theta_0,
-            sigma=float(sigma),
+            sigma=prior.sigma,
             features=prior.features,
         )
     raise TypeError(f"not an instance prior: {type(prior).__name__}")
@@ -539,9 +537,7 @@ def sample_meta_posterior(meta, stream: np.random.Generator):
     """Draw one instance prior from the current meta-posterior."""
     if isinstance(meta, LinearState):
         lower = _spd_factor(meta.Lambda, "linear meta posterior sampling")
-        z = np.atleast_1d(sample_gaussian(stream, 0.0, 1.0, size=meta.mu.size))
+        z = stream.normal(0.0, 1.0, size=meta.mu.size)
         theta_0 = meta.mu + np.linalg.solve(lower.T, z)
-        return LinearGaussianPrior(
-            theta_0=theta_0, Sigma=meta.Sigma, features=meta.features
-        )
+        return LinearGaussianPrior(theta_0, meta.Sigma, meta.features, meta.sigma)
     return _sample_prior(meta, stream)

@@ -12,6 +12,10 @@ stream that way through numpy. stream_keys reproduces numpy's SeedSequence
 hash in vectorized uint32 arithmetic, so a simulation computes the keys of a
 whole chunk of runs in one call and re-keys a few streams in place (rekey);
 the draws are those of derive_stream, bit for bit.
+
+This module holds streams only. A draw is a plain generator call made by
+the prior or state it draws from (envs, posteriors), on parameters that
+object's constructor has already checked.
 """
 
 from __future__ import annotations
@@ -26,9 +30,6 @@ __all__ = [
     "rekey",
     "stream_keys",
     "name_substream",
-    "sample_gaussian",
-    "sample_beta",
-    "sample_categorical",
 ]
 
 
@@ -152,38 +153,3 @@ def name_substream(name: str) -> int:
     """
     digest = hashlib.blake2s(name.encode("utf-8"), digest_size=8).digest()
     return 16 + int.from_bytes(digest, "big")
-
-
-def sample_gaussian(stream: np.random.Generator, mean, variance, size=None):
-    """Draw from N(mean, variance); variance 0 returns the mean exactly."""
-    variance = np.asarray(variance, dtype=float)
-    if np.any(variance < 0.0) or not np.all(np.isfinite(variance)):
-        raise ValueError("variance must be finite and >= 0")
-    draw = stream.normal(loc=mean, scale=np.sqrt(variance), size=size)
-    return float(draw) if np.ndim(draw) == 0 else draw
-
-
-def sample_beta(stream: np.random.Generator, alpha, beta, size=None):
-    """Draw from Beta(alpha, beta); shapes must be strictly positive."""
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if np.any(alpha <= 0.0) or np.any(beta <= 0.0):
-        raise ValueError("Beta shapes must be > 0")
-    draw = stream.beta(alpha, beta, size=size)
-    return float(draw) if np.ndim(draw) == 0 else draw
-
-
-def sample_categorical(stream: np.random.Generator, weights) -> int:
-    """Draw an index with the given probabilities (inverse-CDF on one uniform)."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a nonempty vector")
-    if np.any(w < 0.0):
-        raise ValueError("weights must be nonnegative")
-    total = float(w.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"weights must sum to 1 within 1e-9, got {total!r}")
-    u = stream.random()
-    # Search the cumulative sum; the final bucket absorbs rounding slack.
-    idx = int(np.searchsorted(np.cumsum(w), u * total, side="right"))
-    return min(idx, w.size - 1)

@@ -10,6 +10,8 @@ from metats.envs import (
     GaussianDiagPrior,
     GaussianDiagState,
     LinearGaussianPrior,
+    LinearState,
+    sample_instance_prior,
 )
 from metats.harness import ExperimentConfig, _materialize_agents, build_meta_prior
 from metats.rng import derive_stream
@@ -142,7 +144,7 @@ class TestStateMachine:
 class TestActionSelection:
     def test_point_mass_always_best_arm(self):
         # Effectively deterministic posterior at (0.2, 0.9): arm index 1 always.
-        prior = GaussianDiagPrior(mu=[0.2, 0.9], sigma_0=1e-9)
+        prior = GaussianDiagPrior(mu=[0.2, 0.9], sigma_0=1e-9, sigma=1.0)
         agent = Agent(kind="agnostic", prior=prior)
         stream = derive_stream(1, 0, 0, 0)
         agent.begin_task(stream, horizon=100)
@@ -154,7 +156,7 @@ class TestActionSelection:
     def test_exact_tie_breaks_to_lowest_index(self):
         # Identical feature rows give bit-equal samples for both arms.
         prior = LinearGaussianPrior(
-            theta_0=[0.3], Sigma=[[0.5]], features=[[1.0], [1.0]]
+            theta_0=[0.3], Sigma=[[0.5]], features=[[1.0], [1.0]], sigma=1.0
         )
         agent = Agent(kind="agnostic", prior=prior)
         stream = derive_stream(1, 0, 1, 0)
@@ -183,7 +185,7 @@ class TestActionSelection:
     def test_forced_last_k_schedule(self):
         # Horizon 200, K=2: the TS rounds are 1..198, then round 199 pulls the
         # first arm and round 200 the second.
-        prior = GaussianDiagPrior(mu=[0.9, 0.1], sigma_0=1e-9)
+        prior = GaussianDiagPrior(mu=[0.9, 0.1], sigma_0=1e-9, sigma=1.0)
         agent = Agent(kind="agnostic", prior=prior, forced_last_k=True)
         stream = derive_stream(3, 0, 0, 0)
         actions = []
@@ -229,7 +231,7 @@ class TestPriorWiring:
             assert agent.task_prior is P1
 
     def test_agnostic_prior_constant_across_tasks(self):
-        prior = GaussianDiagPrior(mu=[0.0, 0.0], sigma_0=np.sqrt(0.26))
+        prior = GaussianDiagPrior(mu=[0.0, 0.0], sigma_0=np.sqrt(0.26), sigma=1.0)
         agent = Agent(kind="agnostic", prior=prior)
         for task in range(3):
             drive_task(
@@ -271,6 +273,22 @@ class TestPriorWiring:
         agent.begin_task(derive_stream(8, 0, 0, 0), horizon=1)
         assert agent.task_posterior.sigma == 2.0
         assert agent.meta.sigma == 2.0
+
+    @pytest.mark.parametrize("kind", ["metats", "oracle", "agnostic"])
+    def test_task_posterior_assumes_the_prior_noise(self, kind):
+        # The noise comes with the prior: a meta-state's sigma reaches the
+        # task posterior of the prior MetaTS samples, and a fixed prior's
+        # sigma that of OracleTS and TS. Every Gaussian and linear case.
+        gauss = GaussianDiagState(mu=np.zeros(2), var=np.full(2, 0.25), sigma_0=0.1, sigma=2.0)
+        linear = LinearState(
+            mu=np.zeros(2), Lambda=np.eye(2), Sigma=np.eye(2), sigma=2.0, features=np.eye(2)
+        )
+        for meta in (gauss, linear):
+            if kind != "metats":
+                meta = sample_instance_prior(meta, derive_stream(1, 0, 0))
+            agent = Agent(kind, meta)
+            agent.begin_task(derive_stream(8, 0, 0, 0), horizon=1)
+            assert agent.task_posterior.sigma == 2.0
 
 
 class TestMetaLearning:

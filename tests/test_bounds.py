@@ -71,7 +71,7 @@ def lemma3_frequency_oracle(config, R, delta):
         run_stream = derive_stream(seed, rep, 0, SUB_RUN)
         meta_prior = build_meta_prior(config, run_stream)
         true_prior = sample_instance_prior(meta_prior, run_stream)
-        agent = Agent("metats", meta_prior, forced_last_k=True, reward_noise=config.sigma)
+        agent = Agent("metats", meta_prior, forced_last_k=True)
         for s in range(1, config.m + 1):
             stream = derive_stream(seed, rep, s, name_substream(agent.name))
             agent.begin_task(stream, config.n)
@@ -80,7 +80,7 @@ def lemma3_frequency_oracle(config, R, delta):
                 violations += 1
                 break
             instance = sample_task_instance(
-                true_prior, derive_stream(seed, rep, s, SUB_INSTANCE), reward_noise=config.sigma
+                true_prior, derive_stream(seed, rep, s, SUB_INSTANCE)
             )
             table = reward_table(instance, config.n, derive_stream(seed, rep, s, SUB_REWARDS))
             run_task(agent, instance, config.n, stream, rewards=table)

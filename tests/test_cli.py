@@ -9,6 +9,7 @@ from metats import harness
 from metats.cli import EXIT_CONFIG, EXIT_OK, list_presets, main
 
 TINY = ["m=2", "n=10", "runs=2"]
+NAME_RULE = "agent name must be a non-empty string with no comma, quote or line break"
 
 
 @pytest.fixture(autouse=True)
@@ -194,6 +195,19 @@ class TestConfigErrors:
             (
                 'agents=[{"kind": "metats", "misspecification_scale": true}]',
                 "misspecification_scale must be a number, got True",
+            ),
+            # A name is a rows.csv field: 5 was a traceback, and "a,b" wrote
+            # a 5-field row under the 4-column header.
+            ('agents=[{"kind": "oracle", "name": 5}]', f"{NAME_RULE}, got 5"),
+            ('agents=[{"kind": "oracle", "name": "a,b"}]', f"{NAME_RULE}, got 'a,b'"),
+            ('agents=[{"kind": "oracle", "name": ""}]', f"{NAME_RULE}, got ''"),
+            ('agents=[{"kind": "oracle", "name": "x\\"y"}]', f"{NAME_RULE}, got 'x\"y'"),
+            ('agents=[{"kind": "oracle", "name": "a\\nb"}]', f"{NAME_RULE}, got 'a\\nb'"),
+            # A task too large for memory, refused before anything is allocated.
+            (
+                "n=1000000000",
+                "n * agents * (K + d) must be <= 10000000; got 1000000000 * 3 * (2 + 2) = "
+                "12000000000",
             ),
         ],
     )
@@ -397,6 +411,7 @@ class TestCheckBounds:
             (["n=1", "K=3"], "n must be >= K"),
             (["--runs", "10000001"], "--runs"),
             (["--runs", "500001"], "--runs"),
+            (["n=1000000000"], "n * agents * (K + d) must be <= 10000000"),
         ],
     )
     def test_certify_flag_out_of_domain_names_flag(self, capsys, monkeypatch, args, flag):

@@ -19,7 +19,7 @@ from metats.envs import (
     sample_task_instance,
 )
 from metats.posteriors import sample_meta_posterior
-from metats.rng import derive_stream, sample_gaussian
+from metats.rng import derive_stream
 
 
 def beta_pair():
@@ -58,13 +58,28 @@ def test_beta_prior_validation():
 
 def test_gaussian_prior_validation():
     with pytest.raises(ValueError):
-        GaussianDiagPrior(mu=np.zeros(2), sigma_0=0.0)
+        GaussianDiagPrior(mu=np.zeros(2), sigma_0=0.0, sigma=1.0)
     with pytest.raises(ValueError, match="meta variances must be > 0"):
         gaussian_meta(sigma_q=0.0)
     with pytest.raises(ValueError, match="sigma_0 must be > 0"):
         gaussian_meta(sigma_0=0.0)
     with pytest.raises(ValueError, match="nonempty"):
         gaussian_meta(num_arms=0)
+
+
+@pytest.mark.parametrize("width", [1e200, np.inf, np.nan, -1.0])
+def test_gaussian_widths_checked_where_held(width):
+    # Draws take their scales unchecked, so the prior and the state refuse a
+    # width whose square is not finite, and the state a variance that is not
+    # finite, when built.
+    with pytest.raises(ValueError, match="sigma_0 must be > 0 with a finite square"):
+        GaussianDiagPrior(mu=np.zeros(2), sigma_0=width, sigma=1.0)
+    with pytest.raises(ValueError, match="sigma_0 must be > 0 with a finite square"):
+        gaussian_meta(sigma_0=width)
+    if not width > 0.0:
+        return
+    with pytest.raises(ValueError, match="meta variances must be > 0 and finite"):
+        GaussianDiagState(mu=np.zeros(2), var=[0.25, width * width], sigma_0=0.1, sigma=1.0)
 
 
 def linear_meta(Lambda, Sigma=np.eye(2)):
@@ -124,9 +139,9 @@ def test_beta_instance_mean():
 
 
 def test_gaussian_instance_degenerate_width():
-    prior = GaussianDiagPrior(mu=np.array([0.3, -0.1]), sigma_0=1e-9)
+    prior = GaussianDiagPrior(mu=np.array([0.3, -0.1]), sigma_0=1e-9, sigma=1.0)
     s = derive_stream(5, 0, 0)
-    inst = sample_task_instance(prior, s, reward_noise=1.0)
+    inst = sample_task_instance(prior, s)
     assert np.all(np.abs(inst.theta - prior.mu) < 1e-6)
 
 
@@ -136,9 +151,10 @@ def test_linear_instance_deterministic_map():
         theta_0=np.array([0.3]),
         Sigma=np.array([[0.0]]),
         features=np.array([[2.0]]),
+        sigma=1.0,
     )
     s = derive_stream(6, 0, 0)
-    inst = sample_task_instance(prior, s, reward_noise=1.0)
+    inst = sample_task_instance(prior, s)
     assert inst.theta == pytest.approx([0.6], abs=1e-15)
     assert inst.param == pytest.approx([0.3], abs=1e-15)
 
@@ -151,10 +167,27 @@ def test_gaussian_marginal_consistency():
     thetas = np.empty((n, 2))
     for i in range(n):
         prior = sample_instance_prior(meta, s)
-        thetas[i] = sample_task_instance(prior, s, reward_noise=1.0).theta
+        thetas[i] = sample_task_instance(prior, s).theta
     target = 0.26
     stderr = target * np.sqrt(2.0 / (n - 1))
     assert np.all(np.abs(thetas.var(axis=0, ddof=1) - target) < 3.0 * stderr)
+
+
+def test_drawn_priors_and_instances_carry_the_state_noise():
+    # A state's sigma reaches every prior drawn from it and, through the
+    # prior, the instances it draws; a Bernoulli instance has no noise.
+    linear = LinearState(
+        mu=np.zeros(2), Lambda=np.eye(2), Sigma=np.eye(2), sigma=2.0, features=np.eye(2)
+    )
+    gauss = GaussianDiagState(mu=np.zeros(2), var=np.full(2, 0.25), sigma_0=0.1, sigma=2.0)
+    s = derive_stream(12, 0, 0)
+    for meta in (gauss, linear):
+        for draw in (sample_instance_prior, sample_meta_posterior):
+            prior = draw(meta, s)
+            assert prior.sigma == 2.0
+            assert sample_task_instance(prior, s).reward_noise == 2.0
+    p1, _ = beta_pair()
+    assert sample_task_instance(p1, s).reward_noise == 0.0
 
 
 def test_bernoulli_instance_validation():
@@ -239,7 +272,7 @@ def test_gaussian_zero_state_draw_is_the_meta_prior_draw(sigma_q, num_arms, seed
     # same state is the same draw.
     meta = gaussian_meta(sigma_q=sigma_q, num_arms=num_arms)
     streams = [derive_stream(seed, 0, 0) for _ in range(3)]
-    expected = sample_gaussian(streams[0], 0.0, sigma_q**2, size=num_arms)
+    expected = streams[0].normal(0.0, np.sqrt(sigma_q**2), size=num_arms)
     for draw, stream in ((sample_instance_prior, streams[1]), (sample_meta_posterior, streams[2])):
         assert draw(meta, stream).mu.tobytes() == expected.tobytes()
     following = [stream.standard_normal() for stream in streams]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -103,6 +104,11 @@ class TestExperimentConfig:
             (dict(master_seed=None), r"^master_seed must be an integer, got None$"),
             (dict(sigma=True), r"^sigma must be a number, got True$"),
             (dict(sigma_0="wide"), r"^sigma_0 must be a number, got 'wide'$"),
+            # A task's reward and noise cells, bounded before anything is allocated.
+            (dict(n=10**9, m=1, runs=1), r"^n \* agents \* \(K \+ d\) must be <= 10000000; "
+             r"got 1000000000 \* 3 \* \(2 \+ 2\) = 12000000000$"),
+            (dict(K=10**7, n=1, agents=({"kind": "oracle"},)), r"^n \* agents \* \(K \+ d\)"),
+            (dict(family="linear", d=10**6, n=5), r"^n \* agents \* \(K \+ d\)"),
         ],
     )
     def test_scalar_validation(self, kw, msg):
@@ -130,6 +136,19 @@ class TestExperimentConfig:
             ExperimentConfig(agents=({"kind": "oracle", "forced_last_k": 1},))
         with pytest.raises(ValueError, match="^misspecification_scale must be a number, got True$"):
             ExperimentConfig(agents=({"kind": "metats", "misspecification_scale": True},))
+
+    @pytest.mark.parametrize("name", [5, "", "a,b", 'x"y', "a\nb", "a\rb", ["MetaTS"]])
+    def test_agent_name_must_be_a_csv_field(self, name):
+        # A name is written bare into rows.csv and hashed into its stream key.
+        with pytest.raises(ValueError, match=f"^agent name must be .*, got {re.escape(repr(name))}$"):
+            ExperimentConfig(agents=({"kind": "oracle", "name": name},))
+
+    def test_task_cell_bound_is_inclusive(self):
+        # n * agents * (K + d) = 9,999,996: accepted, and nothing is allocated.
+        config = ExperimentConfig(n=833_333, m=1, runs=1)
+        assert harness._runs_per_chunk(config) == 1
+        with pytest.raises(ValueError, match=r"^n \* agents \* \(K \+ d\)"):
+            ExperimentConfig(n=833_334, m=1, runs=1)
 
     def test_duplicate_detection_uses_default_names(self):
         # Two metats entries at the same scale collide unless renamed.
@@ -367,7 +386,7 @@ class TestMetaTSStartStates:
                 got, expected = agent.meta.Lambda, np.eye(config.d) / sigma_q**2 / s**2
             assert got.tobytes() == expected.tobytes()
         before = _state_bits(meta_prior)
-        instance = sample_task_instance(true_prior, derive_stream(0, 0, 1, 1), config.sigma)
+        instance = sample_task_instance(true_prior, derive_stream(0, 0, 1, 1))
         table = reward_table(instance, config.n, derive_stream(0, 0, 1, 2))
         streams = [derive_stream(0, 0, 1, 16 + i) for i in range(len(agents))]
         for agent, stream in zip(agents, streams):
@@ -380,7 +399,7 @@ class TestMetaTSStartStates:
 
 
 def point_mass_agent(mu):
-    prior = GaussianDiagPrior(mu=np.asarray(mu, dtype=float), sigma_0=1e-9)
+    prior = GaussianDiagPrior(mu=np.asarray(mu, dtype=float), sigma_0=1e-9, sigma=1.0)
     return Agent("agnostic", prior)
 
 
@@ -452,7 +471,6 @@ def cum_regret_oracle(config: ExperimentConfig) -> np.ndarray:
     identity, and every task is played alone through run_task.
     """
     seed = config.master_seed
-    noise = 0.0 if config.family == "bernoulli" else config.sigma
     per_task = np.zeros((len(config.agents), config.runs, config.m))
     for run in range(config.runs):
         run_stream = derive_stream(seed, run, 0, harness.SUB_RUN)
@@ -461,7 +479,7 @@ def cum_regret_oracle(config: ExperimentConfig) -> np.ndarray:
         agents = harness._materialize_agents(config, meta_prior, true_prior)
         for s in range(1, config.m + 1):
             instance = sample_task_instance(
-                true_prior, derive_stream(seed, run, s, harness.SUB_INSTANCE), reward_noise=noise
+                true_prior, derive_stream(seed, run, s, harness.SUB_INSTANCE)
             )
             table = reward_table(instance, config.n, derive_stream(seed, run, s, harness.SUB_REWARDS))
             for a, agent in enumerate(agents):

@@ -48,12 +48,12 @@ def _play(case):
     k, n, seed = case["K"], case["n"], case["seed"]
     gen = np.random.default_rng(seed)
     if case["family"] == "gaussian":
-        prior = GaussianDiagPrior(mu=case["mu"][:k], sigma_0=case["sigma_0"])
+        prior = GaussianDiagPrior(mu=case["mu"][:k], sigma_0=case["sigma_0"], sigma=case["sigma"])
         table = case["sigma"] * gen.standard_normal((n, k)) + np.asarray(case["mu"][:k])
     else:
         prior = BetaProductPrior(alpha=case["shapes"][:k], beta=case["shapes"][8 : 8 + k])
         table = (gen.random((n, k)) < 0.5).astype(float)
-    agent = Agent("oracle", prior, forced_last_k=case["forced"], reward_noise=case["sigma"])
+    agent = Agent("oracle", prior, forced_last_k=case["forced"])
     stream = derive_stream(seed, 0, 1, 99)
     agent.begin_task(stream, n)
     arms = play_tasks([agent], [stream], [table])[0]

@@ -65,8 +65,7 @@ def _setup(case):
     run_stream = derive_stream(seed, 0, 0, 0)
     meta_prior = build_meta_prior(config, run_stream)
     true_prior = sample_instance_prior(meta_prior, run_stream)
-    noise = 0.0 if case["family"] == "bernoulli" else SIGMA
-    instance = sample_task_instance(true_prior, derive_stream(seed, 0, 1, 1), noise)
+    instance = sample_task_instance(true_prior, derive_stream(seed, 0, 1, 1))
     table = reward_table(instance, case["n"], derive_stream(seed, 0, 1, 2))
 
     def make_agent():
@@ -74,7 +73,6 @@ def _setup(case):
             case["kind"],
             meta_prior if case["kind"] == "metats" else true_prior,
             forced_last_k=case["forced"],
-            reward_noise=SIGMA,
         )
 
     return make_agent, instance, table
@@ -109,7 +107,7 @@ def test_final_posterior_is_the_batch_posterior_of_the_log(case):
     assert len(log) == n and regret.shape == (n,)
     np.testing.assert_array_equal(log.rewards, table[np.arange(n), log.arms])
     post = agent.task_posterior
-    prior = init_task_posterior(agent.task_prior, sigma=SIGMA)
+    prior = init_task_posterior(agent.task_prior)
     if isinstance(post, BetaCounts):
         failures = [1.0 - r for r in log.rewards]
         assert post.alpha == _fold(prior.alpha, log.arms, log.rewards)
@@ -204,7 +202,7 @@ def test_whole_task_play_after_step_rounds_logs_every_round(case, split):
 
 
 def test_play_tasks_needs_a_common_round_and_horizon_in_every_family():
-    prior = GaussianDiagPrior(mu=np.zeros(2), sigma_0=1.0)
+    prior = GaussianDiagPrior(mu=np.zeros(2), sigma_0=1.0, sigma=SIGMA)
     agents = [Agent("oracle", prior) for _ in range(2)]
     streams = [derive_stream(1, r, 1, 99) for r in range(2)]
     tables = [np.zeros((4, 2)), np.zeros((5, 2))]
@@ -231,7 +229,7 @@ def _linear_pairs(case):
     """R linear pairs, one per run, each at the start of its first task."""
     config = ExperimentConfig(
         family="linear", K=case["K"], d=case["d"], m=1, n=case["n"], runs=case["R"],
-        master_seed=case["seed"],
+        sigma=SIGMA, master_seed=case["seed"],
     )
     agents, streams, tables = [], [], []
     for r in range(case["R"]):
@@ -244,8 +242,8 @@ def _linear_pairs(case):
             "oracle": true_prior,
             "agnostic": agnostic_prior_for(config, meta_prior),
         }[kind]
-        agent = Agent(kind, prior, forced_last_k=case["forced"][r], reward_noise=SIGMA)
-        instance = sample_task_instance(true_prior, derive_stream(seed, r, 1, 1), SIGMA)
+        agent = Agent(kind, prior, forced_last_k=case["forced"][r])
+        instance = sample_task_instance(true_prior, derive_stream(seed, r, 1, 1))
         stream = derive_stream(seed, r, 1, 99)
         agent.begin_task(stream, case["n"])
         agents.append(agent)

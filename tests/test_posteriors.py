@@ -120,8 +120,8 @@ class TestInitTaskPosterior:
         assert prior.alpha[0] == 6.0
 
     def test_gaussian_init(self):
-        prior = GaussianDiagPrior(mu=[0.1, -0.2], sigma_0=0.1)
-        post = init_task_posterior(prior, sigma=1.0)
+        prior = GaussianDiagPrior(mu=[0.1, -0.2], sigma_0=0.1, sigma=1.0)
+        post = init_task_posterior(prior)
         assert isinstance(post, GaussianArms)
         np.testing.assert_array_equal(post.mean, [0.1, -0.2])
         np.testing.assert_allclose(post.variance, [0.01, 0.01], rtol=1e-15)
@@ -130,9 +130,9 @@ class TestInitTaskPosterior:
         features = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
         sigma_mat = np.array([[0.04, 0.01], [0.01, 0.09]])
         prior = LinearGaussianPrior(
-            theta_0=[0.3, -0.1], Sigma=sigma_mat, features=features
+            theta_0=[0.3, -0.1], Sigma=sigma_mat, features=features, sigma=1.0
         )
-        post = init_task_posterior(prior, sigma=1.0)
+        post = init_task_posterior(prior)
         assert isinstance(post, LinearGaussianPosterior)
         np.testing.assert_allclose(post.mean, [0.3, -0.1], atol=1e-12)
         np.testing.assert_allclose(
@@ -141,7 +141,7 @@ class TestInitTaskPosterior:
 
     def test_linear_init_singular_covariance(self):
         prior = LinearGaussianPrior(
-            theta_0=[0.0], Sigma=[[0.0]], features=[[1.0]]
+            theta_0=[0.0], Sigma=[[0.0]], features=[[1.0]], sigma=1.0
         )
         with pytest.raises(NumericalError):
             init_task_posterior(prior)
@@ -175,8 +175,8 @@ class TestUpdateTaskPosterior:
     def test_gaussian_single_observation(self):
         # sigma_0^2 = 0.01, sigma^2 = 1, one reward y = 1 on arm 1:
         # posterior variance = 1/(1/0.01 + 1) = 1/101, mean = (1/101)*(0 + 1).
-        prior = GaussianDiagPrior(mu=[0.0, 0.0], sigma_0=0.1)
-        post = init_task_posterior(prior, sigma=1.0)
+        prior = GaussianDiagPrior(mu=[0.0, 0.0], sigma_0=0.1, sigma=1.0)
+        post = init_task_posterior(prior)
         post = update_task_posterior(post, arm=0, reward=1.0)
         np.testing.assert_allclose(post.variance[0], 1.0 / 101.0, rtol=1e-14)
         np.testing.assert_allclose(post.mean[0], 1.0 / 101.0, rtol=1e-14)
@@ -187,8 +187,8 @@ class TestUpdateTaskPosterior:
     def test_gaussian_variance_closed_form(self):
         # After N pulls the variance is exactly sigma^2/(sigma^2/sigma_0^2 + N),
         # independent of the observed values.
-        prior = GaussianDiagPrior(mu=[0.3], sigma_0=0.5)
-        post = init_task_posterior(prior, sigma=2.0)
+        prior = GaussianDiagPrior(mu=[0.3], sigma_0=0.5, sigma=2.0)
+        post = init_task_posterior(prior)
         gen = np.random.default_rng(3)
         for n in range(1, 40):
             post = update_task_posterior(post, arm=0, reward=gen.normal())
@@ -196,8 +196,8 @@ class TestUpdateTaskPosterior:
             assert post.variance[0] == expected
 
     def test_gaussian_mean_matches_precision_weighting(self):
-        prior = GaussianDiagPrior(mu=[0.2], sigma_0=0.3)
-        post = init_task_posterior(prior, sigma=1.5)
+        prior = GaussianDiagPrior(mu=[0.2], sigma_0=0.3, sigma=1.5)
+        post = init_task_posterior(prior)
         rewards = [0.7, -0.4, 1.1]
         for y in rewards:
             post = update_task_posterior(post, arm=0, reward=y)
@@ -209,9 +209,9 @@ class TestUpdateTaskPosterior:
     def test_linear_rank_one_update(self):
         features = np.array([[1.0, 0.5], [-0.5, 1.0]])
         prior = LinearGaussianPrior(
-            theta_0=[0.0, 0.0], Sigma=0.25 * np.eye(2), features=features
+            theta_0=[0.0, 0.0], Sigma=0.25 * np.eye(2), features=features, sigma=2.0
         )
-        post = init_task_posterior(prior, sigma=2.0)
+        post = init_task_posterior(prior)
         post1 = update_task_posterior(post, arm=1, reward=0.8)
         x = features[1]
         np.testing.assert_allclose(
@@ -245,8 +245,8 @@ class TestSampleTaskPosterior:
             assert abs(draw[0] - 1.0) < 1e-4
 
     def test_gaussian_degenerate_equals_mean(self):
-        prior = GaussianDiagPrior(mu=[0.4, -0.7], sigma_0=1e-9)
-        post = init_task_posterior(prior, sigma=1.0)
+        prior = GaussianDiagPrior(mu=[0.4, -0.7], sigma_0=1e-9, sigma=1.0)
+        post = init_task_posterior(prior)
         stream = derive_stream(0, 0, 1, 0)
         draw = sample_task_posterior(post, stream)
         np.testing.assert_allclose(draw, [0.4, -0.7], atol=1e-8)
@@ -255,9 +255,9 @@ class TestSampleTaskPosterior:
         # Features (1) and (-1) over a scalar parameter: arm 2's sample is the
         # exact negation of arm 1's, draw by draw.
         prior = LinearGaussianPrior(
-            theta_0=[0.2], Sigma=[[0.5]], features=[[1.0], [-1.0]]
+            theta_0=[0.2], Sigma=[[0.5]], features=[[1.0], [-1.0]], sigma=1.0
         )
-        post = init_task_posterior(prior, sigma=1.0)
+        post = init_task_posterior(prior)
         stream = derive_stream(1, 2, 3, 4)
         for _ in range(20):
             draw = sample_task_posterior(post, stream)
@@ -265,8 +265,8 @@ class TestSampleTaskPosterior:
             assert draw[1] == -draw[0]
 
     def test_gaussian_sampling_moments(self):
-        prior = GaussianDiagPrior(mu=[0.5], sigma_0=0.2)
-        post = init_task_posterior(prior, sigma=1.0)
+        prior = GaussianDiagPrior(mu=[0.5], sigma_0=0.2, sigma=1.0)
+        post = init_task_posterior(prior)
         stream = derive_stream(5, 0, 0, 0)
         draws = np.array(
             [sample_task_posterior(post, stream)[0] for _ in range(20000)]
@@ -307,9 +307,9 @@ class TestSampleTaskPosterior:
         # features) matches the posterior covariance.
         cov = np.array([[0.3, 0.1], [0.1, 0.2]])
         prior = LinearGaussianPrior(
-            theta_0=[0.0, 0.0], Sigma=cov, features=np.eye(2)
+            theta_0=[0.0, 0.0], Sigma=cov, features=np.eye(2), sigma=1.0
         )
-        post = init_task_posterior(prior, sigma=1.0)
+        post = init_task_posterior(prior)
         stream = derive_stream(6, 0, 0, 0)
         draws = np.array([sample_task_posterior(post, stream) for _ in range(40000)])
         sample_cov = np.cov(draws.T)
