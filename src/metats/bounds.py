@@ -14,9 +14,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .envs import GAUSSIAN
-from .harness import ExperimentConfig, RegretReport, _as_float, _as_int, check_widths
-from .harness import run_experiment
+from .harness import (
+    GAUSSIAN, ExperimentConfig, RegretReport, _as_float, _as_int, check_widths, run_experiment
+)
 # perfbench/worker.py wraps bounds.run_task before any run, so the name stays.
 from .harness import run_task  # noqa: F401
 from .rng import derive_stream

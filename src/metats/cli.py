@@ -21,7 +21,7 @@ from importlib import resources
 
 from .bounds import BoundParams, bounds_report
 from .harness import (
-    MAX_REGRET_CELLS, ExperimentConfig, check_task_cells, emit_report, run_experiment
+    MAX_REGRET_CELLS, MAX_THREADS, ExperimentConfig, check_task_cells, emit_report, run_experiment
 )
 from .posteriors import NumericalError
 from .selftest import run_selftest
@@ -157,6 +157,9 @@ def _progress_printer():
 
 
 def _cmd_run(args) -> int:
+    threads = args.threads if args.threads is not None else min(os.cpu_count() or 1, MAX_THREADS)
+    if not 1 <= threads <= MAX_THREADS:
+        raise ConfigError(f"--threads must be in [1, {MAX_THREADS}], got {threads}")
     exp_keys = {f.name for f in fields(ExperimentConfig)}
     data = _load_config_dict(args)
     unknown = set(data) - exp_keys
@@ -166,13 +169,17 @@ def _cmd_run(args) -> int:
     seed = _resolve_seed(args, data)
     if seed is not None:
         data["master_seed"] = seed
-    out_dir = args.output or data.get("output_dir") or "results"
-    data["output_dir"] = out_dir
     try:
         config = ExperimentConfig(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
+    out_dir = args.output or config.output_dir or "results"
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"--output/output_dir {out_dir!r} cannot be created as a directory: {exc.strerror}"
+        ) from None
     report = run_experiment(config, threads=threads, progress=_progress_printer())
     written = emit_report(report, out_dir, fmt=args.format)
     summary = {

@@ -1,7 +1,9 @@
 """Generative hierarchy for meta-bandit simulation.
 
 Three levels: a meta-prior over instance priors, an instance prior over arm
-means, and per-round stochastic rewards. Three conjugate families are
+means, and per-round stochastic rewards. A task instance is the (K,) array
+of its arm means, and its rewards take the noise model from the prior that
+drew it. Three conjugate families are
 supported: Bernoulli arms under Beta-product priors chosen from a categorical
 meta-prior, Gaussian arms under diagonal-Gaussian priors, and linear bandits
 whose arm means are a fixed feature matrix times a latent parameter vector.
@@ -14,7 +16,7 @@ updates in posteriors refine these states task by task.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,17 +27,10 @@ __all__ = [
     "CategoricalWeights",
     "GaussianDiagState",
     "LinearState",
-    "BanditInstance",
     "sample_instance_prior",
     "sample_task_instance",
     "reward_table",
-    "optimal_arm",
 ]
-
-BERNOULLI = "bernoulli"
-GAUSSIAN = "gaussian"
-LINEAR = "linear"
-FAMILIES = (BERNOULLI, GAUSSIAN, LINEAR)
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -43,6 +38,15 @@ def _as_vector(x, name: str) -> np.ndarray:
     if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
         raise ValueError(f"{name} must be a nonempty finite vector")
     return v
+
+
+def _width(value, name: str) -> float:
+    """A width (sigma_0, or the reward noise sigma) as a float: > 0 with a
+    finite square, so the conjugate updates can divide by it."""
+    w = float(value)
+    if not (w > 0.0 and w * w < math.inf):
+        raise ValueError(f"{name} must be > 0 with a finite square, got {w!r}")
+    return w
 
 
 def _check_spd(mat, name: str, *, allow_semidefinite: bool = False) -> np.ndarray:
@@ -97,10 +101,16 @@ class GaussianDiagPrior:
 
     def __post_init__(self):
         self.mu = _as_vector(self.mu, "mu")
-        self.sigma_0 = float(self.sigma_0)
-        if not (self.sigma_0 > 0.0 and self.sigma_0 * self.sigma_0 < math.inf):
-            raise ValueError(f"sigma_0 must be > 0 with a finite square, got {self.sigma_0!r}")
-        self.sigma = float(self.sigma)
+        self.sigma_0 = _width(self.sigma_0, "sigma_0")
+        self.sigma = _width(self.sigma, "sigma")
+        # A task posterior's variance is largest at zero pulls, so this bounds
+        # every round's Thompson draw.
+        kappa = self.sigma**2 / self.sigma_0**2
+        if not (kappa > 0.0 and self.sigma**2 / kappa < math.inf):
+            raise ValueError(
+                "the zero-pull variance sigma**2 / (sigma**2 / sigma_0**2) must be "
+                f"finite; got sigma={self.sigma!r}, sigma_0={self.sigma_0!r}"
+            )
 
     @property
     def num_arms(self) -> int:
@@ -119,7 +129,7 @@ class LinearGaussianPrior:
 
     def __post_init__(self):
         self.theta_0 = _as_vector(self.theta_0, "theta_0")
-        self.sigma = float(self.sigma)
+        self.sigma = _width(self.sigma, "sigma")
         # Semidefinite allowed: a zero covariance is the degenerate point prior.
         self.Sigma = _check_spd(self.Sigma, "Sigma", allow_semidefinite=True)
         self.features = np.asarray(self.features, dtype=float)
@@ -181,13 +191,12 @@ class GaussianDiagState:
     def __post_init__(self):
         self.mu = _as_vector(self.mu, "mu")
         self.var = np.asarray(self.var, dtype=float)
-        self.sigma_0 = float(self.sigma_0)
         if self.mu.shape != self.var.shape:
             raise ValueError("mu and var must have equal length")
         if not np.all((self.var > 0.0) & (self.var < math.inf)):
             raise ValueError("meta variances must be > 0 and finite")
-        if not (self.sigma_0 > 0.0 and self.sigma_0 * self.sigma_0 < math.inf):
-            raise ValueError(f"sigma_0 must be > 0 with a finite square, got {self.sigma_0!r}")
+        self.sigma_0 = _width(self.sigma_0, "sigma_0")
+        self.sigma = _width(self.sigma, "sigma")
 
 
 @dataclass
@@ -209,45 +218,13 @@ class LinearState:
         self.mu = _as_vector(self.mu, "mu")
         self.Lambda = _check_spd(self.Lambda, "Lambda")
         self.Sigma = _check_spd(self.Sigma, "Sigma")
+        self.sigma = _width(self.sigma, "sigma")
         self.features = np.asarray(self.features, dtype=float)
         d = self.mu.size
         if self.Lambda.shape != (d, d) or self.Sigma.shape != (d, d):
             raise ValueError("Lambda and Sigma must be d x d")
         if self.features.ndim != 2 or self.features.shape[1] != d:
             raise ValueError("features must be a K x d matrix")
-
-
-@dataclass
-class BanditInstance:
-    """Realized task: true arm means plus the reward noise model."""
-
-    family: str
-    theta: np.ndarray
-    reward_noise: float = 0.0
-    param: np.ndarray | None = field(default=None, repr=False)
-    features: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        self.theta = _as_vector(self.theta, "theta")
-        self.reward_noise = float(self.reward_noise)
-        if self.reward_noise < 0.0:
-            raise ValueError("reward_noise must be >= 0")
-        if self.family == BERNOULLI and (
-            np.any(self.theta < 0.0) or np.any(self.theta > 1.0)
-        ):
-            raise ValueError("Bernoulli arm means must lie in [0, 1]")
-        if self.family == LINEAR:
-            if self.param is None or self.features is None:
-                raise ValueError("linear instances need param and features")
-            derived = self.features @ self.param
-            if np.max(np.abs(derived - self.theta)) > 1e-12:
-                raise ValueError("theta must equal features @ param within 1e-12")
-
-    @property
-    def num_arms(self) -> int:
-        return self.theta.size
 
 
 def sample_instance_prior(meta, stream: np.random.Generator):
@@ -287,50 +264,37 @@ def _sample_mvn_zero(cov: np.ndarray, stream: np.random.Generator) -> np.ndarray
     return root @ z
 
 
-def sample_task_instance(prior, stream: np.random.Generator) -> BanditInstance:
-    """Draw one bandit instance from an instance prior.
-
-    Gaussian and linear instances carry the prior's reward noise sigma;
-    Bernoulli instances have none.
-    """
+def sample_task_instance(prior, stream: np.random.Generator) -> np.ndarray:
+    """Draw one task instance from an instance prior: its (K,) arm means."""
     if isinstance(prior, BetaProductPrior):
-        return BanditInstance(family=BERNOULLI, theta=stream.beta(prior.alpha, prior.beta))
+        return stream.beta(prior.alpha, prior.beta)
     if isinstance(prior, GaussianDiagPrior):
-        theta = stream.normal(prior.mu, prior.sigma_0)
-        return BanditInstance(family=GAUSSIAN, theta=theta, reward_noise=prior.sigma)
+        return stream.normal(prior.mu, prior.sigma_0)
     if isinstance(prior, LinearGaussianPrior):
-        param = prior.theta_0 + _sample_mvn_zero(prior.Sigma, stream)
-        return BanditInstance(
-            family=LINEAR,
-            theta=prior.features @ param,
-            reward_noise=prior.sigma,
-            param=param,
-            features=prior.features,
-        )
+        return prior.features @ (prior.theta_0 + _sample_mvn_zero(prior.Sigma, stream))
     raise TypeError(f"not an instance prior: {type(prior).__name__}")
 
 
 def reward_table(
-    instance: BanditInstance, horizon: int, stream: np.random.Generator
+    prior, theta: np.ndarray, horizon: int, stream: np.random.Generator
 ) -> np.ndarray:
     """Pre-draw the full horizon x K reward matrix for one task.
 
-    Row t holds the rewards every arm would have paid in round t. Drawing the
-    whole matrix from one agent-independent stream is what lets all compared
-    agents face common random numbers.
+    theta holds the task's arm means, drawn from prior. Row t holds the
+    rewards every arm would have paid in round t: Bernoulli(theta) under a
+    Beta-product prior, theta plus N(0, sigma^2) noise of the prior's sigma
+    otherwise. Drawing the whole matrix from one agent-independent stream is
+    what lets all compared agents face common random numbers.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    k = instance.num_arms
-    if instance.family == BERNOULLI:
-        return (stream.random((horizon, k)) < instance.theta).astype(float)
-    noise = stream.standard_normal((horizon, k))
-    return instance.theta + instance.reward_noise * noise
-
-
-def optimal_arm(instance: BanditInstance) -> tuple[int, float]:
-    """Best arm index and its mean; ties break toward the lowest index."""
-    if instance.num_arms < 1:
-        raise ValueError("instance has no arms")
-    idx = int(np.argmax(instance.theta))
-    return idx, float(instance.theta[idx])
+    theta = _as_vector(theta, "theta")
+    if theta.size != prior.num_arms:
+        raise ValueError(
+            f"theta needs one mean per arm of the prior ({prior.num_arms}), got {theta.size}"
+        )
+    if isinstance(prior, BetaProductPrior):
+        if np.any(theta < 0.0) or np.any(theta > 1.0):
+            raise ValueError("Bernoulli arm means must lie in [0, 1]")
+        return (stream.random((horizon, theta.size)) < theta).astype(float)
+    return theta + prior.sigma * stream.standard_normal((horizon, theta.size))

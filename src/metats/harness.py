@@ -24,18 +24,12 @@ import numpy as np
 from . import __version__
 from .agents import AGNOSTIC, KINDS, METATS, ORACLE, Agent, _default_name, play_tasks
 from .envs import (
-    BERNOULLI,
-    FAMILIES,
-    GAUSSIAN,
-    LINEAR,
-    BanditInstance,
     BetaProductPrior,
     CategoricalWeights,
     GaussianDiagPrior,
     GaussianDiagState,
     LinearGaussianPrior,
     LinearState,
-    optimal_arm,
     reward_table,
     sample_instance_prior,
     sample_task_instance,
@@ -56,6 +50,11 @@ __all__ = [
     "regret_slope",
     "emit_report",
 ]
+
+BERNOULLI = "bernoulli"
+GAUSSIAN = "gaussian"
+LINEAR = "linear"
+FAMILIES = (BERNOULLI, GAUSSIAN, LINEAR)
 
 # Substream ids reserved by the harness; agent substreams are name-hashed
 # and start at 16 (see rng.name_substream).
@@ -89,6 +88,10 @@ MAX_LINEAR_CONDITION = 1e10
 # Largest runs * m * agents: the regret array and the report hold one value
 # per (agent, run, task).
 MAX_REGRET_CELLS = 10**7
+
+# Most worker processes run_experiment starts: each is a numpy interpreter
+# of about 38 MB, and a pool forks all of them at its first task.
+MAX_THREADS = 64
 
 # Largest n * agents * (K + d), the reward and noise cells one run holds per
 # task (the cells _runs_per_chunk counts). Peak memory grows by up to about
@@ -195,6 +198,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
+        if not (self.output_dir is None or isinstance(self.output_dir, str)):
+            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
         for key in ("K", "d", "m", "n", "runs", "master_seed"):
             setattr(self, key, _as_int(key, getattr(self, key)))
         for key in ("sigma", "sigma_0", "sigma_q"):
@@ -457,7 +462,7 @@ def _materialize_agents(config: ExperimentConfig, meta_prior, true_prior):
 
 def run_task(
     agent: Agent,
-    instance: BanditInstance,
+    theta: np.ndarray,
     horizon: int,
     action_stream,
     rewards: np.ndarray,
@@ -468,13 +473,13 @@ def run_task(
     numbers). The agent draws the Thompson noise of every round from
     action_stream at once (after begin_task, which may itself draw from that
     stream), so the arms equal those of round-by-round play. Regret uses the
-    true means, not the realized rewards. begin_task/end_task are the
+    true means theta, not the realized rewards. begin_task/end_task are the
     caller's responsibility.
     """
     if horizon != agent.horizon:
         raise ValueError(f"horizon {horizon} != the agent's task horizon {agent.horizon}")
     arms = play_tasks([agent], [action_stream], [rewards])[0]
-    return agent.log, optimal_arm(instance)[1] - instance.theta[arms]
+    return agent.log, theta.max() - theta[arms]
 
 
 def _runs_per_chunk(config: ExperimentConfig) -> int:
@@ -530,15 +535,15 @@ def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> tupl
     for s in range(1, config.m + 1):
         if (s - 1) % block == 0:
             keys = stream_keys(seed, runs, range(s, min(s + block, config.m + 1)), subs)
-        theta, pairs, streams, tables = [], [], [], []
+        means, pairs, streams, tables = [], [], [], []
         for r, ((run_idx, true_prior, agents, _, slots), run_keys) in enumerate(
             zip(chunk, keys[:, (s - 1) % block])
         ):
             for slot, key in zip(slots, run_keys):
                 rekey(slot, key)
-            instance = sample_task_instance(true_prior, slots[0])
-            table = reward_table(instance, config.n, slots[1])
-            theta.append(instance.theta)
+            theta = sample_task_instance(true_prior, slots[0])
+            table = reward_table(true_prior, theta, config.n, slots[1])
+            means.append(theta)
             for agent, stream in zip(agents, slots[2:]):
                 agent.begin_task(stream, config.n)
                 if agent.name in errors:
@@ -549,7 +554,7 @@ def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> tupl
                 tables.append(table)
         arms = play_tasks(pairs, streams, tables)
         # Row sums of a C-contiguous array equal np.sum of each row bit for bit.
-        theta = np.repeat(np.stack(theta), num_agents, axis=0)
+        theta = np.repeat(np.stack(means), num_agents, axis=0)
         gaps = theta.max(axis=1)[:, None] - np.take_along_axis(theta, arms, axis=1)
         regret[:, :, s - 1] = gaps.sum(axis=1).reshape(len(runs), num_agents).T
         for r, (_, _, agents, j_star, _) in enumerate(chunk):
@@ -665,8 +670,11 @@ def run_experiment(
     farms the chunks out to worker processes. Results are keyed by run
     index, so the report is identical for any thread count. progress(done,
     total) counts finished (run, task) cells: after every task when serial,
-    after every chunk with worker processes.
+    after every chunk with worker processes. threads must lie in [1,
+    MAX_THREADS].
     """
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"threads must be in [1, {MAX_THREADS}], got {threads!r}")
     num_agents = len(config.agents)
     per_task = np.zeros((num_agents, config.runs, config.m))
     traces, errors = {}, {}
@@ -686,11 +694,11 @@ def run_experiment(
     chunks = [
         range(lo, min(lo + size, config.runs)) for lo in range(0, config.runs, size)
     ]
-    if threads <= 1 or len(chunks) == 1:
+    if threads == 1 or len(chunks) == 1:
         for runs in chunks:
             _store(runs, _simulate_runs(config, runs, progress))
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
             for runs, result in pool.map(_run_payload, [(config, c) for c in chunks]):
                 _store(runs, result)
                 if progress is not None:

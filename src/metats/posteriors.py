@@ -391,23 +391,20 @@ def init_task_posterior(prior):
     """Posterior at zero observations: the prior itself.
 
     Gaussian and linear posteriors assume the prior's reward noise sigma.
+    The prior checked its parameters when it was built, also that the
+    Gaussian zero-pull variance is finite.
     """
     if isinstance(prior, BetaProductPrior):
         return BetaCounts(alpha=prior.alpha.tolist(), beta=prior.beta.tolist())
     if isinstance(prior, GaussianDiagPrior):
         k = prior.num_arms
-        post = GaussianArms(
+        return GaussianArms(
             prior_mu=prior.mu.tolist(),
             sigma_0=prior.sigma_0,
             sigma=prior.sigma,
             pulls=[0.0] * k,
             sums=[0.0] * k,
         )
-        # Checked once, at zero pulls: the variance only falls as pulls
-        # accrue, so this bounds every round's Thompson draw.
-        if not np.all(np.isfinite(post.variance)):
-            raise ValueError("variance must be finite and >= 0")
-        return post
     if isinstance(prior, LinearGaussianPrior):
         precision = _spd_solve(
             prior.Sigma, np.eye(prior.dim), "linear prior covariance inverse"

@@ -8,6 +8,7 @@ capture-disabled channel so the verdict is visible in normal runs:
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -22,6 +23,11 @@ from metats.selftest import (
 )
 
 SEED = 23
+# The metats.cli subprocesses import the package from this checkout's src.
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+CLI_ENV = dict(
+    os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+)
 
 
 def verdict(capsys, num, ok, detail):
@@ -54,6 +60,7 @@ def test_criterion_01_bound_constants(capsys, tmp_path):
         capture_output=True,
         text=True,
         timeout=60,
+        env=CLI_ENV,
     )
     elapsed = time.perf_counter() - start
     report = json.loads(proc.stdout)
@@ -189,6 +196,7 @@ def test_criterion_09_thread_count_determinism(capsys, tmp_path):
             check=True,
             capture_output=True,
             timeout=600,
+            env=CLI_ENV,
         )
         outs[threads] = {
             name: (out / name).read_bytes()

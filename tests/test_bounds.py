@@ -79,11 +79,11 @@ def lemma3_frequency_oracle(config, R, delta):
             if gap > bounds.lemma3_radius(p, s):
                 violations += 1
                 break
-            instance = sample_task_instance(
-                true_prior, derive_stream(seed, rep, s, SUB_INSTANCE)
+            theta = sample_task_instance(true_prior, derive_stream(seed, rep, s, SUB_INSTANCE))
+            table = reward_table(
+                true_prior, theta, config.n, derive_stream(seed, rep, s, SUB_REWARDS)
             )
-            table = reward_table(instance, config.n, derive_stream(seed, rep, s, SUB_REWARDS))
-            run_task(agent, instance, config.n, stream, rewards=table)
+            run_task(agent, theta, config.n, stream, rewards=table)
             agent.end_task()
     return violations / float(R)
 

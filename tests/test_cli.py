@@ -1,6 +1,8 @@
 """End-to-end CLI behavior through main(argv): exit codes, files, precedence."""
 
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -209,6 +211,8 @@ class TestConfigErrors:
                 "n * agents * (K + d) must be <= 10000000; got 1000000000 * 3 * (2 + 2) = "
                 "12000000000",
             ),
+            # Was a TypeError traceback from os.makedirs after the whole run.
+            ("output_dir=5", "output_dir must be a string, got 5"),
         ],
     )
     def test_scalar_of_the_wrong_type_names_key(self, tmp_path, capsys, override, message):
@@ -239,6 +243,32 @@ class TestConfigErrors:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "report.json").exists()
+
+    def test_output_path_that_is_a_file_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        # Was "File exists" at exit 2 after the whole simulation.
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a simulation started")
+
+        monkeypatch.setattr(harness, "_simulate_runs", no_simulation)
+        path = tmp_path / "taken"
+        path.write_text("")
+        code = main(["run", "--preset", "gaussian-smoke", "--output", str(path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: --output/output_dir {str(path)!r} cannot be created as a directory: "
+            f"{os.strerror(errno.EEXIST)}\n"
+        )
+
+    @pytest.mark.parametrize("threads", ["0", "-3", "65"])
+    def test_threads_out_of_range_names_flag(self, tmp_path, capsys, monkeypatch, threads):
+        # 0 and -3 ran serially; nothing bounded the worker processes forked.
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a simulation started")
+
+        monkeypatch.setattr(harness, "_simulate_runs", no_simulation)
+        code = main(["run", "--preset", "gaussian-smoke", "-o", str(tmp_path), "--threads", threads])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: --threads must be in [1, 64], got {threads}\n"
 
     def test_unknown_override_key(self, tmp_path, capsys):
         code = main(["run", "--output", str(tmp_path), "sigma_9=1", *TINY])

@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metats.envs import (
-    BanditInstance,
     BetaProductPrior,
     CategoricalWeights,
     GaussianDiagPrior,
     GaussianDiagState,
     LinearGaussianPrior,
     LinearState,
-    optimal_arm,
     reward_table,
     sample_instance_prior,
     sample_task_instance,
@@ -69,13 +67,23 @@ def test_gaussian_prior_validation():
 
 @pytest.mark.parametrize("width", [1e200, np.inf, np.nan, -1.0])
 def test_gaussian_widths_checked_where_held(width):
-    # Draws take their scales unchecked, so the prior and the state refuse a
-    # width whose square is not finite, and the state a variance that is not
-    # finite, when built.
+    # Draws take their scales unchecked, so the priors and the states refuse
+    # a width or a reward noise whose square is not finite, and the Gaussian
+    # state a variance that is not finite, when built. A NaN sigma used to
+    # give all-NaN reward tables.
     with pytest.raises(ValueError, match="sigma_0 must be > 0 with a finite square"):
         GaussianDiagPrior(mu=np.zeros(2), sigma_0=width, sigma=1.0)
     with pytest.raises(ValueError, match="sigma_0 must be > 0 with a finite square"):
         gaussian_meta(sigma_0=width)
+    holders = (
+        lambda: GaussianDiagPrior(mu=np.zeros(2), sigma_0=0.1, sigma=width),
+        lambda: GaussianDiagState(mu=np.zeros(2), var=np.full(2, 0.25), sigma_0=0.1, sigma=width),
+        lambda: LinearGaussianPrior(np.zeros(2), np.eye(2), np.eye(2), width),
+        lambda: LinearState(np.zeros(2), np.eye(2), np.eye(2), width, np.eye(2)),
+    )
+    for build in holders:
+        with pytest.raises(ValueError, match="^sigma must be > 0 with a finite square"):
+            build()
     if not width > 0.0:
         return
     with pytest.raises(ValueError, match="meta variances must be > 0 and finite"):
@@ -132,7 +140,7 @@ def test_linear_meta_prior_near_delta():
 def test_beta_instance_mean():
     p1, _ = beta_pair()
     s = derive_stream(4, 0, 0)
-    thetas = np.array([sample_task_instance(p1, s).theta for _ in range(100_000)])
+    thetas = np.array([sample_task_instance(p1, s) for _ in range(100_000)])
     assert abs(thetas[:, 0].mean() - 0.75) < 0.005
     assert abs(thetas[:, 1].mean() - 0.25) < 0.005
     assert np.all((thetas >= 0.0) & (thetas <= 1.0))
@@ -141,8 +149,8 @@ def test_beta_instance_mean():
 def test_gaussian_instance_degenerate_width():
     prior = GaussianDiagPrior(mu=np.array([0.3, -0.1]), sigma_0=1e-9, sigma=1.0)
     s = derive_stream(5, 0, 0)
-    inst = sample_task_instance(prior, s)
-    assert np.all(np.abs(inst.theta - prior.mu) < 1e-6)
+    theta = sample_task_instance(prior, s)
+    assert np.all(np.abs(theta - prior.mu) < 1e-6)
 
 
 def test_linear_instance_deterministic_map():
@@ -154,9 +162,7 @@ def test_linear_instance_deterministic_map():
         sigma=1.0,
     )
     s = derive_stream(6, 0, 0)
-    inst = sample_task_instance(prior, s)
-    assert inst.theta == pytest.approx([0.6], abs=1e-15)
-    assert inst.param == pytest.approx([0.3], abs=1e-15)
+    assert sample_task_instance(prior, s) == pytest.approx([0.6], abs=1e-15)
 
 
 def test_gaussian_marginal_consistency():
@@ -167,7 +173,7 @@ def test_gaussian_marginal_consistency():
     thetas = np.empty((n, 2))
     for i in range(n):
         prior = sample_instance_prior(meta, s)
-        thetas[i] = sample_task_instance(prior, s).theta
+        thetas[i] = sample_task_instance(prior, s)
     target = 0.26
     stderr = target * np.sqrt(2.0 / (n - 1))
     assert np.all(np.abs(thetas.var(axis=0, ddof=1) - target) < 3.0 * stderr)
@@ -175,7 +181,8 @@ def test_gaussian_marginal_consistency():
 
 def test_drawn_priors_and_instances_carry_the_state_noise():
     # A state's sigma reaches every prior drawn from it and, through the
-    # prior, the instances it draws; a Bernoulli instance has no noise.
+    # prior, the rewards of the instances it draws; Bernoulli rewards have no
+    # Gaussian noise.
     linear = LinearState(
         mu=np.zeros(2), Lambda=np.eye(2), Sigma=np.eye(2), sigma=2.0, features=np.eye(2)
     )
@@ -185,78 +192,65 @@ def test_drawn_priors_and_instances_carry_the_state_noise():
         for draw in (sample_instance_prior, sample_meta_posterior):
             prior = draw(meta, s)
             assert prior.sigma == 2.0
-            assert sample_task_instance(prior, s).reward_noise == 2.0
+            theta = sample_task_instance(prior, s)
+            table = reward_table(prior, theta, 5, derive_stream(12, 0, 1))
+            z = derive_stream(12, 0, 1).standard_normal((5, 2))
+            assert table.tobytes() == (theta + 2.0 * z).tobytes()
     p1, _ = beta_pair()
-    assert sample_task_instance(p1, s).reward_noise == 0.0
+    table = reward_table(p1, sample_task_instance(p1, s), 5, s)
+    assert set(np.unique(table)) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("sigma, sigma_0", [(1e-200, 1.0), (1e-100, 1e150)])
+def test_gaussian_prior_refuses_an_infinite_zero_pull_variance(sigma, sigma_0):
+    # sigma**2 / sigma_0**2 underflows, so the task posterior's variance at
+    # zero pulls, sigma**2 / (sigma**2 / sigma_0**2), is not finite.
+    with pytest.raises(ValueError, match="zero-pull variance .* got sigma=.*, sigma_0="):
+        GaussianDiagPrior(mu=[0.0, 0.0], sigma_0=sigma_0, sigma=sigma)
 
 
 def test_bernoulli_instance_validation():
-    with pytest.raises(ValueError):
-        BanditInstance(family="bernoulli", theta=np.array([0.5, 1.2]))
-
-
-def test_linear_instance_consistency_enforced():
-    with pytest.raises(ValueError):
-        BanditInstance(
-            family="linear",
-            theta=np.array([1.0]),
-            reward_noise=1.0,
-            param=np.array([0.3]),
-            features=np.array([[2.0]]),
-        )
+    p1, _ = beta_pair()
+    with pytest.raises(ValueError, match="Bernoulli arm means must lie in"):
+        reward_table(p1, np.array([0.5, 1.2]), 3, derive_stream(8, 0, 0))
+    with pytest.raises(ValueError, match="theta must be a nonempty finite vector"):
+        reward_table(p1, np.array([0.5, np.nan]), 3, derive_stream(8, 0, 0))
+    with pytest.raises(ValueError, match="theta needs one mean per arm"):
+        reward_table(p1, np.array([0.5, 0.5, 0.5]), 3, derive_stream(8, 0, 0))
 
 
 def test_bernoulli_rewards():
-    inst = BanditInstance(family="bernoulli", theta=np.array([1.0, 0.75]))
-    table = reward_table(inst, 100_000, derive_stream(8, 0, 0))
+    p1, _ = beta_pair()
+    table = reward_table(p1, np.array([1.0, 0.75]), 100_000, derive_stream(8, 0, 0))
     assert np.all(table[:, 0] == 1.0)
     assert set(np.unique(table)) <= {0.0, 1.0}
     assert abs(table[:, 1].mean() - 0.75) < 0.007
 
 
+def unit_noise_prior():
+    return GaussianDiagPrior(mu=np.zeros(2), sigma_0=1.0, sigma=1.0)
+
+
 def test_gaussian_reward_noise():
-    inst = BanditInstance(
-        family="gaussian", theta=np.array([0.2, 0.0]), reward_noise=1.0
-    )
-    draws = reward_table(inst, 100_000, derive_stream(9, 0, 0))[:, 0]
+    theta = np.array([0.2, 0.0])
+    draws = reward_table(unit_noise_prior(), theta, 100_000, derive_stream(9, 0, 0))[:, 0]
     assert abs(draws.var(ddof=1) - 1.0) < 0.03
     assert abs(draws.mean() - 0.2) < 0.02
 
 
 def test_reward_table_matches_family():
-    inst = BanditInstance(
-        family="gaussian", theta=np.array([0.2, -0.3]), reward_noise=1.0
-    )
-    table = reward_table(inst, 50, derive_stream(10, 0, 0))
+    table = reward_table(unit_noise_prior(), np.array([0.2, -0.3]), 50, derive_stream(10, 0, 0))
     assert table.shape == (50, 2)
-    binst = BanditInstance(family="bernoulli", theta=np.array([0.0, 1.0]))
-    btable = reward_table(binst, 25, derive_stream(10, 0, 1))
+    p1, _ = beta_pair()
+    btable = reward_table(p1, np.array([0.0, 1.0]), 25, derive_stream(10, 0, 1))
     assert np.all(btable[:, 0] == 0.0) and np.all(btable[:, 1] == 1.0)
 
 
 def test_reward_table_deterministic_in_stream():
-    inst = BanditInstance(
-        family="gaussian", theta=np.array([0.2, -0.3]), reward_noise=1.0
-    )
-    t1 = reward_table(inst, 20, derive_stream(11, 0, 0))
-    t2 = reward_table(inst, 20, derive_stream(11, 0, 0))
+    theta = np.array([0.2, -0.3])
+    t1 = reward_table(unit_noise_prior(), theta, 20, derive_stream(11, 0, 0))
+    t2 = reward_table(unit_noise_prior(), theta, 20, derive_stream(11, 0, 0))
     assert np.array_equal(t1, t2)
-
-
-def test_optimal_arm():
-    mk = lambda *theta: BanditInstance(family="bernoulli", theta=np.array(theta))
-    assert optimal_arm(mk(0.3, 0.7)) == (1, 0.7)
-    assert optimal_arm(mk(0.5, 0.5)) == (0, 0.5)  # tie toward lowest index
-    assert optimal_arm(mk(0.1, 0.9, 0.4)) == (1, 0.9)
-
-
-def test_optimal_arm_append_smaller_invariant():
-    inst = BanditInstance(family="gaussian", theta=np.array([0.4, 0.9]), reward_noise=1.0)
-    arm, best = optimal_arm(inst)
-    bigger = BanditInstance(
-        family="gaussian", theta=np.array([0.4, 0.9, 0.1, 0.85]), reward_noise=1.0
-    )
-    assert optimal_arm(bigger) == (arm, best)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from metats import harness
 from metats.agents import Agent, play_tasks
 from metats.envs import (
-    BanditInstance,
     BetaProductPrior,
     CategoricalWeights,
     GaussianDiagPrior,
@@ -109,6 +108,7 @@ class TestExperimentConfig:
              r"got 1000000000 \* 3 \* \(2 \+ 2\) = 12000000000$"),
             (dict(K=10**7, n=1, agents=({"kind": "oracle"},)), r"^n \* agents \* \(K \+ d\)"),
             (dict(family="linear", d=10**6, n=5), r"^n \* agents \* \(K \+ d\)"),
+            (dict(output_dir=5), r"^output_dir must be a string, got 5$"),
         ],
     )
     def test_scalar_validation(self, kw, msg):
@@ -386,8 +386,8 @@ class TestMetaTSStartStates:
                 got, expected = agent.meta.Lambda, np.eye(config.d) / sigma_q**2 / s**2
             assert got.tobytes() == expected.tobytes()
         before = _state_bits(meta_prior)
-        instance = sample_task_instance(true_prior, derive_stream(0, 0, 1, 1))
-        table = reward_table(instance, config.n, derive_stream(0, 0, 1, 2))
+        theta = sample_task_instance(true_prior, derive_stream(0, 0, 1, 1))
+        table = reward_table(true_prior, theta, config.n, derive_stream(0, 0, 1, 2))
         streams = [derive_stream(0, 0, 1, 16 + i) for i in range(len(agents))]
         for agent, stream in zip(agents, streams):
             agent.begin_task(stream, config.n)
@@ -406,10 +406,9 @@ def point_mass_agent(mu):
 class TestRunTask:
     def test_best_arm_agent_has_zero_regret(self):
         agent = point_mass_agent([0.0, 1.0])
-        instance = BanditInstance(family="gaussian", theta=[0.0, 1.0], reward_noise=1.0)
         stream = derive_stream(0, 0, 1, 0)
         agent.begin_task(stream, 10)
-        _, regret = run_task(agent, instance, 10, stream, rewards=np.zeros((10, 2)))
+        _, regret = run_task(agent, np.array([0.0, 1.0]), 10, stream, rewards=np.zeros((10, 2)))
         agent.end_task()
         np.testing.assert_array_equal(regret, np.zeros(10))
 
@@ -417,10 +416,9 @@ class TestRunTask:
         # The gap is computed from the true means, not the realized rewards:
         # the reward table is all zeros yet regret is still 0.7 per round.
         agent = point_mass_agent([1.0, -1.0])
-        instance = BanditInstance(family="gaussian", theta=[0.3, 1.0], reward_noise=1.0)
         stream = derive_stream(0, 0, 2, 0)
         agent.begin_task(stream, 8)
-        log, regret = run_task(agent, instance, 8, stream, rewards=np.zeros((8, 2)))
+        log, regret = run_task(agent, np.array([0.3, 1.0]), 8, stream, rewards=np.zeros((8, 2)))
         agent.end_task()
         np.testing.assert_allclose(regret, np.full(8, 0.7), rtol=1e-15)
         np.testing.assert_array_equal(log.pull_counts, [8.0, 0.0])
@@ -478,14 +476,16 @@ def cum_regret_oracle(config: ExperimentConfig) -> np.ndarray:
         true_prior = sample_instance_prior(meta_prior, run_stream)
         agents = harness._materialize_agents(config, meta_prior, true_prior)
         for s in range(1, config.m + 1):
-            instance = sample_task_instance(
+            theta = sample_task_instance(
                 true_prior, derive_stream(seed, run, s, harness.SUB_INSTANCE)
             )
-            table = reward_table(instance, config.n, derive_stream(seed, run, s, harness.SUB_REWARDS))
+            table = reward_table(
+                true_prior, theta, config.n, derive_stream(seed, run, s, harness.SUB_REWARDS)
+            )
             for a, agent in enumerate(agents):
                 stream = derive_stream(seed, run, s, name_substream(agent.name))
                 agent.begin_task(stream, config.n)
-                _, regret = run_task(agent, instance, config.n, stream, rewards=table)
+                _, regret = run_task(agent, theta, config.n, stream, rewards=table)
                 agent.end_task()
                 per_task[a, run, s - 1] = float(regret.sum())
     return np.cumsum(per_task, axis=2)
@@ -544,6 +544,15 @@ class TestRunExperiment:
         serial = run_experiment(config, threads=1)
         parallel = run_experiment(config, threads=2)
         np.testing.assert_array_equal(serial.cum_regret, parallel.cum_regret)
+
+    @pytest.mark.parametrize("threads", [0, -3, harness.MAX_THREADS + 1])
+    def test_threads_out_of_range_rejected_before_any_run(self, threads, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a simulation started")
+
+        monkeypatch.setattr(harness, "_simulate_runs", no_simulation)
+        with pytest.raises(ValueError, match=rf"^threads must be in \[1, 64\], got {threads}$"):
+            run_experiment(ExperimentConfig(**SMALL), threads=threads)
 
     def test_linear_threads_give_byte_identical_reports(self, tmp_path):
         # One process stacks all 17 runs into one chunk; two processes get

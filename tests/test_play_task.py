@@ -65,8 +65,8 @@ def _setup(case):
     run_stream = derive_stream(seed, 0, 0, 0)
     meta_prior = build_meta_prior(config, run_stream)
     true_prior = sample_instance_prior(meta_prior, run_stream)
-    instance = sample_task_instance(true_prior, derive_stream(seed, 0, 1, 1))
-    table = reward_table(instance, case["n"], derive_stream(seed, 0, 1, 2))
+    theta = sample_task_instance(true_prior, derive_stream(seed, 0, 1, 1))
+    table = reward_table(true_prior, theta, case["n"], derive_stream(seed, 0, 1, 2))
 
     def make_agent():
         return Agent(
@@ -75,16 +75,16 @@ def _setup(case):
             forced_last_k=case["forced"],
         )
 
-    return make_agent, instance, table
+    return make_agent, theta, table
 
 
 def _play(case):
-    make_agent, instance, table = _setup(case)
+    make_agent, theta, table = _setup(case)
     agent = make_agent()
     stream = derive_stream(case["seed"], 0, 1, 99)
     agent.begin_task(stream, case["n"])
-    log, regret = run_task(agent, instance, case["n"], stream, rewards=table)
-    return agent, log, regret, instance, table
+    log, regret = run_task(agent, theta, case["n"], stream, rewards=table)
+    return agent, log, regret, theta, table
 
 
 def _fold(start, arms, values) -> list:
@@ -102,7 +102,7 @@ def _fold(start, arms, values) -> list:
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(cases)
 def test_final_posterior_is_the_batch_posterior_of_the_log(case):
-    agent, log, regret, instance, table = _play(case)
+    agent, log, regret, theta, table = _play(case)
     n = case["n"]
     assert len(log) == n and regret.shape == (n,)
     np.testing.assert_array_equal(log.rewards, table[np.arange(n), log.arms])
@@ -129,8 +129,8 @@ def test_final_posterior_is_the_batch_posterior_of_the_log(case):
         np.testing.assert_allclose(
             post.info, prior.info + x.T @ y / SIGMA**2, rtol=1e-12, atol=1e-12
         )
-    best = instance.theta.max()
-    np.testing.assert_array_equal(regret, best - instance.theta[log.arms])
+    best = theta.max()
+    np.testing.assert_array_equal(regret, best - theta[log.arms])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -144,12 +144,12 @@ def test_forced_last_k_ends_with_every_arm_in_order(case):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(cases)
 def test_step_api_matches_whole_task_play(case):
-    make_agent, instance, table = _setup(case)
+    make_agent, theta, table = _setup(case)
     n = case["n"]
     whole = make_agent()
     stream = derive_stream(case["seed"], 0, 1, 99)
     whole.begin_task(stream, n)
-    run_task(whole, instance, n, stream, rewards=table)
+    run_task(whole, theta, n, stream, rewards=table)
 
     step = make_agent()
     stream = derive_stream(case["seed"], 0, 1, 99)
@@ -180,13 +180,13 @@ def test_step_api_matches_whole_task_play(case):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(cases, st.integers(0, 29))
 def test_whole_task_play_after_step_rounds_logs_every_round(case, split):
-    make_agent, instance, table = _setup(case)
+    make_agent, theta, table = _setup(case)
     n = case["n"]
     split = min(split, n - 1)
     whole = make_agent()
     stream = derive_stream(case["seed"], 0, 1, 99)
     whole.begin_task(stream, n)
-    run_task(whole, instance, n, stream, rewards=table)
+    run_task(whole, theta, n, stream, rewards=table)
 
     mixed = make_agent()
     stream = derive_stream(case["seed"], 0, 1, 99)
@@ -194,7 +194,7 @@ def test_whole_task_play_after_step_rounds_logs_every_round(case, split):
     for t in range(split):
         arm = mixed.select_action(stream)
         mixed.observe(arm, float(table[t, arm]))
-    _, regret = run_task(mixed, instance, n, stream, rewards=table)
+    _, regret = run_task(mixed, theta, n, stream, rewards=table)
 
     assert regret.shape == (n - split,) and mixed.rounds_played == n
     assert np.array_equal(mixed.log.arms, whole.log.arms)
@@ -243,12 +243,12 @@ def _linear_pairs(case):
             "agnostic": agnostic_prior_for(config, meta_prior),
         }[kind]
         agent = Agent(kind, prior, forced_last_k=case["forced"][r])
-        instance = sample_task_instance(true_prior, derive_stream(seed, r, 1, 1))
+        theta = sample_task_instance(true_prior, derive_stream(seed, r, 1, 1))
         stream = derive_stream(seed, r, 1, 99)
         agent.begin_task(stream, case["n"])
         agents.append(agent)
         streams.append(stream)
-        tables.append(reward_table(instance, case["n"], derive_stream(seed, r, 1, 2)))
+        tables.append(reward_table(true_prior, theta, case["n"], derive_stream(seed, r, 1, 2)))
     return agents, streams, tables
 
 

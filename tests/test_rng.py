@@ -64,7 +64,7 @@ def gaussian_state(var, size=1):
 def beta_instance(stream, a, b, size):
     """size Beta(a, b) draws, as the arm means of one instance."""
     prior = BetaProductPrior(alpha=np.full(size, a), beta=np.full(size, b))
-    return sample_task_instance(prior, stream).theta
+    return sample_task_instance(prior, stream)
 
 
 def categorical(weights):
@@ -212,7 +212,7 @@ def test_draws_through_priors_equal_the_old_samplers(
     )
     cases = [
         (
-            lambda s: sample_task_instance(gauss, s).theta,
+            lambda s: sample_task_instance(gauss, s),
             lambda s: oracle_gaussian(s, mus, sigma_0**2),
         ),
         (
@@ -222,8 +222,7 @@ def test_draws_through_priors_equal_the_old_samplers(
             lambda s: oracle_gaussian(s, mus, np.full(num_arms, var)),
         ),
         (
-            lambda s: sample_task_instance(BetaProductPrior(alpha=shapes, beta=shapes[::-1]), s)
-            .theta,
+            lambda s: sample_task_instance(BetaProductPrior(alpha=shapes, beta=shapes[::-1]), s),
             lambda s: oracle_beta(s, shapes, shapes[::-1]),
         ),
         (
@@ -231,9 +230,10 @@ def test_draws_through_priors_equal_the_old_samplers(
             lambda s: oracle_categorical(s, w),
         ),
         (
-            lambda s: sample_task_instance(linear, s).param,
-            lambda s: linear.theta_0
-            + np.linalg.cholesky(linear.Sigma) @ oracle_gaussian(s, 0.0, 1.0, size=dim),
+            lambda s: sample_task_instance(linear, s),
+            lambda s: linear.features
+            @ (linear.theta_0
+               + np.linalg.cholesky(linear.Sigma) @ oracle_gaussian(s, 0.0, 1.0, size=dim)),
         ),
     ]
     for draw, oracle in cases:
