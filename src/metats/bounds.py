@@ -266,21 +266,26 @@ def check_technical_lemmas(trials: int = 10_000, seed: int = 0) -> dict:
     avals[zero_a] = 0.0
     cases.extend(zip(ns.tolist(), avals.tolist()))
 
-    # One index table and two scratch buffers; each sum is the same
-    # elementwise ops and contiguous pairwise sum as on fresh arrays.
+    # One index table, its a = 0 terms and two scratch buffers; each sum is
+    # the same elementwise ops and contiguous pairwise sum as on fresh arrays
+    # (i + 0.0 is i). np.add.reduce is what ndarray.sum calls.
     max_n = max(n for n, _ in cases)
     index = np.arange(1, max_n + 1, dtype=float)
+    inv_sqrt_index = 1.0 / np.sqrt(index)
     shifted, terms = np.empty(max_n), np.empty(max_n)
+    total = np.add.reduce
     for n, a in cases:
-        t = np.add(index[:n], a, out=shifted[:n])
-        u = np.divide(1.0, np.sqrt(t, out=terms[:n]), out=terms[:n])
-        sqrt_sum = float(u.sum())
+        if a > 0.0:
+            t = np.add(index[:n], a, out=shifted[:n])
+            sqrt_sum = float(total(np.divide(1.0, np.sqrt(t, out=terms[:n]), out=terms[:n])))
+        else:
+            sqrt_sum = float(total(inv_sqrt_index[:n]))
         sqrt_bound = 2.0 * (math.sqrt(n + a) - math.sqrt(a))
         if sqrt_sum > sqrt_bound or sqrt_bound > 2.0 * math.sqrt(n) + 1e-12:
             failures += 1
         worst_sqrt = max(worst_sqrt, sqrt_sum - sqrt_bound)
         if a > 0.0:
-            log_sum = float(np.divide(1.0, t, out=terms[:n]).sum())
+            log_sum = float(total(np.divide(1.0, t, out=terms[:n])))
             log_bound = math.log1p(n / a)
             if log_sum > log_bound:
                 failures += 1

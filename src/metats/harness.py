@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -698,6 +697,9 @@ def run_experiment(
         for runs in chunks:
             _store(runs, _simulate_runs(config, runs, progress))
     else:
+        # Imported here: a serial run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
             for runs, result in pool.map(_run_payload, [(config, c) for c in chunks]):
                 _store(runs, result)

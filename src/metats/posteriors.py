@@ -11,6 +11,14 @@ sample of the arm means, and ``absorb(arm, reward)`` folds one observation
 into the state. Linear tasks are played through play_linear, which runs the
 same round math for many (run, agent) pairs at once.
 
+Every Cholesky factor and solve goes through one seam, _cholesky and
+_solve, which call numpy's linalg gufuncs (numpy.linalg._umath_linalg)
+directly: the same LAPACK calls np.linalg makes, so the same bits, without
+the wrapper's type checks and per-call errstate. At a few stacked 2 x 2
+systems that wrapper costs three to four times the LAPACK call. The callers
+hold the floating-point flags silenced instead, once per play_linear call
+and once per per-task factor, and read a failed factorization from its NaNs.
+
 Across tasks the agent holds a meta-posterior over instance priors, updated
 exactly once per completed task from the task's full interaction log. A
 TaskLog holds that log as two arrays, the pulled arms and their rewards, and
@@ -29,6 +37,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .envs import (
     BetaProductPrior,
@@ -71,25 +80,35 @@ class NumericalError(RuntimeError):
     """A linear solve was refused because the system is numerically singular."""
 
 
-def _spd_factor(mat: np.ndarray, context: str) -> np.ndarray:
-    """Cholesky factor of an SPD matrix, or of each matrix of a (R, d, d) stack.
+def _cholesky(mat: np.ndarray) -> np.ndarray:
+    """np.linalg.cholesky's LAPACK call without its wrapper: the same bits,
+    NaNs where a matrix is not positive-definite, and no floating-point check.
+    The caller holds the flags silenced (np.errstate), as np.linalg does."""
+    return _umath_linalg.cholesky_lo(mat, signature="d->d")
 
-    An explicit pivot floor replaces silent regularization. The floor is
-    PIVOT_FLOOR times each matrix's largest pivot, so it bounds conditioning,
-    not scale. Cholesky passes NaNs through without raising, so the floor
-    check is written to fail on a NaN pivot too.
-    """
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve's LAPACK call without its wrapper, flags as in _cholesky."""
+    return (_umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve)(
+        a, b, signature="dd->d"
+    )
+
+
+def _factor(mat: np.ndarray, context: str) -> np.ndarray:
+    """_spd_factor for a caller that already holds the flags silenced."""
+    lower = _cholesky(mat)
+    pivots = lower.diagonal(0, -2, -1)
+    # Passing stack-wide implies passing per matrix, and is cheaper.
+    if pivots.min() >= PIVOT_FLOOR * pivots.max() or np.all(
+        pivots.min(axis=-1) >= PIVOT_FLOOR * pivots.max(axis=-1)
+    ):
+        return lower
+    # np.linalg.cholesky raises exactly where LAPACK refused a matrix.
     try:
-        lower = np.linalg.cholesky(mat)
+        np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
         problem = "matrix is not positive-definite"
     else:
-        pivots = lower.diagonal(0, -2, -1)
-        # Passing stack-wide implies passing per matrix, and is cheaper.
-        if pivots.min() >= PIVOT_FLOOR * pivots.max() or np.all(
-            pivots.min(axis=-1) >= PIVOT_FLOOR * pivots.max(axis=-1)
-        ):
-            return lower
         problem = f"Cholesky pivot below {PIVOT_FLOOR:g} of the largest pivot"
     try:
         cond = float(np.max(np.linalg.cond(mat)))
@@ -98,9 +117,22 @@ def _spd_factor(mat: np.ndarray, context: str) -> np.ndarray:
     raise NumericalError(f"{context}: {problem} (condition number {cond:.3e})")
 
 
+def _spd_factor(mat: np.ndarray, context: str) -> np.ndarray:
+    """Cholesky factor of an SPD matrix, or of each matrix of a (R, d, d) stack.
+
+    An explicit pivot floor replaces silent regularization. The floor is
+    PIVOT_FLOOR times each matrix's largest pivot, so it bounds conditioning,
+    not scale. A matrix LAPACK refuses comes back as NaNs, and so does a NaN
+    matrix, so the floor check is written to fail on a NaN pivot.
+    """
+    with np.errstate(all="ignore"):
+        return _factor(mat, context)
+
+
 def _spd_solve(mat: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
     lower = _spd_factor(mat, context)
-    return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
+    with np.errstate(all="ignore"):
+        return _solve(lower.T, _solve(lower, rhs))
 
 
 @dataclass(eq=False)
@@ -326,11 +358,17 @@ def linear_thompson(precision, info, features, z) -> np.ndarray:
     features is (R, K, d). One stacked Cholesky and three stacked solves give
     the same bits as the per-matrix calls.
     """
-    lower = _spd_factor(precision, "linear task posterior sampling")
+    with np.errstate(all="ignore"):
+        return _thompson_means(precision, info, features, z)
+
+
+def _thompson_means(precision, info, features, z) -> np.ndarray:
+    """linear_thompson for a caller that already holds the flags silenced."""
+    lower = _factor(precision, "linear task posterior sampling")
     upper = np.swapaxes(lower, -1, -2)
-    mean = np.linalg.solve(upper, np.linalg.solve(lower, info[..., None]))
+    mean = _solve(upper, _solve(lower, info[..., None]))
     # precision = L L^T, so L^-T z has the posterior covariance.
-    theta = mean + np.linalg.solve(upper, z[..., None])
+    theta = mean + _solve(upper, z[..., None])
     return (features @ theta)[..., 0]
 
 
@@ -366,19 +404,23 @@ def play_linear(posts: list, noise: list, rewards: np.ndarray, free) -> np.ndarr
     free = np.asarray(free)
     pairs = np.arange(num_pairs)
     arms = np.empty((num_pairs, n), dtype=int)
-    for t in range(n):
-        if t < all_draw:
-            arm = linear_thompson(precision, info, features, z[:, t]).argmax(axis=1)
-        else:
-            drawing = free > t
-            arm = t - free
-            if drawing.any():
-                draw = linear_thompson(
-                    precision[drawing], info[drawing], features[drawing], z[drawing, t]
-                )
-                arm[drawing] = draw.argmax(axis=1)
-        arms[:, t] = arm
-        linear_absorb(precision, info, features[pairs, arm], rewards[pairs, t, arm], sigma2)
+    # One errstate for the whole loop: the seam leaves the flags to it.
+    with np.errstate(all="ignore"):
+        for t in range(n):
+            if t < all_draw:
+                arm = _thompson_means(precision, info, features, z[:, t]).argmax(axis=1)
+            else:
+                drawing = free > t
+                arm = t - free
+                if drawing.any():
+                    draw = _thompson_means(
+                        precision[drawing], info[drawing], features[drawing], z[drawing, t]
+                    )
+                    arm[drawing] = draw.argmax(axis=1)
+            arms[:, t] = arm
+            linear_absorb(
+                precision, info, features[pairs, arm], rewards[pairs, t, arm], sigma2
+            )
     for r, post in enumerate(posts):
         post.precision, post.info = precision[r], info[r]
     return arms
@@ -535,6 +577,7 @@ def sample_meta_posterior(meta, stream: np.random.Generator):
     if isinstance(meta, LinearState):
         lower = _spd_factor(meta.Lambda, "linear meta posterior sampling")
         z = stream.normal(0.0, 1.0, size=meta.mu.size)
-        theta_0 = meta.mu + np.linalg.solve(lower.T, z)
+        with np.errstate(all="ignore"):
+            theta_0 = meta.mu + _solve(lower.T, z)
         return LinearGaussianPrior(theta_0, meta.Sigma, meta.features, meta.sigma)
     return _sample_prior(meta, stream)

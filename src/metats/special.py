@@ -28,6 +28,7 @@ _LANCZOS_C = np.array(
         0.36899182659531622704e-5,
     ]
 )
+_LANCZOS_OFFSETS = np.arange(len(_LANCZOS_C) - 1, dtype=float)[:, None]
 _HALF_LOG_2PI = 0.5 * float(np.log(2.0 * np.pi))
 
 
@@ -36,9 +37,12 @@ def log_gamma(x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError("log_gamma requires finite x > 0")
-    series = np.full(arr.shape, _LANCZOS_C[0])
-    for k in range(1, len(_LANCZOS_C)):
-        series = series + _LANCZOS_C[k] / (arr + (k - 1))
+    # Row k of the stack is term k over every x; accumulate folds the rows
+    # in term order, one add per row, where a reduce may sum them pairwise.
+    terms = np.empty((len(_LANCZOS_C), arr.size))
+    terms[0] = _LANCZOS_C[0]
+    np.divide(_LANCZOS_C[1:, None], arr.ravel() + _LANCZOS_OFFSETS, out=terms[1:])
+    series = np.add.accumulate(terms, axis=0)[-1].reshape(arr.shape)
     t = arr + (_LANCZOS_G - 0.5)
     out = (arr - 0.5) * np.log(t) - t + _HALF_LOG_2PI + np.log(series)
     return float(out) if np.ndim(out) == 0 else out

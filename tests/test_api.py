@@ -29,12 +29,24 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported)
 
 
-def test_import_leaves_numpy_random_unloaded():
-    # numpy loads numpy.random lazily, on first use; stream annotations name
-    # np.random.Generator, so they must stay unevaluated at import time.
-    code = "import sys, metats.bounds, metats.harness; print('numpy.random' in sys.modules)"
+def loaded_by_import(module: str) -> str:
+    """"True" or "False": whether importing metats.bounds and metats.harness
+    in a fresh interpreter loads the named module."""
+    code = f"import sys, metats.bounds, metats.harness; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(metats.__file__)))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random lazily, on first use; stream annotations name
+    # np.random.Generator, so they must stay unevaluated at import time.
+    assert loaded_by_import("numpy.random") == "False"
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # run_experiment imports the process pool only when it starts one, so a
+    # serial run never pays for loading multiprocessing.
+    assert loaded_by_import("multiprocessing") == "False"

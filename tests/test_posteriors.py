@@ -5,6 +5,8 @@ independently (documented inline); matrix identities are cross-checked
 against dense linear-algebra oracles built from scratch in each test.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,7 @@ from metats.posteriors import (
     update_meta_posterior_linear,
     update_task_posterior,
 )
+from metats.posteriors import _cholesky, _solve, _spd_factor
 from metats.rng import derive_stream
 from metats.selftest import direct_linear_meta_update
 from metats.special import log_gamma
@@ -314,6 +317,57 @@ class TestSampleTaskPosterior:
         draws = np.array([sample_task_posterior(post, stream) for _ in range(40000)])
         sample_cov = np.cov(draws.T)
         np.testing.assert_allclose(sample_cov, cov, atol=0.01)
+
+
+# ---------------------------------------------------------------------------
+# The LAPACK seam: _cholesky and _solve against np.linalg
+
+
+@st.composite
+def spd_stacks(draw):
+    """A (R, d, d) stack of SPD matrices, condition numbers 1 to about 1e10,
+    and which matrix a failure case replaces."""
+    r = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 8))
+    log_cond = draw(st.floats(0.0, 10.0))
+    gen = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32 - 1))))
+    q, _ = np.linalg.qr(gen.standard_normal((r, d, d)))
+    eig = 10.0 ** gen.uniform(0.0, log_cond, size=(r, d))
+    eig[:, -1] = 10.0**log_cond
+    eig[:, 0] = 1.0  # the smallest, also at d = 1
+    mats = (q * eig[:, None, :]) @ np.swapaxes(q, -1, -2)
+    mats = 0.5 * (mats + np.swapaxes(mats, -1, -2))
+    return mats, gen, draw(st.integers(0, r - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spd_stacks())
+def test_seam_equals_numpy_linalg(case):
+    mats, gen, bad = case
+    r, d, _ = mats.shape
+    lower = _cholesky(mats)
+    assert lower.tobytes() == np.linalg.cholesky(mats).tobytes()
+    assert _spd_factor(mats, "seam").tobytes() == lower.tobytes()
+    # The upper factor is the swapped view, as linear_thompson passes it.
+    upper = np.swapaxes(lower, -1, -2)
+    for rhs in (gen.standard_normal(d), gen.standard_normal((r, d, 1))):
+        for a in (lower, upper):
+            assert _solve(a, rhs).tobytes() == np.linalg.solve(a, rhs).tobytes()
+    # One matrix with 1-D right-hand sides, as _spd_solve and the meta draw pass it.
+    vec = gen.standard_normal(d)
+    for a in (lower[0], lower[0].T):
+        assert _solve(a, vec).tobytes() == np.linalg.solve(a, vec).tobytes()
+    # A failure is read from the result: LAPACK's NaNs for a matrix that is
+    # not positive-definite, the pivot floor for a NaN one, without a warning.
+    indefinite, nan = mats.copy(), mats.copy()
+    indefinite[bad] -= 1.5 * np.eye(d)  # its smallest eigenvalue, 1, goes to -0.5
+    nan[bad] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="matrix is not positive-definite"):
+            _spd_factor(indefinite, "seam")
+        with pytest.raises(NumericalError, match="pivot below 1e-12 of the largest pivot"):
+            _spd_factor(nan, "seam")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from metats.special import log_gamma
+from metats.special import _HALF_LOG_2PI, _LANCZOS_C, _LANCZOS_G, log_gamma
 
 mpmath.mp.dps = 40
 
@@ -99,3 +99,29 @@ def test_vectorized_matches_scalar():
     assert out.shape == stacked.shape
     for x, y in zip(stacked.ravel(), out.ravel()):
         assert np.float64(y).tobytes() == np.float64(log_gamma(float(x))).tobytes()
+
+
+def looped_log_gamma(x):
+    """The series as a term-by-term loop, one add per term in term order."""
+    arr = np.asarray(x, dtype=float)
+    series = np.full(arr.shape, _LANCZOS_C[0])
+    for k in range(1, len(_LANCZOS_C)):
+        series = series + _LANCZOS_C[k] / (arr + (k - 1))
+    t = arr + (_LANCZOS_G - 0.5)
+    return (arr - 0.5) * np.log(t) - t + _HALF_LOG_2PI + np.log(series)
+
+
+def test_series_folds_terms_in_order():
+    # The stacked series must add its terms one after another, as the loop
+    # does, at every shape: a pairwise sum changes the last bit of some
+    # values, and most often at a trailing size of 1.
+    gen = np.random.Generator(np.random.Philox(7))
+    values = np.concatenate(
+        [np.geomspace(1e-300, 1e300, 61), gen.uniform(0.1, 50.0, size=59)]
+    )
+    for x in values:
+        want = np.float64(looped_log_gamma(x)).tobytes()
+        assert np.float64(log_gamma(float(x))).tobytes() == want
+        assert log_gamma(np.array([x])).tobytes() == want
+    stacked = values.reshape(4, 5, 6)
+    assert log_gamma(stacked).tobytes() == looped_log_gamma(stacked).tobytes()
