@@ -9,8 +9,9 @@ the sampled-prior errors a run of lemma3_config records.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .harness import run_task  # noqa: F401
 from .rng import derive_stream
 
 __all__ = [
+    "MODEL_KEYS",
     "BoundParams",
     "Theorem1Bound",
     "CertResult",
@@ -30,6 +32,7 @@ __all__ = [
     "lemma2_bound",
     "lemma3_radius",
     "theorem1_bound",
+    "certify_config",
     "certify_lemma1",
     "lemma3_config",
     "certify_lemma3",
@@ -38,10 +41,21 @@ __all__ = [
 ]
 
 
+# The keys BoundParams shares with ExperimentConfig; it adds delta.
+MODEL_KEYS = ("K", "n", "m", "sigma", "sigma_0", "sigma_q")
+
+
+def _model(source) -> dict:
+    """The MODEL_KEYS values of a BoundParams or an ExperimentConfig."""
+    return {key: getattr(source, key) for key in MODEL_KEYS}
+
+
 @dataclass(frozen=True)
 class BoundParams:
     """Problem parameters the bounds are evaluated at; defaults are the
-    two-armed Gaussian benchmark (n=200, sigma=1, sigma_0=0.1, sigma_q=0.5)."""
+    two-armed Gaussian benchmark (n=200, sigma=1, sigma_0=0.1, sigma_q=0.5).
+    Params at which a number bounds_report emits is not a finite float are
+    refused, naming every key off its default."""
 
     K: int = 2
     n: int = 200
@@ -61,6 +75,15 @@ class BoundParams:
         check_widths(self.sigma, self.sigma_0, self.sigma_q)
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must be in (0, 1)")
+        try:
+            json.dumps(_evaluate(self), allow_nan=False)
+        except (ArithmeticError, ValueError):
+            values = asdict(self)
+            off = [f.name for f in fields(self) if values[f.name] != f.default]
+            raise ValueError(
+                "every bound must be a finite float, but they overflow at "
+                + ", ".join(f"{key}={values[key]:g}" for key in off)
+            ) from None
 
 
 def root_gap(n: int, K: int, sigma: float, sigma_0: float) -> float:
@@ -73,13 +96,15 @@ def root_gap(n: int, K: int, sigma: float, sigma_0: float) -> float:
     return math.sqrt(n + kappa) - math.sqrt(kappa)
 
 
-def lemma1_bound(p: BoundParams) -> float:
-    """Per-task Bayes regret of TS that samples from the true instance prior."""
+def lemma1_bound(p: BoundParams, sigma_0: float | None = None) -> float:
+    """Per-task Bayes regret of TS that samples from the true instance prior,
+    of width sigma_0 (default p.sigma_0)."""
+    sigma_0 = p.sigma_0 if sigma_0 is None else sigma_0
     log_term = math.log(1.0 / p.delta)
-    c_delta = 2.0 * math.sqrt(2.0 * p.sigma_0**2 * log_term) * p.K
-    c_delta += math.sqrt(2.0 * p.sigma_0**2 / math.pi) * p.K * p.n * p.delta
+    c_delta = 2.0 * math.sqrt(2.0 * sigma_0**2 * log_term) * p.K
+    c_delta += math.sqrt(2.0 * sigma_0**2 / math.pi) * p.K * p.n * p.delta
     explore = 4.0 * math.sqrt(2.0 * p.sigma**2 * p.K * log_term)
-    return c_delta + explore * root_gap(p.n, p.K, p.sigma, p.sigma_0)
+    return c_delta + explore * root_gap(p.n, p.K, p.sigma, sigma_0)
 
 
 def lemma2_bound(p: BoundParams, mu_star_maxnorm: float, epsilon: float) -> float:
@@ -183,6 +208,13 @@ class CertResult:
         return {**asdict(self), "passed": self.passed}
 
 
+def certify_config(p: BoundParams, master_seed: int = 23) -> ExperimentConfig:
+    """The Gaussian config both certifications run at p, each with its own agent."""
+    return ExperimentConfig(
+        family=GAUSSIAN, runs=1, agents=({"kind": "oracle"},), master_seed=master_seed, **_model(p)
+    )
+
+
 def certify_lemma1(config: ExperimentConfig, R: int = 1000) -> CertResult:
     """Single-task regret of TS with the correct prior vs. its bound at
     delta = 1/n. Runs R independent single-task Gaussian experiments."""
@@ -192,19 +224,9 @@ def certify_lemma1(config: ExperimentConfig, R: int = 1000) -> CertResult:
     name = report.agent_names[0]
     # delta = 1/n, clamped below 1 so the n=1 degenerate horizon stays valid
     # (log(1/delta) -> 0 there, leaving only the n*delta part of c(delta)).
-    p = BoundParams(
-        K=config.K,
-        n=config.n,
-        m=1,
-        sigma=config.sigma,
-        sigma_0=config.sigma_0,
-        sigma_q=config.sigma_q,
-        delta=min(1.0 / config.n, 1.0 - 1e-9),
-    )
+    p = BoundParams(**_model(report.config), delta=min(1.0 / config.n, 1.0 - 1e-9))
     return CertResult(
-        empirical=report.final_mean(name),
-        bound=lemma1_bound(p),
-        stderr=report.final_stderr(name),
+        empirical=report.final_mean(name), bound=lemma1_bound(p), stderr=report.final_stderr(name)
     )
 
 
@@ -232,19 +254,18 @@ def certify_lemma3(report: RegretReport, delta: float = 0.1) -> float:
     the start of every task. The guarantee is frequency <= m * delta.
     """
     c = report.config
-    _check_lemma3(c["family"], c["K"], c["n"])
-    metats = [a for a in c["agents"] if a["kind"] == "metats"]
+    _check_lemma3(c.family, c.K, c.n)
+    metats = [a for a in c.agents if a["kind"] == "metats"]
     if [(a["forced_last_k"], a["misspecification_scale"]) for a in metats] != [(True, 1.0)]:
         raise ValueError(
             "lemma 3 certification needs exactly one MetaTS agent, with "
             "forced_last_k and misspecification_scale 1"
         )
-    keys = ("K", "n", "m", "sigma", "sigma_0", "sigma_q")
-    p = BoundParams(**{key: c[key] for key in keys}, delta=delta)
+    p = BoundParams(**_model(c), delta=delta)
     radii = np.array([lemma3_radius(p, s) for s in range(1, p.m + 1)])
     errors = report.prior_error.get(metats[0]["name"])
     if errors is None:
-        raise ValueError("the report carries no prior_error; report.json does not hold it")
+        raise ValueError("the report carries no prior_error")
     return int(np.any(errors > radii, axis=1).sum()) / float(report.runs)
 
 
@@ -300,6 +321,24 @@ def check_technical_lemmas(trials: int = 10_000, seed: int = 0) -> dict:
     }
 
 
+def _evaluate(p: BoundParams) -> dict:
+    """The params and every closed-form number bounds_report emits at p."""
+    t1 = theorem1_bound(p)
+    marginal_width = math.sqrt(p.sigma_q**2 + p.sigma_0**2)
+    return {
+        "params": asdict(p),
+        "root_gap_prior": root_gap(p.n, p.K, p.sigma, p.sigma_0),
+        "root_gap_marginal": root_gap(p.n, p.K, p.sigma, marginal_width),
+        "lemma1_bound": lemma1_bound(p),
+        "lemma1_bound_marginal": lemma1_bound(p, marginal_width),
+        "lemma3_radius_task1": lemma3_radius(p, 1),
+        "lemma3_radius_final": lemma3_radius(p, p.m),
+        "theorem1": t1.to_json_dict(),
+        "leading_terms": t1.leading_terms,
+        "full_bound": t1.full,
+    }
+
+
 def bounds_report(
     p: BoundParams,
     certify: bool = False,
@@ -313,34 +352,9 @@ def bounds_report(
     With certify=True the Monte Carlo certifications are appended; they cost
     on the order of runs * m * n simulated rounds.
     """
-    t1 = theorem1_bound(p)
-    marginal_width = math.sqrt(p.sigma_q**2 + p.sigma_0**2)
-    report = {
-        "params": asdict(p),
-        "root_gap_prior": root_gap(p.n, p.K, p.sigma, p.sigma_0),
-        "root_gap_marginal": root_gap(p.n, p.K, p.sigma, marginal_width),
-        "lemma1_bound": lemma1_bound(p),
-        "lemma1_bound_marginal": lemma1_bound(replace(p, sigma_0=marginal_width)),
-        "lemma3_radius_task1": lemma3_radius(p, 1),
-        "lemma3_radius_final": lemma3_radius(p, p.m),
-        "theorem1": t1.to_json_dict(),
-        "leading_terms": t1.leading_terms,
-        "full_bound": t1.full,
-        "empirical": None,
-        "violation_frequency": None,
-    }
+    report = {**_evaluate(p), "empirical": None, "violation_frequency": None}
     if certify:
-        config = ExperimentConfig(
-            family=GAUSSIAN,
-            K=p.K,
-            m=p.m,
-            n=p.n,
-            runs=1,
-            sigma=p.sigma,
-            sigma_0=p.sigma_0,
-            sigma_q=p.sigma_q,
-            master_seed=master_seed,
-        )
+        config = certify_config(p, master_seed)
         lemma1 = certify_lemma1(config, R=runs)
         report["empirical"] = lemma1.to_json_dict()
         lemma3 = run_experiment(lemma3_config(config, R=runs))

@@ -19,9 +19,9 @@ import sys
 from dataclasses import MISSING, fields
 from importlib import resources
 
-from .bounds import BoundParams, bounds_report
+from .bounds import BoundParams, bounds_report, certify_config
 from .harness import (
-    MAX_REGRET_CELLS, MAX_THREADS, ExperimentConfig, check_task_cells, emit_report, run_experiment
+    MAX_REGRET_CELLS, MAX_THREADS, ExperimentConfig, emit_report, run_experiment
 )
 from .posteriors import NumericalError
 from .selftest import run_selftest
@@ -254,8 +254,8 @@ def _check_certify_flags(args, params: BoundParams, seed) -> None:
         if not ok:
             raise ConfigError(message)
     try:
-        # Each certify run plays one agent, at the config's default d.
-        check_task_cells(params.n, 1, params.K, ExperimentConfig.d)
+        # The config the certifications run refuses K < 2 and a task too large.
+        certify_config(params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -25,6 +25,7 @@ __all__ = [
     "GaussianDiagPrior",
     "LinearGaussianPrior",
     "CategoricalWeights",
+    "check_weights",
     "GaussianDiagState",
     "LinearState",
     "sample_instance_prior",
@@ -47,6 +48,13 @@ def _width(value, name: str) -> float:
     if not (w > 0.0 and w * w < math.inf):
         raise ValueError(f"{name} must be > 0 with a finite square, got {w!r}")
     return w
+
+
+def check_weights(weights: np.ndarray, name: str = "weights") -> None:
+    """The one rule for categorical weights (a float64 array), config and state
+    alike: nonnegative (NaN is not), numpy's pairwise sum within 1e-9 of 1."""
+    if not (np.all(weights >= 0.0) and abs(float(weights.sum()) - 1.0) <= 1e-9):
+        raise ValueError(f"{name} must be nonnegative and sum to 1 within 1e-9")
 
 
 def _check_spd(mat, name: str, *, allow_semidefinite: bool = False) -> np.ndarray:
@@ -164,10 +172,7 @@ class CategoricalWeights:
         self.priors = tuple(self.priors)
         if self.weights.size != len(self.priors):
             raise ValueError("need one weight per candidate prior")
-        if np.any(self.weights < 0.0):
-            raise ValueError("weights must be nonnegative")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1 within 1e-9")
+        check_weights(self.weights)
         arms = {p.num_arms for p in self.priors}
         if len(arms) != 1:
             raise ValueError("all candidate priors must share the arm count")

@@ -29,6 +29,7 @@ from .envs import (
     GaussianDiagState,
     LinearGaussianPrior,
     LinearState,
+    check_weights,
     reward_table,
     sample_instance_prior,
     sample_task_instance,
@@ -42,7 +43,6 @@ __all__ = [
     "DEFAULT_BERNOULLI_WEIGHTS",
     "build_meta_prior",
     "check_widths",
-    "check_task_cells",
     "agnostic_prior_for",
     "run_task",
     "run_experiment",
@@ -92,10 +92,10 @@ MAX_REGRET_CELLS = 10**7
 # of about 38 MB, and a pool forks all of them at its first task.
 MAX_THREADS = 64
 
-# Largest n * agents * (K + d), the reward and noise cells one run holds per
-# task (the cells _runs_per_chunk counts). Peak memory grows by up to about
-# 35 bytes per cell (Gaussian play, whose rows go through Python lists), so a
-# task at the bound peaks near 350 MB.
+# Largest ExperimentConfig.task_cells, the reward and Thompson noise cells one
+# run holds per task (the cells _runs_per_chunk counts). Peak memory grows by
+# up to about 35 bytes per cell (Gaussian play, whose rows go through Python
+# lists), so a task at the bound peaks near 350 MB.
 MAX_TASK_CELLS = 10**7
 
 
@@ -159,18 +159,6 @@ def check_widths(sigma, sigma_0, sigma_q) -> None:
             )
 
 
-def check_task_cells(n: int, agents: int, K: int, d: int) -> int:
-    """The reward and noise cells one run holds per task; a task with more
-    than MAX_TASK_CELLS of them is rejected before anything is allocated."""
-    cells = n * agents * (K + d)
-    if cells > MAX_TASK_CELLS:
-        raise ValueError(
-            f"n * agents * (K + d) must be <= {MAX_TASK_CELLS}; got "
-            f"{n} * {agents} * ({K} + {d}) = {cells}"
-        )
-    return cells
-
-
 @dataclass
 class ExperimentConfig:
     """Fully validated experiment description; field names match the JSON keys."""
@@ -222,7 +210,11 @@ class ExperimentConfig:
                 f"runs * m * agents must be <= {MAX_REGRET_CELLS}; got "
                 f"{self.runs} * {self.m} * {len(self.agents)} = {cells}"
             )
-        check_task_cells(self.n, len(self.agents), self.K, self.d)
+        if self.task_cells > MAX_TASK_CELLS:
+            raise ValueError(
+                f"n * agents * (K + noise) must be <= {MAX_TASK_CELLS}; got {self.n} * "
+                f"{len(self.agents)} * ({self.K} + {self.noise_cells}) = {self.task_cells}"
+            )
 
     def _validate_bernoulli_table(self) -> None:
         if self.family != BERNOULLI:
@@ -251,8 +243,7 @@ class ExperimentConfig:
         )
         if len(weights) != len(table):
             raise ValueError("prior_weights length must match prior_table")
-        if not (all(w >= 0.0 for w in weights) and abs(sum(weights) - 1.0) <= 1e-9):
-            raise ValueError("prior_weights must be nonnegative and sum to 1")
+        check_weights(np.array(weights), "prior_weights")
         self.prior_table = tuple(table)
         self.prior_weights = weights
 
@@ -369,6 +360,18 @@ class ExperimentConfig:
     def agent_names(self) -> tuple:
         return tuple(entry["name"] for entry in self.agents)
 
+    @property
+    def noise_cells(self) -> int:
+        """The Thompson noise one agent draws per round: one normal per
+        feature (linear) or per arm (Gaussian); Beta draws hold none."""
+        return {BERNOULLI: 0, GAUSSIAN: self.K, LINEAR: self.d}[self.family]
+
+    @property
+    def task_cells(self) -> int:
+        """The reward and noise cells one run holds per task, refused above
+        MAX_TASK_CELLS before anything is allocated."""
+        return self.n * len(self.agents) * (self.K + self.noise_cells)
+
     def echo(self) -> dict:
         """Config as a JSON-able dict, excluding delivery knobs (output_dir)."""
         out = {}
@@ -484,8 +487,7 @@ def run_task(
 def _runs_per_chunk(config: ExperimentConfig) -> int:
     """Runs simulated together, so that a chunk holds at most CHUNK_CELLS
     reward and noise cells per task whatever n, K, d and the agent count are."""
-    cells = check_task_cells(config.n, len(config.agents), config.K, config.d)
-    return max(1, min(config.runs, CHUNK_CELLS // cells))
+    return max(1, min(config.runs, CHUNK_CELLS // config.task_cells))
 
 
 def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> tuple:
@@ -573,20 +575,26 @@ def _run_payload(args):
 
 @dataclass(eq=False)
 class RegretReport:
-    """Per-(agent, run, task) cumulative pseudo-regret plus aggregation.
+    """Per-(agent, run, task) cumulative pseudo-regret of the config that ran,
+    plus aggregation.
 
     prior_error maps each Gaussian MetaTS agent to a (runs, tasks) array: the
     max-norm distance of the prior mean it sampled at the start of a task
     from the true prior mean. It is not emitted.
     """
 
-    agent_names: tuple
+    config: ExperimentConfig
     cum_regret: np.ndarray  # shape (agents, runs, tasks)
-    config: dict
-    master_seed: int
-    version: str = __version__
     true_prior_weight: dict = field(default_factory=dict)
     prior_error: dict = field(default_factory=dict)
+
+    @property
+    def agent_names(self) -> tuple:
+        return self.config.agent_names
+
+    @property
+    def master_seed(self) -> int:
+        return self.config.master_seed
 
     @property
     def num_tasks(self) -> int:
@@ -617,23 +625,19 @@ class RegretReport:
         return float(self.stderr()[self.agent_index(agent), -1])
 
     def to_json_dict(self) -> dict:
+        names = self.agent_names
+        mean, stderr = self.mean(), self.stderr()
         out = {
-            "version": self.version,
+            "version": __version__,
             "master_seed": self.master_seed,
-            "config": self.config,
-            "agents": list(self.agent_names),
+            "config": self.config.echo(),
+            "agents": list(names),
             "runs": self.runs,
             "num_tasks": self.num_tasks,
-            "cum_regret": {
-                name: self.cum_regret[i].tolist()
-                for i, name in enumerate(self.agent_names)
-            },
+            "cum_regret": {name: self.cum_regret[i].tolist() for i, name in enumerate(names)},
             "summary": {
-                name: {
-                    "mean": self.mean()[i].tolist(),
-                    "stderr": self.stderr()[i].tolist(),
-                }
-                for i, name in enumerate(self.agent_names)
+                name: {"mean": mean[i].tolist(), "stderr": stderr[i].tolist()}
+                for i, name in enumerate(names)
             },
         }
         if self.true_prior_weight:
@@ -641,23 +645,6 @@ class RegretReport:
                 name: trace.tolist() for name, trace in self.true_prior_weight.items()
             }
         return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RegretReport":
-        names = tuple(data["agents"])
-        cum = np.array([data["cum_regret"][name] for name in names], dtype=float)
-        traces = {
-            name: np.array(trace, dtype=float)
-            for name, trace in data.get("true_prior_weight", {}).items()
-        }
-        return cls(
-            agent_names=names,
-            cum_regret=cum,
-            config=data["config"],
-            master_seed=data["master_seed"],
-            version=data["version"],
-            true_prior_weight=traces,
-        )
 
 
 def run_experiment(
@@ -706,14 +693,7 @@ def run_experiment(
                 if progress is not None:
                     progress(runs.stop * config.m, config.runs * config.m)
 
-    return RegretReport(
-        agent_names=config.agent_names,
-        cum_regret=np.cumsum(per_task, axis=2),
-        config=config.echo(),
-        master_seed=config.master_seed,
-        true_prior_weight=traces,
-        prior_error=errors,
-    )
+    return RegretReport(config, np.cumsum(per_task, axis=2), traces, errors)
 
 
 def regret_slope(report: RegretReport, agent: str, window: tuple) -> float:

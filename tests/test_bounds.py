@@ -5,7 +5,9 @@ arithmetic with math functions) rather than trusted from the implementation.
 """
 
 import dataclasses
+import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -20,6 +22,7 @@ from metats.bounds import (
     CertResult,
     Theorem1Bound,
     bounds_report,
+    certify_config,
     certify_lemma1,
     certify_lemma3,
     check_technical_lemmas,
@@ -167,6 +170,51 @@ class TestBoundParams:
             dataclasses.replace(SEC5, sigma_0=0.0)
 
 
+    @pytest.mark.parametrize(
+        "kw, named",
+        [
+            (dict(n=10**160), "n=1e+160"),
+            (dict(m=10**308), "m=1e+308"),
+            (dict(K=10**300), "K=1e+300"),
+            (dict(delta=1e-320), "delta=9.99989e-321"),
+            # Every key off its default, in field order.
+            (dict(n=10**160, sigma=2.0, m=40), "n=1e+160, m=40, sigma=2"),
+            (dict(sigma=1e154, sigma_0=1e154), "sigma=1e+154, sigma_0=1e+154"),
+        ],
+    )
+    def test_overflowing_bounds_name_the_keys(self, kw, named):
+        message = f"^every bound must be a finite float, but they overflow at {re.escape(named)}$"
+        with pytest.raises(ValueError, match=message):
+            BoundParams(**kw)
+
+
+# Integers up to 1e300, spread over every decade.
+BIG_INTS = st.one_of(
+    st.integers(1, 10**300),
+    st.builds(lambda a, e: a * 10**e, st.integers(1, 9), st.integers(0, 299)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    K=BIG_INTS,
+    n=BIG_INTS,
+    m=BIG_INTS,
+    # Down to the smallest subnormal.
+    delta=st.one_of(
+        st.floats(5e-324, 1.0, exclude_max=True),
+        st.builds(lambda a, e: a * 10.0**e, st.integers(1, 9), st.integers(-323, -1)),
+    ),
+)
+def test_params_are_refused_by_key_or_emit_finite_json(K, n, m, delta):
+    try:
+        p = BoundParams(K=K, n=n, m=m, delta=delta)
+    except ValueError as exc:
+        assert re.search(r"overflow at (K|n|m|delta)=", str(exc)), str(exc)
+        return
+    json.dumps(bounds_report(p), allow_nan=False)
+
+
 class TestRootGap:
     def test_benchmark_prior_value(self):
         # sigma^2 sigma_0^-2 K = 200, so the gap is sqrt(400) - sqrt(200).
@@ -224,6 +272,10 @@ class TestLemma1:
         for p in (SEC5,) + cases:
             value = lemma1_bound(p)
             assert math.isfinite(value) and value > 0.0
+
+    def test_width_argument_is_the_replaced_params(self):
+        width = math.sqrt(SEC5.sigma_q**2 + SEC5.sigma_0**2)
+        assert lemma1_bound(SEC5, width) == lemma1_bound(dataclasses.replace(SEC5, sigma_0=width))
 
 
 class TestLemma2:
@@ -439,9 +491,8 @@ class TestCertifications:
         with pytest.raises(ValueError, match="horizon"):
             certify_lemma3(run_experiment(short))
         run = run_experiment(lemma3_config(ExperimentConfig(m=2, n=5), R=2))
-        loaded = harness.RegretReport.from_json_dict(run.to_json_dict())
         with pytest.raises(ValueError, match="no prior_error"):
-            certify_lemma3(loaded)
+            certify_lemma3(dataclasses.replace(run, prior_error={}))
 
     @pytest.mark.parametrize(
         "agents",
@@ -513,6 +564,15 @@ class TestPriorError:
 
 
 class TestBoundsReport:
+    def test_certify_config_holds_one_agents_task_cells(self):
+        # This config once held three agents while the CLI checked one agent's
+        # cells, so an n between the two passed the CLI and then exited 2.
+        config = certify_config(BoundParams(n=2_500_000))
+        assert (config.family, len(config.agents)) == ("gaussian", 1)
+        assert config.task_cells == 2_500_000 * (2 + 2) == harness.MAX_TASK_CELLS
+        with pytest.raises(ValueError, match=r"^n \* agents \* \(K \+ noise\)"):
+            certify_config(BoundParams(n=2_500_001))
+
     def test_plain_report(self):
         report = bounds_report(SEC5)
         assert abs(report["root_gap_prior"] - 5.858) < 0.01

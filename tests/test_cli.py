@@ -208,7 +208,7 @@ class TestConfigErrors:
             # A task too large for memory, refused before anything is allocated.
             (
                 "n=1000000000",
-                "n * agents * (K + d) must be <= 10000000; got 1000000000 * 3 * (2 + 2) = "
+                "n * agents * (K + noise) must be <= 10000000; got 1000000000 * 3 * (2 + 2) = "
                 "12000000000",
             ),
             # Was a TypeError traceback from os.makedirs after the whole run.
@@ -320,6 +320,38 @@ class TestConfigErrors:
         assert "does-not-exist" in err
         assert "gaussian-sec5" in err
 
+    def test_weights_off_by_numpys_sum_exit_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # Python's sum puts these within 1e-9 of 1 and numpy's does not: the
+        # config accepted them, and every run died with exit 2 naming no key.
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a simulation started")
+
+        monkeypatch.setattr(harness, "_simulate_runs", no_simulation)
+        weights = [
+            0.11060546255805882, 0.15589299600275422, 0.01226266979389847,
+            0.022913499402897473, 0.14786723381704564, 0.09176484111365023,
+            0.07376533935806588, 0.040797593432236275, 0.09479838956802387,
+            0.17358585944382207, 0.07574611650954695,
+        ]
+        table = [[[2, 2], [2, 2]]] * len(weights)
+        code = main([
+            "run", "--preset", "bernoulli-smoke", "--output", str(tmp_path), "m=1", "n=2",
+            "runs=1", f"prior_table={json.dumps(table)}", f"prior_weights={json.dumps(weights)}",
+        ])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: prior_weights must be nonnegative and sum to 1 within 1e-9\n"
+        )
+
+    def test_gaussian_task_cells_ignore_d(self, tmp_path, capsys):
+        # A Gaussian agent draws K noise cells a round, never d.
+        args = ["d=100000000", "m=1", "n=2", "runs=1"]
+        code = main(["run", "--preset", "gaussian-smoke", "--output", str(tmp_path), *args])
+        assert code == EXIT_OK
+        assert read_report(tmp_path)["config"]["d"] == 100_000_000
+
 
 class TestSeedPrecedence:
     def test_env_seed(self, tmp_path, monkeypatch):
@@ -404,6 +436,22 @@ class TestCheckBounds:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "override, key",
+        [("n=1e160", "n=1e+160"), ("m=1e308", "m=1e+308"), ("K=1e300", "K=1e+300"),
+         ("delta=1e-320", "delta=9.99989e-321")],
+    )
+    def test_overflowing_params_name_the_key(self, capsys, override, key):
+        # Each was exit 2 naming no key: an int too large for a float
+        # (n, m), or an Infinity the JSON output refused (K, delta).
+        code = main(["check-bounds", override])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: every bound must be a finite float, but they overflow at {key}\n"
+        )
+
     def test_unknown_key(self, capsys):
         code = main(["check-bounds", "kappa=3"])
         assert code == EXIT_CONFIG
@@ -441,7 +489,9 @@ class TestCheckBounds:
             (["n=1", "K=3"], "n must be >= K"),
             (["--runs", "10000001"], "--runs"),
             (["--runs", "500001"], "--runs"),
-            (["n=1000000000"], "n * agents * (K + d) must be <= 10000000"),
+            (["n=1000000000"], "n * agents * (K + noise) must be <= 10000000"),
+            # Was exit 2 from the certify config, after the flag checks passed.
+            (["K=1", "n=5"], "K must be >= 2"),
         ],
     )
     def test_certify_flag_out_of_domain_names_flag(self, capsys, monkeypatch, args, flag):

@@ -41,6 +41,17 @@ VARIANTS = {
             ],
         },
     ),
+    # From 8 candidates on, numpy's pairwise sum adds the weights in another
+    # order than Python's sum does.
+    "bernoulli-11-priors": (
+        "bernoulli-smoke",
+        {
+            "m": 3,
+            "n": 20,
+            "prior_table": [[[1 + j, 11 - j], [11 - j, 1 + j]] for j in range(11)],
+            "prior_weights": [1 / 11] * 11,
+        },
+    ),
 }
 REPORT_FILES = ("rows.csv", "summary.csv", "report.json")
 

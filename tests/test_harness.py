@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metats import harness
+from metats import __version__, harness
 from metats.agents import Agent, play_tasks
 from metats.envs import (
     BetaProductPrior,
@@ -37,6 +37,13 @@ from metats.harness import (
 from metats.rng import derive_stream, name_substream
 
 SMALL = dict(m=3, n=15, runs=2)
+# Eleven weights that Python's sum puts within 1e-9 of 1 and numpy's
+# pairwise sum, the one categorical states use, does not.
+ELEVEN_WEIGHTS = [
+    0.11060546255805882, 0.15589299600275422, 0.01226266979389847, 0.022913499402897473,
+    0.14786723381704564, 0.09176484111365023, 0.07376533935806588, 0.040797593432236275,
+    0.09479838956802387, 0.17358585944382207, 0.07574611650954695,
+]
 # Log-uniform over 340 decades, plus every float (zero, subnormal, inf, nan).
 WIDTHS = st.floats(-170.0, 170.0).map(lambda e: 10.0**e) | st.floats()
 # Beta shapes over the whole normal range, where log_gamma's own limits lie.
@@ -104,10 +111,10 @@ class TestExperimentConfig:
             (dict(sigma=True), r"^sigma must be a number, got True$"),
             (dict(sigma_0="wide"), r"^sigma_0 must be a number, got 'wide'$"),
             # A task's reward and noise cells, bounded before anything is allocated.
-            (dict(n=10**9, m=1, runs=1), r"^n \* agents \* \(K \+ d\) must be <= 10000000; "
+            (dict(n=10**9, m=1, runs=1), r"^n \* agents \* \(K \+ noise\) must be <= 10000000; "
              r"got 1000000000 \* 3 \* \(2 \+ 2\) = 12000000000$"),
-            (dict(K=10**7, n=1, agents=({"kind": "oracle"},)), r"^n \* agents \* \(K \+ d\)"),
-            (dict(family="linear", d=10**6, n=5), r"^n \* agents \* \(K \+ d\)"),
+            (dict(K=10**7, n=1, agents=({"kind": "oracle"},)), r"^n \* agents \* \(K \+ noise\)"),
+            (dict(family="linear", d=10**6, n=5), r"^n \* agents \* \(K \+ noise\)"),
             (dict(output_dir=5), r"^output_dir must be a string, got 5$"),
         ],
     )
@@ -144,11 +151,34 @@ class TestExperimentConfig:
             ExperimentConfig(agents=({"kind": "oracle", "name": name},))
 
     def test_task_cell_bound_is_inclusive(self):
-        # n * agents * (K + d) = 9,999,996: accepted, and nothing is allocated.
+        # n * agents * (K + noise) = 9,999,996: accepted, and nothing is allocated.
         config = ExperimentConfig(n=833_333, m=1, runs=1)
         assert harness._runs_per_chunk(config) == 1
-        with pytest.raises(ValueError, match=r"^n \* agents \* \(K \+ d\)"):
+        with pytest.raises(ValueError, match=r"^n \* agents \* \(K \+ noise\)"):
             ExperimentConfig(n=833_334, m=1, runs=1)
+
+    @pytest.mark.parametrize(
+        "family, noise", [("bernoulli", 0), ("gaussian", 5), ("linear", 3)]
+    )
+    def test_task_cells_count_the_familys_own_noise(self, family, noise):
+        # One run holds n * agents * K rewards plus the Thompson noise the
+        # family draws per round: none for Beta draws, one normal per arm
+        # (Gaussian) or per feature (linear).
+        kw = dict(family=family, K=5, d=3, m=1, runs=1, n=10)
+        if family == "bernoulli":
+            kw["prior_table"] = [[[2, 2]] * 5]
+        config = ExperimentConfig(**kw)
+        assert config.noise_cells == noise
+        assert config.task_cells == 10 * 3 * (5 + noise)
+        agents = len(config.agents)
+        n_max = harness.MAX_TASK_CELLS // (agents * (5 + noise))
+        ExperimentConfig(**{**kw, "n": n_max})
+        message = (
+            f"^n \\* agents \\* \\(K \\+ noise\\) must be <= 10000000; got {n_max + 1} "
+            f"\\* {agents} \\* \\(5 \\+ {noise}\\) = {(n_max + 1) * agents * (5 + noise)}$"
+        )
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{**kw, "n": n_max + 1})
 
     def test_duplicate_detection_uses_default_names(self):
         # Two metats entries at the same scale collide unless renamed.
@@ -202,6 +232,17 @@ class TestExperimentConfig:
                     prior_table=DEFAULT_BERNOULLI_PRIOR_TABLE,
                     prior_weights=weights,
                 )
+
+    def test_prior_weights_pass_the_categorical_states_rule(self):
+        # The config once summed the weights with Python's sum and accepted
+        # these; every run then died building the meta-prior.
+        table = [[[2, 2], [2, 2]]] * len(ELEVEN_WEIGHTS)
+        message = "^prior_weights must be nonnegative and sum to 1 within 1e-9$"
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(family="bernoulli", prior_table=table, prior_weights=ELEVEN_WEIGHTS)
+        priors = [BetaProductPrior(alpha=[2.0, 2.0], beta=[2.0, 2.0])] * len(ELEVEN_WEIGHTS)
+        with pytest.raises(ValueError, match="^weights must be nonnegative and sum to 1 within 1e-9$"):
+            CategoricalWeights(weights=ELEVEN_WEIGHTS, priors=priors)
 
     @pytest.mark.parametrize(
         "kw, msg",
@@ -621,12 +662,8 @@ class TestRegretReport:
     def make_report(self):
         gen = np.random.default_rng(3)
         cum = np.cumsum(gen.uniform(0.0, 2.0, size=(2, 5, 4)), axis=2)
-        return RegretReport(
-            agent_names=("A", "B"),
-            cum_regret=cum,
-            config={"family": "gaussian"},
-            master_seed=9,
-        )
+        agents = ({"kind": "oracle", "name": "A"}, {"kind": "oracle", "name": "B"})
+        return RegretReport(ExperimentConfig(agents=agents, master_seed=9), cum)
 
     def test_mean_and_stderr_against_numpy(self):
         rep = self.make_report()
@@ -637,12 +674,8 @@ class TestRegretReport:
         assert rep.final_stderr("A") == rep.stderr()[0, -1]
 
     def test_single_run_stderr_is_zero(self):
-        rep = RegretReport(
-            agent_names=("A",),
-            cum_regret=np.ones((1, 1, 3)),
-            config={},
-            master_seed=0,
-        )
+        config = ExperimentConfig(agents=({"kind": "oracle", "name": "A"},), master_seed=0)
+        rep = RegretReport(config, np.ones((1, 1, 3)))
         np.testing.assert_array_equal(rep.stderr(), np.zeros((1, 3)))
 
     def test_unknown_agent(self):
@@ -651,26 +684,34 @@ class TestRegretReport:
             rep.agent_index("C")
 
     def test_json_round_trip_exact(self):
+        # report.json is read back with json.load; there is no reader of its own.
         rep = self.make_report()
         rep.true_prior_weight = {"A": np.array([[0.5, 0.625, 1.0]])}
-        back = RegretReport.from_json_dict(
-            json.loads(json.dumps(rep.to_json_dict()))
-        )
-        assert back.agent_names == rep.agent_names
-        assert back.master_seed == rep.master_seed
-        assert back.version == rep.version
-        np.testing.assert_array_equal(back.cum_regret, rep.cum_regret)
+        back = json.loads(json.dumps(rep.to_json_dict()))
+        assert tuple(back["agents"]) == rep.agent_names == ("A", "B")
+        assert back["master_seed"] == rep.master_seed == 9
+        assert back["version"] == __version__
+        assert back["config"] == rep.config.echo()
+        cum = np.array([back["cum_regret"][name] for name in back["agents"]])
+        np.testing.assert_array_equal(cum, rep.cum_regret)
         np.testing.assert_array_equal(
-            back.true_prior_weight["A"], rep.true_prior_weight["A"]
+            back["true_prior_weight"]["A"], rep.true_prior_weight["A"]
         )
+
+    def test_agents_and_seed_are_the_configs(self):
+        rep = self.make_report()
+        assert rep.agent_names == rep.config.agent_names
+        assert rep.master_seed == rep.config.master_seed
+        assert [f.name for f in fields(RegretReport)] == [
+            "config", "cum_regret", "true_prior_weight", "prior_error"
+        ]
 
 
 class TestRegretSlope:
     def linear_report(self, per_task):
         cum = np.cumsum(np.full((1, 3, 6), per_task), axis=2)
-        return RegretReport(
-            agent_names=("A",), cum_regret=cum, config={}, master_seed=0
-        )
+        config = ExperimentConfig(agents=({"kind": "oracle", "name": "A"},), master_seed=0)
+        return RegretReport(config, cum)
 
     def test_constant_per_task_regret_gives_that_slope(self):
         rep = self.linear_report(1.75)
