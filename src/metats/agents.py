@@ -13,20 +13,16 @@ from __future__ import annotations
 import numpy as np
 
 from .posteriors import (
-    CategoricalWeights,
-    GaussianDiagState,
     LinearGaussianPosterior,
     TaskLog,
     init_task_posterior,
     play_linear,
     sample_meta_posterior,
     sample_task_posterior,
-    update_meta_posterior_categorical,
-    update_meta_posterior_gaussian,
-    update_meta_posterior_linear,
+    update_meta_posteriors,
 )
 
-__all__ = ["METATS", "ORACLE", "AGNOSTIC", "KINDS", "Agent", "play_tasks"]
+__all__ = ["METATS", "ORACLE", "AGNOSTIC", "KINDS", "Agent", "play_tasks", "end_tasks"]
 
 METATS = "metats"
 ORACLE = "oracle"
@@ -176,21 +172,7 @@ class Agent:
         return TaskLog(self.task_prior.num_arms, self._arms[:played], self._rewards[:played])
 
     def end_task(self) -> None:
-        if not self._in_task:
-            raise RuntimeError("end_task outside a task")
-        if self.rounds_played < self.horizon:
-            raise RuntimeError(
-                f"end_task after {self.rounds_played}/{self.horizon} rounds"
-            )
-        if self.kind == METATS:
-            if isinstance(self.meta, CategoricalWeights):
-                self.meta = update_meta_posterior_categorical(self.meta, self.log)
-            elif isinstance(self.meta, GaussianDiagState):
-                self.meta = update_meta_posterior_gaussian(self.meta, self.log)
-            else:
-                self.meta = update_meta_posterior_linear(self.meta, self.log)
-        self.tasks_completed += 1
-        self._in_task = False
+        end_tasks([self])
 
 
 def play_tasks(agents: list, streams: list, tables: list) -> np.ndarray:
@@ -212,7 +194,8 @@ def play_tasks(agents: list, streams: list, tables: list) -> np.ndarray:
     posterior's play: Beta draws are rejection-sampled, and a Gaussian round
     there costs 0.6-1.2 us at K=2 (2-core x86-64 host), what a stacked numpy
     round costs per pair at two dozen pairs. Either way, each agent's arms,
-    log and posterior equal those of playing it alone.
+    log and posterior equal those of playing it alone; end_tasks then ends
+    every task in one call, stacking the meta-updates the same way.
     """
     for agent in agents:
         agent._check_can_select()
@@ -240,3 +223,24 @@ def play_tasks(agents: list, streams: list, tables: list) -> np.ndarray:
             arms[i] = agent._play_rounds(streams[i], tables[i])
         agent._record(arms[i], tables[i][rounds, arms[i]])
     return arms
+
+
+def end_tasks(agents: list) -> None:
+    """End every agent's task after its last round; all are checked first.
+
+    The MetaTS meta-updates go through posteriors.update_meta_posteriors in
+    one call, so the categorical (or Gaussian) states of a chunk update as
+    one array computation, with the bits of ending each task alone.
+    """
+    for agent in agents:
+        if not agent._in_task:
+            raise RuntimeError("end_task outside a task")
+        if agent.rounds_played < agent.horizon:
+            raise RuntimeError(f"end_task after {agent.rounds_played}/{agent.horizon} rounds")
+    learners = [agent for agent in agents if agent.kind == METATS]
+    metas = update_meta_posteriors([a.meta for a in learners], [a.log for a in learners])
+    for agent, meta in zip(learners, metas):
+        agent.meta = meta
+    for agent in agents:
+        agent.tasks_completed += 1
+        agent._in_task = False

@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .harness import (
-    GAUSSIAN, ExperimentConfig, RegretReport, _as_float, _as_int, check_widths, run_experiment
+    DEFAULT_MASTER_SEED, GAUSSIAN, ExperimentConfig, RegretReport, _as_float, _as_int,
+    check_widths, run_experiment,
 )
 # perfbench/worker.py wraps bounds.run_task before any run, so the name stays.
 from .harness import run_task  # noqa: F401
@@ -208,7 +209,7 @@ class CertResult:
         return {**asdict(self), "passed": self.passed}
 
 
-def certify_config(p: BoundParams, master_seed: int = 23) -> ExperimentConfig:
+def certify_config(p: BoundParams, master_seed: int = DEFAULT_MASTER_SEED) -> ExperimentConfig:
     """The Gaussian config both certifications run at p, each with its own agent."""
     return ExperimentConfig(
         family=GAUSSIAN, runs=1, agents=({"kind": "oracle"},), master_seed=master_seed, **_model(p)
@@ -234,7 +235,7 @@ def _check_lemma3(family: str, K: int, n: int) -> None:
     if family != GAUSSIAN:
         raise ValueError("lemma 3 certification needs the gaussian family")
     if n < K:
-        raise ValueError("horizon must be >= K for forced terminal pulls")
+        raise ValueError(f"n must be >= K for forced terminal pulls; got n={n}, K={K}")
 
 
 def lemma3_config(config: ExperimentConfig, R: int = 1000) -> ExperimentConfig:
@@ -345,7 +346,7 @@ def bounds_report(
     runs: int = 1000,
     lemma3_delta: float = 0.1,
     trials: int = 10_000,
-    master_seed: int = 23,
+    master_seed: int = DEFAULT_MASTER_SEED,
 ) -> dict:
     """JSON-shaped summary of every evaluator at the given params.
 

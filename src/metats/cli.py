@@ -19,9 +19,10 @@ import sys
 from dataclasses import MISSING, fields
 from importlib import resources
 
-from .bounds import BoundParams, bounds_report, certify_config
+from .bounds import BoundParams, bounds_report, certify_config, lemma3_config
 from .harness import (
-    MAX_REGRET_CELLS, MAX_THREADS, ExperimentConfig, emit_report, run_experiment
+    DEFAULT_MASTER_SEED, MAX_REGRET_CELLS, MAX_THREADS, ExperimentConfig, emit_report,
+    run_experiment,
 )
 from .posteriors import NumericalError
 from .selftest import run_selftest
@@ -216,7 +217,7 @@ def _cmd_check_bounds(args) -> int:
         runs=args.runs,
         lemma3_delta=args.lemma3_delta,
         trials=args.trials,
-        master_seed=seed if seed is not None else 23,
+        master_seed=seed if seed is not None else DEFAULT_MASTER_SEED,
     )
     print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
     if args.certify:
@@ -244,18 +245,14 @@ def _check_certify_flags(args, params: BoundParams, seed) -> None:
             not isinstance(seed, int) or seed >= 0,
             f"--seed (or METATS_SEED, master_seed) must be >= 0, got {seed}",
         ),
-        (
-            params.n >= params.K,
-            f"n must be >= K for the forced terminal pulls of --certify; "
-            f"got n={params.n}, K={params.K}",
-        ),
     )
     for ok, message in checks:
         if not ok:
             raise ConfigError(message)
     try:
-        # The config the certifications run refuses K < 2 and a task too large.
-        certify_config(params)
+        # The configs the certifications run refuse K < 2, a task too large
+        # and, for the forced terminal pulls, n < K.
+        lemma3_config(certify_config(params), R=args.runs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -16,9 +16,11 @@ updates in posteriors refine these states task by task.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .special import log_gamma
 
 __all__ = [
     "BetaProductPrior",
@@ -36,7 +38,7 @@ __all__ = [
 
 def _as_vector(x, name: str) -> np.ndarray:
     v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
+    if v.ndim != 1 or v.size == 0 or not np.isfinite(v).all():
         raise ValueError(f"{name} must be a nonempty finite vector")
     return v
 
@@ -53,7 +55,7 @@ def _width(value, name: str) -> float:
 def check_weights(weights: np.ndarray, name: str = "weights") -> None:
     """The one rule for categorical weights (a float64 array), config and state
     alike: nonnegative (NaN is not), numpy's pairwise sum within 1e-9 of 1."""
-    if not (np.all(weights >= 0.0) and abs(float(weights.sum()) - 1.0) <= 1e-9):
+    if not ((weights >= 0.0).all() and abs(float(weights.sum()) - 1.0) <= 1e-9):
         raise ValueError(f"{name} must be nonnegative and sum to 1 within 1e-9")
 
 
@@ -161,11 +163,14 @@ class CategoricalWeights:
     """Weights over a finite set of candidate Beta-product priors.
 
     The categorical meta-prior is this state at zero tasks; each completed
-    task reweights the candidates by their evidence.
+    task reweights the candidates by their evidence. _terms, the count-free
+    evidence terms (_candidate_terms), is computed when the first state of a
+    candidate set is built and handed by the meta-update to every successor.
     """
 
     weights: np.ndarray
     priors: tuple
+    _terms: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = _as_vector(self.weights, "weights")
@@ -176,6 +181,16 @@ class CategoricalWeights:
         arms = {p.num_arms for p in self.priors}
         if len(arms) != 1:
             raise ValueError("all candidate priors must share the arm count")
+        if self._terms is None:
+            self._terms = _candidate_terms(self.priors)
+
+
+def _candidate_terms(priors) -> np.ndarray:
+    """Count-free evidence rows of J priors, (6, J, K): a, b, a+b, lgGamma of a+b, a, b."""
+    a = np.stack([p.alpha for p in priors])
+    b = np.stack([p.beta for p in priors])
+    shapes = np.stack([a, b, a + b])
+    return np.concatenate([shapes, log_gamma(shapes[[2, 0, 1]])])
 
 
 @dataclass
@@ -198,7 +213,7 @@ class GaussianDiagState:
         self.var = np.asarray(self.var, dtype=float)
         if self.mu.shape != self.var.shape:
             raise ValueError("mu and var must have equal length")
-        if not np.all((self.var > 0.0) & (self.var < math.inf)):
+        if not ((self.var > 0.0) & (self.var < math.inf)).all():
             raise ValueError("meta variances must be > 0 and finite")
         self.sigma_0 = _width(self.sigma_0, "sigma_0")
         self.sigma = _width(self.sigma, "sigma")
@@ -272,7 +287,9 @@ def _sample_mvn_zero(cov: np.ndarray, stream: np.random.Generator) -> np.ndarray
 def sample_task_instance(prior, stream: np.random.Generator) -> np.ndarray:
     """Draw one task instance from an instance prior: its (K,) arm means."""
     if isinstance(prior, BetaProductPrior):
-        return stream.beta(prior.alpha, prior.beta)
+        # Scalar draws in arm order: the array call's bits and stream position, faster.
+        shapes = zip(prior.alpha.tolist(), prior.beta.tolist())
+        return np.array([stream.beta(a, b) for a, b in shapes])
     if isinstance(prior, GaussianDiagPrior):
         return stream.normal(prior.mu, prior.sigma_0)
     if isinstance(prior, LinearGaussianPrior):
@@ -299,7 +316,7 @@ def reward_table(
             f"theta needs one mean per arm of the prior ({prior.num_arms}), got {theta.size}"
         )
     if isinstance(prior, BetaProductPrior):
-        if np.any(theta < 0.0) or np.any(theta > 1.0):
+        if not (theta.min() >= 0.0 and theta.max() <= 1.0):
             raise ValueError("Bernoulli arm means must lie in [0, 1]")
         return (stream.random((horizon, theta.size)) < theta).astype(float)
     return theta + prior.sigma * stream.standard_normal((horizon, theta.size))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .agents import AGNOSTIC, KINDS, METATS, ORACLE, Agent, _default_name, play_tasks
+from .agents import AGNOSTIC, KINDS, METATS, ORACLE, Agent, _default_name, end_tasks, play_tasks
 from .envs import (
     BetaProductPrior,
     CategoricalWeights,
@@ -64,6 +64,8 @@ SUB_REWARDS = 2
 # Bound on the reward and noise cells one chunk of runs holds per task; the
 # runs of a chunk are simulated together (see _simulate_runs).
 CHUNK_CELLS = 1 << 20
+
+DEFAULT_MASTER_SEED = 23  # of every run and certification that names none
 
 # Bound on the stream keys (16 bytes each) one stream_keys call derives.
 KEY_BLOCK = 1 << 16
@@ -179,7 +181,7 @@ class ExperimentConfig:
         {"kind": "metats"},
         {"kind": "agnostic"},
     )
-    master_seed: int = 23
+    master_seed: int = DEFAULT_MASTER_SEED
     output_dir: str | None = None
 
     def __post_init__(self):
@@ -495,7 +497,8 @@ def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> tupl
 
     Every agent of a run faces the same environment draws. For each task all
     (run, agent) pairs of the chunk play in one play_tasks call, so linear
-    pairs share one stacked kernel; streams are keyed by (run, task, agent),
+    pairs share one stacked kernel, and end it in one end_tasks call, which
+    stacks the meta-updates; streams are keyed by (run, task, agent),
     so every pair's numbers equal those of simulating its run alone. The keys
     of all tasks come from one stream_keys call (per KEY_BLOCK keys), and
     each stream of a run is one generator re-keyed before every task. After
@@ -558,9 +561,9 @@ def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> tupl
         theta = np.repeat(np.stack(means), num_agents, axis=0)
         gaps = theta.max(axis=1)[:, None] - np.take_along_axis(theta, arms, axis=1)
         regret[:, :, s - 1] = gaps.sum(axis=1).reshape(len(runs), num_agents).T
+        end_tasks(pairs)
         for r, (_, _, agents, j_star, _) in enumerate(chunk):
             for agent in agents:
-                agent.end_task()
                 if agent.name in traces:
                     traces[agent.name][r, s] = agent.meta.weights[j_star]
         if progress is not None:

@@ -35,7 +35,8 @@ _HALF_LOG_2PI = 0.5 * float(np.log(2.0 * np.pi))
 def log_gamma(x):
     """Natural log of the Gamma function for x > 0 (scalar or array)."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
+    # Two reductions; a NaN fails both comparisons. An empty array passes.
+    if arr.size and not (arr.min() > 0.0 and arr.max() < np.inf):
         raise ValueError("log_gamma requires finite x > 0")
     # Row k of the stack is term k over every x; accumulate folds the rows
     # in term order, one add per row, where a reduce may sum them pairwise.

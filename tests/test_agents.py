@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from metats.agents import Agent, _default_name
+from metats.agents import Agent, _default_name, end_tasks, play_tasks
 from metats.envs import (
     BetaProductPrior,
     CategoricalWeights,
@@ -14,6 +14,11 @@ from metats.envs import (
     sample_instance_prior,
 )
 from metats.harness import ExperimentConfig, _materialize_agents, build_meta_prior
+from metats.posteriors import (
+    update_meta_posterior_categorical,
+    update_meta_posterior_gaussian,
+    update_meta_posterior_linear,
+)
 from metats.rng import derive_stream
 
 P1 = BetaProductPrior(alpha=[6.0, 2.0], beta=[2.0, 6.0])
@@ -363,3 +368,68 @@ class TestMetaLearning:
             assert seqs["metats"] == seqs["oracle"]
         # The degenerate weight vector is invariant under the update.
         np.testing.assert_array_equal(metats.meta.weights, [1.0, 0.0])
+
+
+class TestEndTasks:
+    """end_tasks over many agents equals ending each task alone."""
+
+    @staticmethod
+    def played(seed):
+        """Agents of every kind and family, each at the end of a 12-round task."""
+        lin = LinearState(
+            mu=np.zeros(2), Lambda=4.0 * np.eye(2), Sigma=0.01 * np.eye(2), sigma=1.0,
+            features=np.array([[1.0, 0.0], [0.3, 0.8]]),
+        )
+        skewed = CategoricalWeights(weights=[0.9, 0.1], priors=(P1, P2))
+        wide = GaussianDiagState(mu=[0.1, -0.2], var=[4.0, 4.0], sigma_0=0.1, sigma=1.0)
+        agents = [
+            Agent("metats", CAT_META), Agent("metats", GAUSS_META), Agent("oracle", P1),
+            Agent("metats", lin), Agent("metats", skewed), Agent("metats", wide),
+            Agent("agnostic", P2), Agent("metats", CAT_META),
+        ]
+        gen = np.random.default_rng(seed)
+        streams = [derive_stream(seed, 0, 0, i) for i in range(len(agents))]
+        tables = []
+        for agent, stream in zip(agents, streams):
+            agent.begin_task(stream, 12)
+            if isinstance(agent.task_prior, BetaProductPrior):
+                tables.append((gen.random((12, 2)) < 0.5).astype(float))
+            else:
+                tables.append(gen.normal(size=(12, 2)))
+        play_tasks(agents, streams, tables)
+        return agents
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_one_agent_at_a_time(self, seed):
+        together, alone = self.played(seed), self.played(seed)
+        before = [(agent.meta, agent.log) for agent in alone]
+        end_tasks(together)
+        for agent in alone:
+            agent.end_task()
+        update = {
+            CategoricalWeights: update_meta_posterior_categorical,
+            GaussianDiagState: update_meta_posterior_gaussian,
+            LinearState: update_meta_posterior_linear,
+        }
+        for a, b, (meta, log) in zip(together, alone, before):
+            assert (a.tasks_completed, a._in_task) == (b.tasks_completed, b._in_task) == (1, False)
+            if a.kind != "metats":
+                assert a.meta is b.meta is None
+                continue
+            want = update[type(meta)](meta, log)
+            for state in (a.meta, b.meta):
+                for name in ("weights", "mu", "var", "Lambda"):
+                    if hasattr(want, name):
+                        assert getattr(state, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_checks_every_agent_before_any_update(self):
+        agents = self.played(0)
+        metas = [agent.meta for agent in agents]
+        late = Agent("metats", CAT_META)
+        late.begin_task(derive_stream(0, 0, 0, 99), 5)
+        with pytest.raises(RuntimeError, match="end_task after 0/5"):
+            end_tasks(agents + [late])
+        assert all(agent.meta is meta for agent, meta in zip(agents, metas))
+        assert all(agent._in_task and agent.tasks_completed == 0 for agent in agents)
+        with pytest.raises(RuntimeError, match="end_task outside a task"):
+            end_tasks([Agent("oracle", P1)])

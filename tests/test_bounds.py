@@ -481,14 +481,14 @@ class TestCertifications:
     def test_lemma3_input_validation(self):
         with pytest.raises(ValueError, match="gaussian"):
             lemma3_config(ExperimentConfig(family="bernoulli"), R=10)
-        with pytest.raises(ValueError, match="horizon"):
+        with pytest.raises(ValueError, match=r"n must be >= K .*; got n=1, K=2"):
             lemma3_config(ExperimentConfig(n=1, K=2), R=10)
         small = dict(runs=1, m=1, n=2)
         with pytest.raises(ValueError, match="gaussian"):
             certify_lemma3(run_experiment(ExperimentConfig(family="bernoulli", **small)))
         forced = ({"kind": "metats", "forced_last_k": True},)
         short = ExperimentConfig(n=1, K=2, runs=1, m=1, agents=forced)
-        with pytest.raises(ValueError, match="horizon"):
+        with pytest.raises(ValueError, match=r"n must be >= K .*; got n=1, K=2"):
             certify_lemma3(run_experiment(short))
         run = run_experiment(lemma3_config(ExperimentConfig(m=2, n=5), R=2))
         with pytest.raises(ValueError, match="no prior_error"):

@@ -477,6 +477,14 @@ class TestCheckBounds:
         assert report["empirical"]["passed"] is True
         assert report["technical_lemmas"]["failures"] == 0
 
+    def test_certify_default_seed_is_the_run_default(self, capsys):
+        # One constant gives the seed of check-bounds --certify and of run.
+        outputs = []
+        for seed in ([], ["--seed", "23"]):
+            assert main(["check-bounds", "--certify", "--runs", "2", *seed]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert harness.DEFAULT_MASTER_SEED == harness.ExperimentConfig().master_seed == 23
 
     @pytest.mark.parametrize(
         "args, flag",

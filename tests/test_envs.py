@@ -281,6 +281,27 @@ def test_categorical_meta_draws_agree():
         assert sample_instance_prior(meta, a) is sample_meta_posterior(meta, b)
 
 
+# Beta shapes on both sides of 1: numpy draws Beta(a, b) by Johnk's
+# algorithm when a <= 1 and b <= 1, and as a ratio of gamma draws otherwise.
+SHAPES_AROUND_ONE = st.floats(-3.0, 3.0).map(lambda e: 10.0**e) | st.sampled_from([1.0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    shapes=st.lists(st.tuples(SHAPES_AROUND_ONE, SHAPES_AROUND_ONE), min_size=1, max_size=8),
+    seed=st.integers(0, 2**16),
+)
+def test_beta_instance_is_the_array_draw(shapes, seed):
+    # One scalar draw per arm gives the bits of one array call and leaves the
+    # stream where the array call leaves it.
+    prior = BetaProductPrior(alpha=[a for a, _ in shapes], beta=[b for _, b in shapes])
+    scalar, array = derive_stream(seed, 0, 0), derive_stream(seed, 0, 0)
+    theta = sample_task_instance(prior, scalar)
+    expected = array.beta(prior.alpha, prior.beta)
+    assert theta.dtype == expected.dtype and theta.tobytes() == expected.tobytes()
+    assert scalar.random(4).tobytes() == array.random(4).tobytes()
+
+
 def test_draw_from_a_non_state_raises():
     for draw in (sample_instance_prior, sample_meta_posterior):
         with pytest.raises(TypeError, match="not a meta posterior"):

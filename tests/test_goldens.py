@@ -52,6 +52,17 @@ VARIANTS = {
             "prior_weights": [1 / 11] * 11,
         },
     ),
+    # Sharp mirrored candidates and a flat one: meta-updates floor weights
+    # to 0 and start from zero weights, whose log is -inf.
+    "bernoulli-weight-floor": (
+        "bernoulli-smoke",
+        {
+            "m": 12,
+            "n": 200,
+            "prior_table": [[[40, 1], [1, 40]], [[1, 40], [40, 1]], [[20, 20], [20, 20]]],
+            "prior_weights": [0.5, 0.25, 0.25],
+        },
+    ),
 }
 REPORT_FILES = ("rows.csv", "summary.csv", "report.json")
 

@@ -37,6 +37,7 @@ from metats.posteriors import (
     update_meta_posterior_categorical,
     update_meta_posterior_gaussian,
     update_meta_posterior_linear,
+    update_meta_posteriors,
     update_task_posterior,
 )
 from metats.posteriors import _cholesky, _solve, _spd_factor
@@ -661,6 +662,176 @@ class TestGaussianMeta:
             GaussianDiagState(
                 mu=np.zeros(1), var=np.array([0.0]), sigma_0=0.1, sigma=1.0
             )
+
+
+# ---------------------------------------------------------------------------
+# Stacked meta-updates: M states at once, each as if updated alone
+
+
+def six_row_evidence(priors, log):
+    """The Beta-Binomial log evidence of J candidates as one six-row stack,
+    the formula the categorical update used before the count-free rows were
+    cached: lg(a+b) + lg(a+pos) + lg(b+neg) - lg(a) - lg(b) - lg(a+b+T)."""
+    a = np.stack([p.alpha for p in priors])
+    b = np.stack([p.beta for p in priors])
+    pos = log.positive_counts
+    total = log.pull_counts
+    lg = log_gamma(np.stack([a + b, a + pos, b + (total - pos), a, b, a + b + total]))
+    return (lg[0] + lg[1] + lg[2] - lg[3] - lg[4] - lg[5]).sum(axis=-1)
+
+
+def categorical_weights_alone(meta, log):
+    """The one-state categorical update, written out on 1-D arrays."""
+    with np.errstate(divide="ignore"):
+        logw = np.log(meta.weights)
+    logw = logw + six_row_evidence(meta.priors, log)
+    logw -= np.max(logw[np.isfinite(logw)])
+    w = np.exp(logw)
+    w /= w.sum()
+    w[w < WEIGHT_FLOOR] = 0.0
+    w /= w.sum()
+    return w
+
+
+def gaussian_state_alone(meta, log):
+    """The one-state Gaussian update, written out on the pulled arms."""
+    pulls, sums = log.pull_counts, log.reward_sums
+    pulled = pulls > 0
+    t = pulls[pulled]
+    weight = t / (t * meta.sigma_0**2 + meta.sigma**2)
+    old_precision = 1.0 / meta.var[pulled]
+    var, mu = meta.var.copy(), meta.mu.copy()
+    var[pulled] = 1.0 / (old_precision + weight)
+    mu[pulled] = var[pulled] * (meta.mu[pulled] * old_precision + sums[pulled] / t * weight)
+    return mu, var
+
+
+def task_logs(draw, gen, num_pairs, num_arms, rewards):
+    """One log per pair, 0 to 50 rounds, on a drawn subset of the arms (so
+    some arms go unpulled). The bulk values come from gen, seeded by a drawn
+    integer, so a batch of up to 8 logs stays within Hypothesis's budget."""
+    logs = []
+    for _ in range(num_pairs):
+        n = draw(st.integers(0, 50))
+        arms = draw(st.lists(st.integers(0, num_arms - 1), min_size=1, unique=True))
+        logs.append(TaskLog(num_arms, gen.choice(arms, size=n), rewards(draw, gen, n)))
+    return logs
+
+
+def bernoulli_rewards(draw, gen, n):
+    fill = draw(st.sampled_from(["all 0", "all 1", "mixed"]))
+    if fill == "mixed":
+        return (gen.random(n) < 0.5).astype(float)
+    return np.full(n, float(fill == "all 1"))
+
+
+def gaussian_rewards(draw, gen, n):
+    # Rounded to 0-2 decimals, values repeat (-0.0 among them), so the
+    # canonical sum order meets ties; unrounded, every value is distinct.
+    values = gen.normal(0.0, 1.5, size=n)
+    decimals = draw(st.sampled_from([None, 0, 1, 2]))
+    return values if decimals is None else np.round(values, decimals)
+
+
+# Weights drawn per candidate: zero (log -inf), below the floor, or ordinary.
+RAW_WEIGHTS = st.sampled_from([0.0, 1e-310, 1e-250]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def categorical_batches(draw):
+    m, j, k = draw(st.integers(1, 8)), draw(st.integers(1, 11)), draw(st.integers(1, 6))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shared = draw(st.booleans())
+    metas = []
+    for _ in range(m):
+        if not metas or not shared:
+            shapes = 10.0 ** gen.uniform(-3.0, 3.0, size=(j, 2, k))
+            priors = tuple(BetaProductPrior(alpha=a, beta=b) for a, b in shapes)
+        raw = draw(st.lists(RAW_WEIGHTS, min_size=j, max_size=j).filter(lambda w: max(w) > 0.01))
+        metas.append(CategoricalWeights(weights=np.array(raw) / sum(raw), priors=priors))
+    return metas, task_logs(draw, gen, m, k, bernoulli_rewards)
+
+
+@st.composite
+def gaussian_batches(draw):
+    m, k = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    metas = []
+    for _ in range(m):
+        # Widths log-uniform over 1e-2 to 1e2; the variance is that of a
+        # MetaTS that believes the meta-prior sigma_q * scale wide.
+        sigma_0, sigma, sigma_q, scale = 10.0 ** gen.uniform(-2.0, 2.0, size=4)
+        var = np.full(k, (sigma_q * scale) ** 2)
+        if draw(st.booleans()):  # a state some tasks in: every arm its own
+            var *= 10.0 ** gen.uniform(-2.0, 0.0, size=k)
+        mu = gen.normal(0.0, 1.0, size=k)
+        metas.append(GaussianDiagState(mu=mu, var=var, sigma_0=sigma_0, sigma=sigma))
+    return metas, task_logs(draw, gen, m, k, gaussian_rewards)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(categorical_batches())
+def test_stacked_categorical_update_equals_one_state_at_a_time(batch):
+    metas, logs = batch
+    stacked = update_meta_posteriors(metas, logs)
+    for meta, log, new in zip(metas, logs, stacked):
+        want = categorical_weights_alone(meta, log)
+        assert new.weights.tobytes() == want.tobytes()
+        assert new.priors is meta.priors and new._terms is meta._terms
+        one = update_meta_posterior_categorical(meta, log)
+        assert one.weights.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gaussian_batches())
+def test_stacked_gaussian_update_equals_one_state_at_a_time(batch):
+    metas, logs = batch
+    stacked = update_meta_posteriors(metas, logs)
+    for meta, log, new in zip(metas, logs, stacked):
+        mu, var = gaussian_state_alone(meta, log)
+        for state in (new, update_meta_posterior_gaussian(meta, log)):
+            assert state.mu.tobytes() == mu.tobytes()
+            assert state.var.tobytes() == var.tobytes()
+            assert (state.sigma_0, state.sigma) == (meta.sigma_0, meta.sigma)
+
+
+def test_stacked_update_refuses_what_the_one_state_update_refuses():
+    meta = CategoricalWeights(weights=np.array([0.5, 0.5]), priors=(SEC5_P1, SEC5_P2))
+    good, bad = make_log(2, [(0, 1.0)]), make_log(2, [(0, 1.0), (1, 0.5)])
+    with pytest.raises(ValueError, match="non-binary reward 0.5 in a Bernoulli log"):
+        update_meta_posteriors([meta, meta], [good, bad])
+    # A log of another arm count would shift its bins into the next pair's.
+    with pytest.raises(ValueError, match="every task log needs the K=2 arms of its meta-state"):
+        update_meta_posteriors([meta, meta], [good, make_log(3, [(2, 1.0)])])
+    with pytest.raises(TypeError, match="not a meta posterior"):
+        update_meta_posteriors([object()], [good])
+
+
+def test_mixed_states_update_in_their_own_groups():
+    # States of other families and shapes keep their order, each updated as
+    # if alone; linear states go through the one-state Woodbury update.
+    cat2 = CategoricalWeights(weights=np.array([0.3, 0.7]), priors=(SEC5_P1, SEC5_P2))
+    cat3 = CategoricalWeights(weights=np.array([0.2, 0.3, 0.5]), priors=(SEC5_P1,) * 3)
+    gauss = GaussianDiagState(mu=np.zeros(2), var=np.full(2, 0.25), sigma_0=0.1, sigma=1.0)
+    lin = LinearState(
+        mu=np.zeros(2), Lambda=4.0 * np.eye(2), Sigma=0.01 * np.eye(2), sigma=1.0,
+        features=np.array([[1.0, 0.0], [0.3, 0.8]]),
+    )
+    binary = make_log(2, [(0, 1.0), (1, 0.0), (1, 1.0)])
+    real = make_log(2, [(0, 0.25), (1, -0.5), (0, 0.75)])
+    metas = [cat2, gauss, lin, cat3, cat2, gauss]
+    logs = [binary, real, real, binary, binary, real]
+    for meta, log, new in zip(metas, logs, update_meta_posteriors(metas, logs)):
+        if isinstance(meta, CategoricalWeights):
+            assert new.weights.tobytes() == categorical_weights_alone(meta, log).tobytes()
+        elif isinstance(meta, GaussianDiagState):
+            assert np.concatenate([new.mu, new.var]).tobytes() == np.concatenate(
+                gaussian_state_alone(meta, log)
+            ).tobytes()
+        else:
+            alone = update_meta_posterior_linear(meta, log)
+            assert new.mu.tobytes() == alone.mu.tobytes()
+            assert new.Lambda.tobytes() == alone.Lambda.tobytes()
 
 
 # ---------------------------------------------------------------------------

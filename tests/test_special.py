@@ -81,6 +81,28 @@ def test_domain_error():
         log_gamma(-3.5)
 
 
+DOMAIN_EDGES = [0.0, -0.0, -3.5, -5e-324, math.nan, math.inf, -math.inf, 5e-324, 1.0, 1e308]
+
+
+@pytest.mark.parametrize(
+    "x",
+    [*DOMAIN_EDGES, np.array(0.0), np.array(5e-324), np.array([]), np.empty((0, 3))]
+    + [np.array([[2.0, 1.0], [3.0, x]]) for x in DOMAIN_EDGES],
+    ids=repr,
+)
+def test_domain_is_the_elementwise_rule(x):
+    # Refused, with one message, exactly where some element is <= 0 or not
+    # finite: -0.0 and NaN are refused, 5e-324 and empty arrays are not.
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
+        with pytest.raises(ValueError, match=r"^log_gamma requires finite x > 0$"):
+            log_gamma(x)
+    else:
+        with np.errstate(all="ignore"):  # 5e-324 overflows the series
+            out = log_gamma(x)
+        assert np.shape(out) == arr.shape
+
+
 def test_vectorized_matches_scalar():
     xs = np.array([0.5, 1.0, 2.5, 10.0, 123.4])
     out = log_gamma(xs)
