@@ -187,9 +187,9 @@ def play_tasks(agents: list, streams: list, tables: list) -> np.ndarray:
 
     Linear agents play in lockstep through posteriors.play_linear, with one
     stacked Cholesky and three stacked solves per round for all of them,
-    called as LAPACK gufuncs: a lockstep round of three pairs at K=10, d=2
-    costs about 23 us on a 2-core x86-64 host, against 38 us through
-    np.linalg's wrappers.
+    called as LAPACK gufuncs, and absorb terms built once per task: a round
+    of three pairs at K=10, d=2 costs about 19 us on a 2-core x86-64 host
+    (23 us with per-round absorb terms, 38 us through np.linalg's wrappers).
     Bernoulli and Gaussian agents play one after another through their
     posterior's play: Beta draws are rejection-sampled, and a Gaussian round
     there costs 0.6-1.2 us at K=2 (2-core x86-64 host), what a stacked numpy

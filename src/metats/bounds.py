@@ -9,6 +9,7 @@ the sampled-prior errors a run of lemma3_config records.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
@@ -56,7 +57,8 @@ class BoundParams:
     """Problem parameters the bounds are evaluated at; defaults are the
     two-armed Gaussian benchmark (n=200, sigma=1, sigma_0=0.1, sigma_q=0.5).
     Params at which a number bounds_report emits is not a finite float are
-    refused, naming every key off its default."""
+    refused, naming the off-default keys whose reset alone makes every number
+    finite (or, if none does, every off-default key)."""
 
     K: int = 2
     n: int = 200
@@ -76,15 +78,14 @@ class BoundParams:
         check_widths(self.sigma, self.sigma_0, self.sigma_q)
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must be in (0, 1)")
-        try:
-            json.dumps(_evaluate(self), allow_nan=False)
-        except (ArithmeticError, ValueError):
-            values = asdict(self)
-            off = [f.name for f in fields(self) if values[f.name] != f.default]
+        if not _emits_finite(self):
+            values, defaults = asdict(self), {f.name: f.default for f in fields(self)}
+            off = [key for key in defaults if values[key] != defaults[key]]
+            named = [key for key in off if _emits_finite(self, **{key: defaults[key]})] or off
             raise ValueError(
                 "every bound must be a finite float, but they overflow at "
-                + ", ".join(f"{key}={values[key]:g}" for key in off)
-            ) from None
+                + ", ".join(f"{key}={values[key]:g}" for key in named)
+            )
 
 
 def root_gap(n: int, K: int, sigma: float, sigma_0: float) -> float:
@@ -320,6 +321,17 @@ def check_technical_lemmas(trials: int = 10_000, seed: int = 0) -> dict:
         "worst_sqrt_slack": worst_sqrt,
         "worst_log_slack": worst_log,
     }
+
+
+def _emits_finite(p: BoundParams, **reset) -> bool:
+    """Whether bounds_report emits only finite floats at p, with reset's keys set unvalidated."""
+    p = copy.copy(p)
+    p.__dict__.update(reset)
+    try:
+        json.dumps(_evaluate(p), allow_nan=False)
+    except (ArithmeticError, ValueError):
+        return False
+    return True
 
 
 def _evaluate(p: BoundParams) -> dict:

@@ -77,8 +77,9 @@ DEFAULT_BERNOULLI_WEIGHTS = (0.5, 0.5)
 _AGENT_KEYS = {"kind", "forced_last_k", "misspecification_scale", "name"}
 
 # prior_table shapes for which the Beta-Binomial log-evidence stays finite:
-# log_gamma overflows below about 3e-307 and above about 2.5e305, and the
-# evidence adds several such terms.
+# log_gamma overflows above about 2.5e305, and the evidence adds several
+# such terms. Small shapes are safe (log_gamma(5e-324) is 744.4); the floor
+# is a config bound, not a numerical one.
 MIN_BETA_SHAPE = 1e-300
 MAX_BETA_SHAPE_SUM = 1e300
 

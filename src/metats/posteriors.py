@@ -9,7 +9,8 @@ methods with the same bits: ``noise(gen, rounds)`` draws the Thompson noise
 of that many rounds, ``thompson(noise_row)`` turns one round's noise into a
 sample of the arm means, and ``absorb(arm, reward)`` folds one observation
 into the state. Linear tasks are played through play_linear, which runs the
-same round math for many (run, agent) pairs at once.
+same round math for many (run, agent) pairs at once; the absorb terms
+x x^T / sigma^2 of every (pair, arm) are built once per task, not per round.
 
 Every Cholesky factor and solve goes through one seam, _cholesky and
 _solve, which call numpy's linalg gufuncs (numpy.linalg._umath_linalg)
@@ -101,8 +102,9 @@ def _factor(mat: np.ndarray, context: str) -> np.ndarray:
     """_spd_factor for a caller that already holds the flags silenced."""
     lower = _cholesky(mat)
     pivots = lower.diagonal(0, -2, -1)
-    # Passing stack-wide implies passing per matrix, and is cheaper.
-    if pivots.min() >= PIVOT_FLOOR * pivots.max() or np.all(
+    # Passing stack-wide implies passing per matrix, and is cheaper (reduces skip .min()'s wrapper).
+    low, high = np.minimum.reduce(pivots, None), np.maximum.reduce(pivots, None)
+    if low >= PIVOT_FLOOR * high or np.all(
         pivots.min(axis=-1) >= PIVOT_FLOOR * pivots.max(axis=-1)
     ):
         return lower
@@ -326,7 +328,7 @@ class LinearGaussianPosterior:
     """Gaussian posterior over the latent parameter of a linear bandit.
 
     Its round methods are the one-pair case of the stacked round math
-    (linear_thompson, linear_absorb) that play_linear runs for many pairs.
+    (linear_thompson, _absorb) that play_linear runs for many pairs.
     """
 
     precision: np.ndarray
@@ -348,13 +350,8 @@ class LinearGaussianPosterior:
         return draw[0].tolist()
 
     def absorb(self, arm: int, reward: float) -> None:
-        linear_absorb(
-            self.precision[None],
-            self.info[None],
-            self.features[None, arm],
-            np.array([reward]),
-            np.array([self.sigma**2]),
-        )
+        sigma2, x = np.array(self.sigma**2), self.features[arm]
+        _absorb(self.precision, self.info, _absorb_outer(x, sigma2), x, reward, sigma2)
 
 
 def linear_thompson(precision, info, features, z) -> np.ndarray:
@@ -371,21 +368,24 @@ def linear_thompson(precision, info, features, z) -> np.ndarray:
 def _thompson_means(precision, info, features, z) -> np.ndarray:
     """linear_thompson for a caller that already holds the flags silenced."""
     lower = _factor(precision, "linear task posterior sampling")
-    upper = np.swapaxes(lower, -1, -2)
+    upper = lower.swapaxes(-1, -2)
     mean = _solve(upper, _solve(lower, info[..., None]))
     # precision = L L^T, so L^-T z has the posterior covariance.
     theta = mean + _solve(upper, z[..., None])
     return (features @ theta)[..., 0]
 
 
-def linear_absorb(precision, info, x, rewards, sigma2) -> None:
-    """Fold one observation per pair into R linear posteriors, in place.
+def _absorb_outer(x, sigma2) -> np.ndarray:
+    """The precision term x x^T / sigma^2 of each feature row in x (..., d);
+    sigma2 broadcasts against x's leading axes."""
+    return x[..., :, None] * x[..., None, :] / sigma2[..., None, None]
 
-    x is the (R, d) feature row of each pair's arm; rewards and the noise
-    variances sigma2 are (R,).
-    """
-    precision += x[:, :, None] * x[:, None, :] / sigma2[:, None, None]
-    info += x * (rewards / sigma2)[:, None]
+
+def _absorb(precision, info, outer, x, reward, sigma2) -> None:
+    """Fold one observation into a posterior, or one per pair into a stack,
+    in place; outer is _absorb_outer of the feature rows x."""
+    precision += outer
+    info += x * (reward / sigma2)[..., None]
 
 
 def play_linear(posts: list, noise: list, rewards: np.ndarray, free) -> np.ndarray:
@@ -396,19 +396,25 @@ def play_linear(posts: list, noise: list, rewards: np.ndarray, free) -> np.ndarr
     (R, n, K) stack of reward tables. Pair r draws its arm while t < free[r]
     and pulls arm t - free[r] after. Each round factors the precisions of the
     drawing pairs in one stacked call; every pair's arms, log and posterior
-    equal those of playing it alone.
+    equal those of playing it alone. The precision terms of every (pair, arm)
+    are built once per task, so a round only gathers the R rows its arms pick.
     """
-    num_pairs, n, _ = rewards.shape
+    num_pairs, n, num_arms = rewards.shape
     precision = np.stack([p.precision for p in posts])
     info = np.stack([p.info for p in posts])
     features = np.stack([p.features for p in posts])
     sigma2 = np.array([p.sigma**2 for p in posts])
+    outer = _absorb_outer(features, sigma2[:, None]).reshape(-1, *precision.shape[1:])
+    flat_features = features.reshape(num_pairs * num_arms, -1)
+    flat_rewards = rewards.reshape(-1)
     z = np.zeros((num_pairs, n, info.shape[1]))
     for r, table in enumerate(noise):
         z[r, : len(table)] = table
     all_draw = min(free)
     free = np.asarray(free)
-    pairs = np.arange(num_pairs)
+    pair_rows = np.arange(num_pairs) * num_arms
+    # Row t: the flat_rewards index of each pair's round t, arm 0.
+    round_rows = np.arange(0, n * num_arms, num_arms)[:, None] + pair_rows * n
     arms = np.empty((num_pairs, n), dtype=int)
     # One errstate for the whole loop: the seam leaves the flags to it.
     with np.errstate(all="ignore"):
@@ -424,9 +430,10 @@ def play_linear(posts: list, noise: list, rewards: np.ndarray, free) -> np.ndarr
                     )
                     arm[drawing] = draw.argmax(axis=1)
             arms[:, t] = arm
-            linear_absorb(
-                precision, info, features[pairs, arm], rewards[pairs, t, arm], sigma2
-            )
+            row = pair_rows + arm
+            reward = flat_rewards.take(round_rows[t] + arm)
+            x = flat_features.take(row, axis=0)
+            _absorb(precision, info, outer.take(row, axis=0), x, reward, sigma2)
     for r, post in enumerate(posts):
         post.precision, post.info = precision[r], info[r]
     return arms

@@ -30,14 +30,23 @@ _LANCZOS_C = np.array(
 )
 _LANCZOS_OFFSETS = np.arange(len(_LANCZOS_C) - 1, dtype=float)[:, None]
 _HALF_LOG_2PI = 0.5 * float(np.log(2.0 * np.pi))
+# Below this x the series term c1 / x overflows to inf; from it on it is finite.
+_SERIES_MIN = float(_LANCZOS_C[1] / np.finfo(float).max)
 
 
 def log_gamma(x):
     """Natural log of the Gamma function for x > 0 (scalar or array)."""
     arr = np.asarray(x, dtype=float)
     # Two reductions; a NaN fails both comparisons. An empty array passes.
-    if arr.size and not (arr.min() > 0.0 and arr.max() < np.inf):
-        raise ValueError("log_gamma requires finite x > 0")
+    if arr.size:
+        low = arr.min()
+        if not (low > 0.0 and arr.max() < np.inf):
+            raise ValueError("log_gamma requires finite x > 0")
+        if low < _SERIES_MIN:
+            # lgG(x + 1) - log x there; the rest add 0 and subtract log 1, bit-exact.
+            tiny = arr < _SERIES_MIN
+            out = log_gamma(arr + tiny) - np.log(np.where(tiny, arr, 1.0))
+            return float(out) if np.ndim(out) == 0 else out
     # Row k of the stack is term k over every x; accumulate folds the rows
     # in term order, one add per row, where a reduce may sum them pairwise.
     terms = np.empty((len(_LANCZOS_C), arr.size))

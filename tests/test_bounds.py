@@ -177,9 +177,12 @@ class TestBoundParams:
             (dict(m=10**308), "m=1e+308"),
             (dict(K=10**300), "K=1e+300"),
             (dict(delta=1e-320), "delta=9.99989e-321"),
-            # Every key off its default, in field order.
-            (dict(n=10**160, sigma=2.0, m=40), "n=1e+160, m=40, sigma=2"),
+            # Only the keys off their default whose reset alone makes every
+            # bound finite; when no single reset does, every key off its
+            # default, in field order.
+            (dict(n=10**160, sigma=2.0, m=40), "n=1e+160"),
             (dict(sigma=1e154, sigma_0=1e154), "sigma=1e+154, sigma_0=1e+154"),
+            (dict(n=10**160, m=10**308), "n=1e+160, m=1e+308"),
         ],
     )
     def test_overflowing_bounds_name_the_keys(self, kw, named):

@@ -452,6 +452,14 @@ class TestCheckBounds:
             f"error: every bound must be a finite float, but they overflow at {key}\n"
         )
 
+    def test_overflow_names_the_key_at_fault_only(self, capsys):
+        # linear-sec5 sets K=10 off its default, but n alone overflows.
+        code = main(["check-bounds", "--preset", "linear-sec5", "n=1e160"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "error: every bound must be a finite float, but they overflow at n=1e+160\n"
+        assert "K=" not in err
+
     def test_unknown_key(self, capsys):
         code = main(["check-bounds", "kappa=3"])
         assert code == EXIT_CONFIG

@@ -41,6 +41,22 @@ VARIANTS = {
             ],
         },
     ),
+    # Reward noise sigma != 1, so every absorb divides by sigma^2 != 1;
+    # forced terminal pulls and a misspecified meta-prior width ride along.
+    "linear-sigma-half": (
+        "linear-d4",
+        {
+            "sigma": 0.5,
+            "m": 3,
+            "n": 40,
+            "agents": [
+                {"kind": "oracle"},
+                {"kind": "metats", "forced_last_k": True},
+                {"kind": "metats", "misspecification_scale": 2.0},
+                {"kind": "agnostic"},
+            ],
+        },
+    ),
     # From 8 candidates on, numpy's pairwise sum adds the weights in another
     # order than Python's sum does.
     "bernoulli-11-priors": (

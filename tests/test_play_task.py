@@ -3,8 +3,9 @@
 The task loop draws all Thompson noise of a task in one call and updates the
 posterior in place; these properties pin it to the conjugate algebra, to
 round-by-round play through select_action/observe, and, for linear pairs
-played in lockstep, to playing each pair alone. Examples are derandomized so
-the suite is repeatable.
+played in lockstep, to playing each pair alone and to an np.linalg replay of
+each pair at its own sigma. Examples are derandomized so the suite is
+repeatable.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metats import posteriors
 from metats.agents import Agent, play_tasks
 from metats.envs import (
     GaussianDiagPrior,
@@ -20,7 +22,13 @@ from metats.envs import (
     sample_task_instance,
 )
 from metats.harness import ExperimentConfig, agnostic_prior_for, build_meta_prior, run_task
-from metats.posteriors import BetaCounts, GaussianArms, init_task_posterior
+from metats.posteriors import (
+    BetaCounts,
+    GaussianArms,
+    LinearGaussianPosterior,
+    init_task_posterior,
+    play_linear,
+)
 from metats.rng import derive_stream
 
 SIGMA = 1.0
@@ -276,3 +284,97 @@ def test_stacked_linear_play_needs_a_common_round():
     agents[0].observe(arm, float(tables[0][0, arm]))
     with pytest.raises(ValueError, match="share the round"):
         play_tasks(agents, streams, tables)
+
+
+# Distinct reward noise widths, none of them 1, so every pair's absorb
+# divides by its own sigma^2.
+LOCKSTEP_SIGMAS = (0.2, 0.45, 0.7, 1.6, 2.5, 4.0)
+
+lockstep_cases = st.fixed_dictionaries(
+    {
+        "R": st.integers(1, 6),
+        "K": st.integers(2, 12),
+        "d": st.integers(1, 8),
+        "n": st.integers(1, 30),
+        "seed": st.integers(0, 2**32 - 1),
+        "sigmas": st.permutations(LOCKSTEP_SIGMAS),
+        "forced": st.lists(st.booleans(), min_size=6, max_size=6),
+    }
+)
+
+
+def _lockstep_inputs(case):
+    """R linear posteriors with SPD precisions, their noise, rewards and free rounds."""
+    r, k, d, n = case["R"], case["K"], case["d"], case["n"]
+    gen = np.random.default_rng(case["seed"])
+    posts, noise, free = [], [], []
+    for i in range(r):
+        a = gen.standard_normal((d, d))
+        posts.append(
+            LinearGaussianPosterior(
+                precision=a @ a.T + 0.5 * np.eye(d),
+                info=gen.standard_normal(d),
+                sigma=case["sigmas"][i],
+                features=gen.standard_normal((k, d)),
+            )
+        )
+        free.append(n - k if case["forced"][i] else n)
+        noise.append(gen.standard_normal((max(free[-1], 0), d)))
+    return posts, noise, 3.0 * gen.standard_normal((r, n, k)), free
+
+
+def _replay(post, noise, table, free):
+    """One pair alone, round by round through np.linalg: arms, precision, info."""
+    precision, info = post.precision.copy(), post.info.copy()
+    s2 = post.sigma**2
+    arms = []
+    for t, row in enumerate(table):
+        if t < free:
+            lower = np.linalg.cholesky(precision)
+            mean = np.linalg.solve(lower.T, np.linalg.solve(lower, info[:, None]))
+            theta = mean + np.linalg.solve(lower.T, noise[t][:, None])
+            arm = int(np.argmax(post.features @ theta[:, 0]))
+        else:
+            arm = t - free
+        x = post.features[arm]
+        precision = precision + np.outer(x, x) / s2
+        info = info + x * (row[arm] / s2)
+        arms.append(arm)
+    return arms, precision, info
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lockstep_cases)
+def test_lockstep_linear_play_is_each_pair_replayed_alone(case):
+    posts, noise, rewards, free = _lockstep_inputs(case)
+    start = [(p.precision.copy(), p.info.copy()) for p in posts]
+    arms = play_linear(posts, noise, rewards, free)
+    for r, post in enumerate(posts):
+        alone = LinearGaussianPosterior(*start[r], post.sigma, post.features)
+        want_arms, precision, info = _replay(alone, noise[r], rewards[r], free[r])
+        assert arms[r].tolist() == want_arms
+        assert post.precision.tobytes() == precision.tobytes()
+        assert post.info.tobytes() == info.tobytes()
+
+
+@pytest.mark.parametrize("forced", [[True] * 3, [True, False, True], [False] * 3])
+def test_lockstep_factors_and_solves_only_in_drawing_rounds(monkeypatch, forced):
+    # Counting calls rather than timing them: one stacked Cholesky and three
+    # stacked solves per round in which any pair draws, none once every pair
+    # pulls its forced arms.
+    case = {"R": 3, "K": 4, "d": 3, "n": 10, "seed": 5, "kinds": ["oracle", "metats", "agnostic"]}
+    agents, streams, tables = _linear_pairs(dict(case, forced=forced + [False] * 3))
+    calls = {"cholesky": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(posteriors, "_cholesky", counted("cholesky", posteriors._cholesky))
+    monkeypatch.setattr(posteriors, "_solve", counted("solve", posteriors._solve))
+    play_tasks(agents, streams, tables)
+    drawing_rounds = 10 - 4 if all(forced) else 10  # n - K, or n
+    assert calls == {"cholesky": drawing_rounds, "solve": 3 * drawing_rounds}

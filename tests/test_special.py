@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from metats.special import _HALF_LOG_2PI, _LANCZOS_C, _LANCZOS_G, log_gamma
+from metats.special import _HALF_LOG_2PI, _LANCZOS_C, _LANCZOS_G, _SERIES_MIN, log_gamma
 
 mpmath.mp.dps = 40
 
@@ -98,9 +98,30 @@ def test_domain_is_the_elementwise_rule(x):
         with pytest.raises(ValueError, match=r"^log_gamma requires finite x > 0$"):
             log_gamma(x)
     else:
-        with np.errstate(all="ignore"):  # 5e-324 overflows the series
+        with np.errstate(all="ignore"):  # at 1e308 terms underflow, lgG overflows
             out = log_gamma(x)
         assert np.shape(out) == arr.shape
+
+
+def test_below_the_series_overflow_is_lgamma():
+    # The series term c1 / x is finite from _SERIES_MIN on and overflows
+    # below it; there lgG(x) is lgG(x + 1) - log x, alone and inside arrays,
+    # without a warning, and the ordinary entries keep their bits.
+    with np.errstate(over="ignore"):
+        assert np.isfinite(_LANCZOS_C[1] / _SERIES_MIN)
+        assert np.isinf(_LANCZOS_C[1] / np.nextafter(_SERIES_MIN, 0.0))
+    tiny = [5e-324, 1e-310, 2.3e-308, float(np.nextafter(_SERIES_MIN, 0.0))]
+    for x in tiny:
+        assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-15)
+    ordinary = [0.5, 3.0, 1e-300, _SERIES_MIN, 42.0, 1e300]
+    order = np.random.Generator(np.random.Philox(3)).permutation(10)
+    mixed = np.array(tiny + ordinary)[order].reshape(2, 5)
+    out = log_gamma(mixed)
+    for x, y in zip(mixed.ravel(), out.ravel()):
+        if x in tiny:
+            assert y == pytest.approx(math.lgamma(x), rel=1e-15)
+        else:
+            assert np.float64(y).tobytes() == np.float64(log_gamma(float(x))).tobytes()
 
 
 def test_vectorized_matches_scalar():
