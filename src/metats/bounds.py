@@ -9,10 +9,10 @@ the sampled-prior errors a run of lemma3_config records.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,8 +57,7 @@ class BoundParams:
     """Problem parameters the bounds are evaluated at; defaults are the
     two-armed Gaussian benchmark (n=200, sigma=1, sigma_0=0.1, sigma_q=0.5).
     Params at which a number bounds_report emits is not a finite float are
-    refused, naming the off-default keys whose reset alone makes every number
-    finite (or, if none does, every off-default key)."""
+    refused, naming the off-default keys whose lone reset fixes that (or all)."""
 
     K: int = 2
     n: int = 200
@@ -78,10 +77,10 @@ class BoundParams:
         check_widths(self.sigma, self.sigma_0, self.sigma_q)
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must be in (0, 1)")
-        if not _emits_finite(self):
-            values, defaults = asdict(self), {f.name: f.default for f in fields(self)}
+        values, defaults = asdict(self), {f.name: f.default for f in fields(self)}
+        if not _emits_finite(values):
             off = [key for key in defaults if values[key] != defaults[key]]
-            named = [key for key in off if _emits_finite(self, **{key: defaults[key]})] or off
+            named = [key for key in off if _emits_finite({**values, key: defaults[key]})] or off
             raise ValueError(
                 "every bound must be a finite float, but they overflow at "
                 + ", ".join(f"{key}={values[key]:g}" for key in named)
@@ -323,23 +322,21 @@ def check_technical_lemmas(trials: int = 10_000, seed: int = 0) -> dict:
     }
 
 
-def _emits_finite(p: BoundParams, **reset) -> bool:
-    """Whether bounds_report emits only finite floats at p, with reset's keys set unvalidated."""
-    p = copy.copy(p)
-    p.__dict__.update(reset)
+def _emits_finite(values: dict) -> bool:
+    """Whether _evaluate gives only finite floats at these BoundParams field
+    values, read as given: validated params with some keys reset to defaults."""
     try:
-        json.dumps(_evaluate(p), allow_nan=False)
+        json.dumps(_evaluate(SimpleNamespace(**values)), allow_nan=False)
     except (ArithmeticError, ValueError):
         return False
     return True
 
 
-def _evaluate(p: BoundParams) -> dict:
-    """The params and every closed-form number bounds_report emits at p."""
+def _evaluate(p) -> dict:
+    """Every closed-form number bounds_report emits at p (any object with its fields)."""
     t1 = theorem1_bound(p)
     marginal_width = math.sqrt(p.sigma_q**2 + p.sigma_0**2)
     return {
-        "params": asdict(p),
         "root_gap_prior": root_gap(p.n, p.K, p.sigma, p.sigma_0),
         "root_gap_marginal": root_gap(p.n, p.K, p.sigma, marginal_width),
         "lemma1_bound": lemma1_bound(p),
@@ -365,7 +362,7 @@ def bounds_report(
     With certify=True the Monte Carlo certifications are appended; they cost
     on the order of runs * m * n simulated rounds.
     """
-    report = {**_evaluate(p), "empirical": None, "violation_frequency": None}
+    report = {"params": asdict(p), **_evaluate(p), "empirical": None, "violation_frequency": None}
     if certify:
         config = certify_config(p, master_seed)
         lemma1 = certify_lemma1(config, R=runs)

@@ -9,8 +9,8 @@ methods with the same bits: ``noise(gen, rounds)`` draws the Thompson noise
 of that many rounds, ``thompson(noise_row)`` turns one round's noise into a
 sample of the arm means, and ``absorb(arm, reward)`` folds one observation
 into the state. Linear tasks are played through play_linear, which runs the
-same round math for many (run, agent) pairs at once; the absorb terms
-x x^T / sigma^2 of every (pair, arm) are built once per task, not per round.
+same round math for many (run, agent) pairs at once, building the absorb
+terms x x^T / sigma^2 once per task, not per round, where they take few cells.
 
 Every Cholesky factor and solve goes through one seam, _cholesky and
 _solve, which call numpy's linalg gufuncs (numpy.linalg._umath_linalg)
@@ -102,7 +102,7 @@ def _factor(mat: np.ndarray, context: str) -> np.ndarray:
     """_spd_factor for a caller that already holds the flags silenced."""
     lower = _cholesky(mat)
     pivots = lower.diagonal(0, -2, -1)
-    # Passing stack-wide implies passing per matrix, and is cheaper (reduces skip .min()'s wrapper).
+    # Passing stack-wide implies passing per matrix, and is cheaper.
     low, high = np.minimum.reduce(pivots, None), np.maximum.reduce(pivots, None)
     if low >= PIVOT_FLOOR * high or np.all(
         pivots.min(axis=-1) >= PIVOT_FLOOR * pivots.max(axis=-1)
@@ -350,8 +350,7 @@ class LinearGaussianPosterior:
         return draw[0].tolist()
 
     def absorb(self, arm: int, reward: float) -> None:
-        sigma2, x = np.array(self.sigma**2), self.features[arm]
-        _absorb(self.precision, self.info, _absorb_outer(x, sigma2), x, reward, sigma2)
+        _absorb(self.precision, self.info, self.features[arm], reward, np.array(self.sigma**2))
 
 
 def linear_thompson(precision, info, features, z) -> np.ndarray:
@@ -381,10 +380,10 @@ def _absorb_outer(x, sigma2) -> np.ndarray:
     return x[..., :, None] * x[..., None, :] / sigma2[..., None, None]
 
 
-def _absorb(precision, info, outer, x, reward, sigma2) -> None:
+def _absorb(precision, info, x, reward, sigma2, outer=None) -> None:
     """Fold one observation into a posterior, or one per pair into a stack,
-    in place; outer is _absorb_outer of the feature rows x."""
-    precision += outer
+    in place; outer, if given, is _absorb_outer of the feature rows x."""
+    precision += _absorb_outer(x, sigma2) if outer is None else outer
     info += x * (reward / sigma2)[..., None]
 
 
@@ -396,15 +395,17 @@ def play_linear(posts: list, noise: list, rewards: np.ndarray, free) -> np.ndarr
     (R, n, K) stack of reward tables. Pair r draws its arm while t < free[r]
     and pulls arm t - free[r] after. Each round factors the precisions of the
     drawing pairs in one stacked call; every pair's arms, log and posterior
-    equal those of playing it alone. The precision terms of every (pair, arm)
-    are built once per task, so a round only gathers the R rows its arms pick.
+    equal those of playing it alone. If 4 K d^2 <= n (K + d), each pair's K
+    terms x x^T / sigma^2 (at most a quarter of its reward and noise cells)
+    are built once per task and gathered per round; else a round builds R.
     """
-    num_pairs, n, num_arms = rewards.shape
+    (num_pairs, n, num_arms), d = rewards.shape, posts[0].info.size
     precision = np.stack([p.precision for p in posts])
     info = np.stack([p.info for p in posts])
     features = np.stack([p.features for p in posts])
     sigma2 = np.array([p.sigma**2 for p in posts])
-    outer = _absorb_outer(features, sigma2[:, None]).reshape(-1, *precision.shape[1:])
+    prebuilt = 4 * num_arms * d * d <= n * (num_arms + d)
+    outer = _absorb_outer(features, sigma2[:, None]).reshape(-1, d, d) if prebuilt else None
     flat_features = features.reshape(num_pairs * num_arms, -1)
     flat_rewards = rewards.reshape(-1)
     z = np.zeros((num_pairs, n, info.shape[1]))
@@ -433,7 +434,10 @@ def play_linear(posts: list, noise: list, rewards: np.ndarray, free) -> np.ndarr
             row = pair_rows + arm
             reward = flat_rewards.take(round_rows[t] + arm)
             x = flat_features.take(row, axis=0)
-            _absorb(precision, info, outer.take(row, axis=0), x, reward, sigma2)
+            if outer is None:
+                _absorb(precision, info, x, reward, sigma2)
+            else:
+                _absorb(precision, info, x, reward, sigma2, outer.take(row, axis=0))
     for r, post in enumerate(posts):
         post.precision, post.info = precision[r], info[r]
     return arms

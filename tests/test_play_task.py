@@ -8,6 +8,8 @@ each pair at its own sigma. Examples are derandomized so the suite is
 repeatable.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -378,3 +380,20 @@ def test_lockstep_factors_and_solves_only_in_drawing_rounds(monkeypatch, forced)
     play_tasks(agents, streams, tables)
     drawing_rounds = 10 - 4 if all(forced) else 10  # n - K, or n
     assert calls == {"cholesky": drawing_rounds, "solve": 3 * drawing_rounds}
+
+
+def test_lockstep_terms_stay_within_the_counted_cells():
+    # K d^2 = 200 * 32^2 is far above a pair's reward and noise cells,
+    # n (K + d) = 4 * 232, so play_linear builds each round's R terms instead
+    # of holding all R K of them (3 * 200 * 32^2 * 8 B, about 4.9 MB).
+    case = {"R": 3, "K": 200, "d": 32, "n": 4, "seed": 1}
+    posts, noise, rewards, free = _lockstep_inputs(
+        dict(case, sigmas=LOCKSTEP_SIGMAS, forced=[False] * 6)
+    )
+    tracemalloc.start()
+    try:
+        play_linear(posts, noise, rewards, free)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 200 * 32**2 * 8 / 4
