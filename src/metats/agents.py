@@ -47,12 +47,12 @@ class Agent:
 
     Lifecycle per task: begin_task, then the task's rounds, then end_task.
     The rounds are played either all at once with play_tasks against a
-    pre-drawn reward table, through the posterior's play, or one at a time
-    with select_action followed by observe of that same arm; both draw the
-    same Thompson noise from the stream and apply the same posterior math,
-    so they pick the same arms. With forced_last_k the last K rounds pull
-    arms 0..K-1 in order without a draw. MetaTS updates its meta-posterior
-    in end_task, never mid-task.
+    pre-drawn reward table, through the task posterior's play driver, or one
+    at a time with select_action followed by observe of that same arm; both
+    draw the same Thompson noise from the stream and apply the same posterior
+    math, so they pick the same arms. With forced_last_k the last K rounds
+    pull arms 0..K-1 in order without a draw. MetaTS updates its
+    meta-posterior in end_task, never mid-task.
 
     prior is MetaTS's meta-state at zero tasks (its meta-prior), or the fixed
     instance prior of OracleTS (the true one) and of TS (the agnostic one).
@@ -141,20 +141,6 @@ class Agent:
         self._record([arm], [reward])
         self._pending_arm = None
 
-    def _play_rounds(self, stream: np.random.Generator, rewards: np.ndarray) -> list:
-        """The rest of a Bernoulli or Gaussian task: one play call, then the forced pulls."""
-        post = self.task_posterior
-        start = self.rounds_played
-        free = self._free_rounds
-        table = rewards.tolist()
-        drawn = max(free - start, 0)
-        arms = post.play(stream, table[start:start + drawn])
-        for t in range(start + drawn, self.horizon):
-            arm = t - free
-            post.absorb(arm, table[t][arm])
-            arms.append(arm)
-        return arms
-
     def _record(self, arms, rewards) -> None:
         """Write the rounds just played, arms and their rewards, into the task's
         buffers; the one place a log grows."""
@@ -178,49 +164,47 @@ class Agent:
 def play_tasks(agents: list, streams: list, tables: list) -> np.ndarray:
     """Play every remaining round of each agent's current task.
 
-    Every agent must stand at the same round of equal horizons. Agent i plays
-    against its horizon x K reward table tables[i] and draws the Thompson
-    noise of all its drawn rounds from streams[i] in one call, after
-    begin_task. Returns the arms as one (agents, rounds) int array; each
-    agent copies its row into its own log buffers, so the array is the
-    caller's to keep or change.
+    Every agent must stand at the same round of equal horizons, and every
+    table is checked before any draw. Agent i plays against its horizon x K
+    reward table tables[i] through its task posterior's play driver, which
+    draws the Thompson noise of the free rounds from streams[i] (after
+    begin_task) and makes the forced pulls after them. Returns the arms as
+    one (agents, rounds) int array; each agent copies its row into its own
+    log buffers, so the array is the caller's to keep or change.
 
-    Linear agents play in lockstep through posteriors.play_linear, with one
-    stacked Cholesky and three stacked solves per round for all of them,
-    called as LAPACK gufuncs, and absorb terms built once per task: a round
-    of three pairs at K=10, d=2 costs about 19 us on a 2-core x86-64 host
-    (23 us with per-round absorb terms, 38 us through np.linalg's wrappers).
-    Bernoulli and Gaussian agents play one after another through their
+    Linear agents play in lockstep through posteriors.play_linear, one
+    stacked Cholesky and three stacked solves per round for all of them: a
+    round of three pairs at K=10, d=2 costs about 19 us on a 2-core x86-64
+    host. Bernoulli and Gaussian agents play one after another through their
     posterior's play: Beta draws are rejection-sampled, and a Gaussian round
-    there costs 0.6-1.2 us at K=2 (2-core x86-64 host), what a stacked numpy
-    round costs per pair at two dozen pairs. Either way, each agent's arms,
-    log and posterior equal those of playing it alone; end_tasks then ends
-    every task in one call, stacking the meta-updates the same way.
+    there costs 0.6-1.2 us at K=2 (same host), what a stacked numpy round
+    costs per pair at two dozen pairs. Either way, each agent's arms, log and
+    posterior equal those of playing it alone; end_tasks then ends every
+    task in one call, stacking the meta-updates the same way.
     """
-    for agent in agents:
-        agent._check_can_select()
     start, horizon = agents[0].rounds_played, agents[0].horizon
-    if any((agent.rounds_played, agent.horizon) != (start, horizon) for agent in agents):
-        raise ValueError("agents played together must share the round and horizon")
+    for i, agent in enumerate(agents):
+        agent._check_can_select()
+        if (agent.rounds_played, agent.horizon) != (start, horizon):
+            raise ValueError("agents played together must share the round and horizon")
+        want, shape = (horizon, agent.num_arms), np.shape(tables[i])
+        if shape != want:
+            raise ValueError(f"agent {i}'s reward table must be horizon x K = {want}, not {shape}")
+    free = [agent._free_rounds - start for agent in agents]
     rounds = np.arange(start, horizon)
     arms = np.empty((len(agents), horizon - start), dtype=int)
     linear = [isinstance(agent.task_posterior, LinearGaussianPosterior) for agent in agents]
     if any(linear):
         lockstep = [i for i, flag in enumerate(linear) if flag]
-        free = [agents[i]._free_rounds - start for i in lockstep]
-        noise = [
-            agents[i].task_posterior.noise(streams[i], max(f, 0))
-            for i, f in zip(lockstep, free)
-        ]
         arms[lockstep] = play_linear(
             [agents[i].task_posterior for i in lockstep],
-            noise,
-            np.stack([tables[i][start:horizon] for i in lockstep]),
-            free,
+            [streams[i] for i in lockstep],
+            np.stack([tables[i][start:] for i in lockstep]),
+            [free[i] for i in lockstep],
         )
     for i, agent in enumerate(agents):
         if not linear[i]:
-            arms[i] = agent._play_rounds(streams[i], tables[i])
+            arms[i] = agent.task_posterior.play(streams[i], tables[i][start:].tolist(), free[i])
         agent._record(arms[i], tables[i][rounds, arms[i]])
     return arms
 

@@ -16,6 +16,7 @@ updates in posteriors refine these states task by task.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,13 +44,46 @@ def _as_vector(x, name: str) -> np.ndarray:
     return v
 
 
+def _normal_finite(x: float) -> bool:
+    """x is a positive float that is neither subnormal nor infinite (NaN fails)."""
+    return sys.float_info.min <= x < math.inf
+
+
+def _normal_square(w: float) -> bool:
+    """w > 0 with a normal finite square, so reciprocals of the square stay finite."""
+    return w > 0.0 and _normal_finite(w * w)
+
+
+def _prior_weight_ok(sigma: float, width: float) -> bool:
+    """The sigma^2 / width^2 rule: a Gaussian prior's weight in pulls is a
+    normal finite float, and the task-posterior variance at zero pulls, the
+    largest it gets, is finite. NaN fails."""
+    s2, w2 = sigma * sigma, width * width
+    kappa = s2 / w2 if w2 > 0.0 else math.inf
+    return _normal_finite(kappa) and s2 / kappa < math.inf
+
+
 def _width(value, name: str) -> float:
     """A width (sigma_0, or the reward noise sigma) as a float: > 0 with a
-    finite square, so the conjugate updates can divide by it."""
+    normal finite square, so the conjugate updates can divide by it."""
     w = float(value)
-    if not (w > 0.0 and w * w < math.inf):
-        raise ValueError(f"{name} must be > 0 with a finite square, got {w!r}")
+    if not _normal_square(w):
+        raise ValueError(f"{name} must be > 0 with a finite square, not subnormal; got {w!r}")
     return w
+
+
+def _gaussian_widths(sigma_0, sigma) -> tuple:
+    """sigma_0 and sigma of a Gaussian prior or state: widths that pass the
+    sigma^2 / sigma_0^2 rule. Where both squares are finite the rule comes
+    first, so a square that underflows is reported with both widths."""
+    sigma_0, sigma = float(sigma_0), float(sigma)
+    finite = all(w > 0.0 and w * w < math.inf for w in (sigma_0, sigma))
+    if finite and not _prior_weight_ok(sigma, sigma_0):
+        raise ValueError(
+            "sigma**2 / sigma_0**2 must be a normal finite float and the zero-pull variance "
+            f"sigma**2 / (sigma**2 / sigma_0**2) finite; got sigma={sigma!r}, sigma_0={sigma_0!r}"
+        )
+    return _width(sigma_0, "sigma_0"), _width(sigma, "sigma")
 
 
 def check_weights(weights: np.ndarray, name: str = "weights") -> None:
@@ -111,16 +145,7 @@ class GaussianDiagPrior:
 
     def __post_init__(self):
         self.mu = _as_vector(self.mu, "mu")
-        self.sigma_0 = _width(self.sigma_0, "sigma_0")
-        self.sigma = _width(self.sigma, "sigma")
-        # A task posterior's variance is largest at zero pulls, so this bounds
-        # every round's Thompson draw.
-        kappa = self.sigma**2 / self.sigma_0**2
-        if not (kappa > 0.0 and self.sigma**2 / kappa < math.inf):
-            raise ValueError(
-                "the zero-pull variance sigma**2 / (sigma**2 / sigma_0**2) must be "
-                f"finite; got sigma={self.sigma!r}, sigma_0={self.sigma_0!r}"
-            )
+        self.sigma_0, self.sigma = _gaussian_widths(self.sigma_0, self.sigma)
 
     @property
     def num_arms(self) -> int:
@@ -215,8 +240,7 @@ class GaussianDiagState:
             raise ValueError("mu and var must have equal length")
         if not ((self.var > 0.0) & (self.var < math.inf)).all():
             raise ValueError("meta variances must be > 0 and finite")
-        self.sigma_0 = _width(self.sigma_0, "sigma_0")
-        self.sigma = _width(self.sigma, "sigma")
+        self.sigma_0, self.sigma = _gaussian_widths(self.sigma_0, self.sigma)
 
 
 @dataclass

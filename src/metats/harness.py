@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -29,6 +28,9 @@ from .envs import (
     GaussianDiagState,
     LinearGaussianPrior,
     LinearState,
+    _normal_finite,
+    _normal_square,
+    _prior_weight_ok,
     check_weights,
     reward_table,
     sample_instance_prior,
@@ -102,11 +104,6 @@ MAX_THREADS = 64
 MAX_TASK_CELLS = 10**7
 
 
-def _normal_finite(x: float) -> bool:
-    """x is a positive float that is neither subnormal nor infinite (NaN fails)."""
-    return sys.float_info.min <= x < math.inf
-
-
 def _as_float(key: str, value, what: str = "a number") -> float:
     """A float key's value: a number or a numeric string, never a bool."""
     if not isinstance(value, (bool, np.bool_)):
@@ -144,18 +141,18 @@ def check_widths(sigma, sigma_0, sigma_q) -> None:
     widths the agents use, sigma_0 and the prior-agnostic marginal
     sqrt(sigma_q^2 + sigma_0^2), the prior's weight in pulls sigma^2 / w^2
     must be a normal finite float and the task-posterior variance at zero
-    pulls finite; that variance only falls as pulls accrue.
+    pulls finite; that variance only falls as pulls accrue. The predicates
+    are the ones the priors and states in envs apply; the messages name the
+    config keys.
     """
     for key, value in (("sigma", sigma), ("sigma_0", sigma_0), ("sigma_q", sigma_q)):
-        if not (value > 0.0 and _normal_finite(value * value)):
+        if not _normal_square(value):
             raise ValueError(
                 f"{key} must be > 0 and finite, with a normal finite square; got {value!r}"
             )
-    s2 = sigma * sigma
     marginal = math.sqrt(sigma_q * sigma_q + sigma_0 * sigma_0)
     for name, width in (("sigma_0**2", sigma_0), ("(sigma_q**2 + sigma_0**2)", marginal)):
-        kappa = s2 / (width * width)
-        if not (_normal_finite(kappa) and s2 / kappa < math.inf):
+        if not _prior_weight_ok(sigma, width):
             raise ValueError(
                 f"sigma**2 / {name} must be a normal finite float with a finite "
                 f"prior variance; got sigma={sigma!r}, sigma_0={sigma_0!r}, sigma_q={sigma_q!r}"
@@ -323,13 +320,11 @@ class ExperimentConfig:
             )
         if self.family == GAUSSIAN:
             name = "(sigma_q * scale)**2"
-            ok = _normal_finite((self.sigma_q * scale) * (self.sigma_q * scale))
+            ok = _normal_square(self.sigma_q * scale)
         else:
             name = "1 / (sigma_q * scale)**2"
-            scale2 = scale * scale
-            ok = _normal_finite(scale2) and _normal_finite(
-                1.0 / (self.sigma_q * self.sigma_q) / scale2
-            )
+            q2 = self.sigma_q * self.sigma_q
+            ok = _normal_square(scale) and _normal_finite(1.0 / q2 / (scale * scale))
         if not ok:
             raise ValueError(
                 f"misspecification_scale must keep {name} a normal finite float; "

@@ -1,16 +1,16 @@
 """Conjugate posterior state: within-task updates and per-family meta updates.
 
-Within a task the agent holds a task posterior updated after every reward.
-The Bernoulli and Gaussian ones play a task's drawn rounds in one call,
-``play(gen, rows)``: each round pulls the first arm of largest Thompson
-sample and folds its reward from the round's row into the state in place.
-The step API (sample_task_posterior, update_task_posterior) uses one-round
-methods with the same bits: ``noise(gen, rounds)`` draws the Thompson noise
-of that many rounds, ``thompson(noise_row)`` turns one round's noise into a
-sample of the arm means, and ``absorb(arm, reward)`` folds one observation
-into the state. Linear tasks are played through play_linear, which runs the
-same round math for many (run, agent) pairs at once, building the absorb
-terms x x^T / sigma^2 once per task, not per round, where they take few cells.
+Within a task the agent holds a task posterior updated after every reward,
+and the posterior plays the task's rounds: its play driver draws the
+Thompson noise of the free rounds, each pulling the first arm of largest
+Thompson sample and folding its reward into the state in place, then makes
+the forced pulls, round t pulling arm t - free. The Bernoulli and Gaussian
+posteriors play one task per call, ``play(gen, rows, free)``; play_linear
+plays many linear (run, agent) pairs in lockstep, building the absorb terms
+x x^T / sigma^2 once per task, not per round, where they take few cells.
+The step API (sample_task_posterior, update_task_posterior) takes the same
+bits from ``thompson(gen)``, one round's sample of the arm means, and from
+``absorb(arm, reward)``, one observation folded into the state.
 
 Every Cholesky factor and solve goes through one seam, _cholesky and
 _solve, which call numpy's linalg gufuncs (numpy.linalg._umath_linalg)
@@ -203,20 +203,27 @@ class TaskLog:
 # Within-task posteriors
 
 
+def _forced_pulls(post, rows: list, free: int, arms: list) -> list:
+    """Append the forced pulls to arms: each row t from max(free, 0) on pulls
+    arm t - free, folded in through absorb."""
+    for t in range(max(free, 0), len(rows)):
+        arm = t - free
+        post.absorb(arm, rows[t][arm])
+        arms.append(arm)
+    return arms
+
+
 @dataclass
 class BetaCounts:
     """Beta posterior shapes per arm, as lists of floats updated in place.
 
-    Beta draws use rejection sampling, so their noise cannot be drawn ahead:
-    the noise of every round is the generator itself, and one round draws
-    one scalar Beta per arm in arm order (bit-identical to one array call).
+    Beta draws use rejection sampling, so they cannot be drawn ahead: one
+    round draws one scalar Beta per arm in arm order from the generator
+    (bit-identical to one array call).
     """
 
     alpha: list
     beta: list
-
-    def noise(self, gen: np.random.Generator, rounds: int) -> list:
-        return [gen] * rounds
 
     def thompson(self, gen: np.random.Generator) -> list:
         return [gen.beta(a, b) for a, b in zip(self.alpha, self.beta)]
@@ -227,12 +234,12 @@ class BetaCounts:
         self.alpha[arm] += reward
         self.beta[arm] += 1.0 - reward
 
-    def play(self, gen: np.random.Generator, rows: list) -> list:
-        """thompson, first maximum and absorb for one round per reward row."""
+    def play(self, gen: np.random.Generator, rows: list, free: int) -> list:
+        """thompson, first maximum and absorb per free row, then the forced pulls."""
         alpha, beta, draw = self.alpha, self.beta, gen.beta
         rest, arms = range(1, len(alpha)), []
         pull = arms.append
-        for row in rows:
+        for row in rows[: max(free, 0)]:
             arm, top = 0, draw(alpha[0], beta[0])
             for k in rest:
                 x = draw(alpha[k], beta[k])
@@ -244,7 +251,7 @@ class BetaCounts:
             alpha[arm] += reward
             beta[arm] += 1.0 - reward
             pull(arm)
-        return arms
+        return _forced_pulls(self, rows, free, arms)
 
 
 @dataclass
@@ -272,11 +279,6 @@ class GaussianArms:
         mu = np.asarray(self.prior_mu)
         return v * (mu / self.sigma_0**2 + np.asarray(self.sums) / self.sigma**2)
 
-    def noise(self, gen: np.random.Generator, rounds: int) -> list:
-        # Row t holds exactly the normals gen.normal(mean, sqrt(var)) would
-        # consume in round t, and numpy computes that draw as mean + sqrt(var) * z.
-        return gen.standard_normal((rounds, len(self.prior_mu))).tolist()
-
     def _arm_terms(self):
         """k -> (mean, sd) of arm k's Thompson draw, read from the live statistics."""
         s2 = self.sigma**2
@@ -290,7 +292,10 @@ class GaussianArms:
 
         return terms
 
-    def thompson(self, z) -> list:
+    def thompson(self, gen: np.random.Generator) -> list:
+        # z holds exactly the normals gen.normal(mean, sqrt(var)) would
+        # consume, and numpy computes that draw as mean + sqrt(var) * z.
+        z = gen.standard_normal(len(self.prior_mu)).tolist()
         terms = self._arm_terms()
         return [mean + sd * zk for (mean, sd), zk in zip(map(terms, range(len(z))), z)]
 
@@ -298,13 +303,13 @@ class GaussianArms:
         self.pulls[arm] += 1.0
         self.sums[arm] += reward
 
-    def play(self, gen: np.random.Generator, rows: list) -> list:
-        """thompson, first maximum and absorb for one round per reward row.
+    def play(self, gen: np.random.Generator, rows: list, free: int) -> list:
+        """thompson, first maximum and absorb per free row, then the forced pulls.
 
-        Each arm's mean and sd are refreshed only when it is pulled.
-        """
+        The free rows' noise is drawn in one call; an arm's mean and sd are
+        refreshed only when it is pulled."""
         num_arms = len(self.prior_mu)
-        z = self.noise(gen, len(rows))
+        z = gen.standard_normal((max(free, 0), num_arms)).tolist()
         terms = self._arm_terms()
         mean, sd = map(list, zip(*map(terms, range(num_arms))))
         pulls, sums = self.pulls, self.sums
@@ -320,7 +325,7 @@ class GaussianArms:
             sums[arm] += row[arm]
             mean[arm], sd[arm] = terms(arm)
             pull(arm)
-        return arms
+        return _forced_pulls(self, rows, free, arms)
 
 
 @dataclass
@@ -340,13 +345,9 @@ class LinearGaussianPosterior:
     def mean(self) -> np.ndarray:
         return _spd_solve(self.precision, self.info, "linear task posterior mean")
 
-    def noise(self, gen: np.random.Generator, rounds: int) -> np.ndarray:
-        return gen.normal(0.0, 1.0, size=(rounds, self.info.size))
-
-    def thompson(self, z) -> list:
-        draw = linear_thompson(
-            self.precision[None], self.info[None], self.features[None], np.asarray(z)[None]
-        )
+    def thompson(self, gen: np.random.Generator) -> list:
+        z = gen.normal(0.0, 1.0, size=(1, self.info.size))
+        draw = linear_thompson(self.precision[None], self.info[None], self.features[None], z)
         return draw[0].tolist()
 
     def absorb(self, arm: int, reward: float) -> None:
@@ -387,17 +388,17 @@ def _absorb(precision, info, x, reward, sigma2, outer=None) -> None:
     info += x * (reward / sigma2)[..., None]
 
 
-def play_linear(posts: list, noise: list, rewards: np.ndarray, free) -> np.ndarray:
+def play_linear(posts: list, gens: list, rewards: np.ndarray, free) -> np.ndarray:
     """Play n rounds of R linear tasks in lockstep; returns the arms, (R, n).
 
-    posts are the pairs' task posteriors, updated in place. noise[r] holds
-    pair r's Thompson noise, one row per drawn round, and rewards is the
-    (R, n, K) stack of reward tables. Pair r draws its arm while t < free[r]
-    and pulls arm t - free[r] after. Each round factors the precisions of the
-    drawing pairs in one stacked call; every pair's arms, log and posterior
-    equal those of playing it alone. If 4 K d^2 <= n (K + d), each pair's K
-    terms x x^T / sigma^2 (at most a quarter of its reward and noise cells)
-    are built once per task and gathered per round; else a round builds R.
+    posts are the pairs' task posteriors, updated in place, and rewards is
+    the (R, n, K) stack of reward tables. Pair r draws its arm while
+    t < free[r], its noise for all those rounds drawn from gens[r] in one
+    call, and pulls arm t - free[r] after. Each round factors the drawing
+    pairs' precisions in one stacked call; every pair's arms, log and
+    posterior equal those of playing it alone. If 4 K d^2 <= n (K + d), each
+    pair's K terms x x^T / sigma^2 (at most a quarter of its reward and noise
+    cells) are built once per task and gathered per round; else a round builds R.
     """
     (num_pairs, n, num_arms), d = rewards.shape, posts[0].info.size
     precision = np.stack([p.precision for p in posts])
@@ -408,9 +409,9 @@ def play_linear(posts: list, noise: list, rewards: np.ndarray, free) -> np.ndarr
     outer = _absorb_outer(features, sigma2[:, None]).reshape(-1, d, d) if prebuilt else None
     flat_features = features.reshape(num_pairs * num_arms, -1)
     flat_rewards = rewards.reshape(-1)
-    z = np.zeros((num_pairs, n, info.shape[1]))
-    for r, table in enumerate(noise):
-        z[r, : len(table)] = table
+    z = np.zeros((num_pairs, n, d))
+    for r, (gen, f) in enumerate(zip(gens, free)):
+        z[r, : max(f, 0)] = gen.normal(0.0, 1.0, size=(max(f, 0), d))
     all_draw = min(free)
     free = np.asarray(free)
     pair_rows = np.arange(num_pairs) * num_arms
@@ -494,7 +495,7 @@ def update_task_posterior(post, arm: int, reward: float):
 def sample_task_posterior(post, stream: np.random.Generator) -> np.ndarray:
     """One posterior sample of the arm-mean vector, with fresh noise from stream."""
     _check_task_posterior(post)
-    return np.array(post.thompson(post.noise(stream, 1)[0]))
+    return np.array(post.thompson(stream))
 
 
 # ---------------------------------------------------------------------------

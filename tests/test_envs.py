@@ -16,6 +16,7 @@ from metats.envs import (
     sample_instance_prior,
     sample_task_instance,
 )
+from metats.harness import check_widths
 from metats.posteriors import sample_meta_posterior
 from metats.rng import derive_stream
 
@@ -65,12 +66,18 @@ def test_gaussian_prior_validation():
         gaussian_meta(num_arms=0)
 
 
-@pytest.mark.parametrize("width", [1e200, np.inf, np.nan, -1.0])
+ZERO_PULL = "zero-pull variance .* got sigma=.*, sigma_0="
+
+
+@pytest.mark.parametrize("width", [1e200, np.inf, np.nan, -1.0, 1e-160, 1e-170])
 def test_gaussian_widths_checked_where_held(width):
     # Draws take their scales unchecked, so the priors and the states refuse
     # a width or a reward noise whose square is not finite, and the Gaussian
     # state a variance that is not finite, when built. A NaN sigma used to
     # give all-NaN reward tables.
+    if 0.0 < width < 1.0:
+        _check_underflowing_width(width)
+        return
     with pytest.raises(ValueError, match="sigma_0 must be > 0 with a finite square"):
         GaussianDiagPrior(mu=np.zeros(2), sigma_0=width, sigma=1.0)
     with pytest.raises(ValueError, match="sigma_0 must be > 0 with a finite square"):
@@ -88,6 +95,33 @@ def test_gaussian_widths_checked_where_held(width):
         return
     with pytest.raises(ValueError, match="meta variances must be > 0 and finite"):
         GaussianDiagState(mu=np.zeros(2), var=[0.25, width * width], sigma_0=0.1, sigma=1.0)
+
+
+def _check_underflowing_width(width):
+    # A width whose square is subnormal (1e-160) or 0 (1e-170) is refused by
+    # ExperimentConfig, and now where it is held too. It used to build: a
+    # Gaussian prior of that sigma_0 sampled [nan, nan] or divided by zero,
+    # a Gaussian state did so at its first meta sample, and a linear prior of
+    # that sigma stopped play with "condition number nan". The Gaussian
+    # holders report it through the sigma**2 / sigma_0**2 rule.
+    for widths in ((1.0, width, 0.5), (width, 0.1, 0.5)):
+        with pytest.raises(ValueError):
+            check_widths(*widths)
+    gaussian = (
+        lambda: GaussianDiagPrior(mu=[0.3, -0.2], sigma_0=width, sigma=1.0),
+        lambda: gaussian_meta(sigma_0=width),
+        lambda: GaussianDiagPrior(mu=np.zeros(2), sigma_0=0.1, sigma=width),
+        lambda: GaussianDiagState(mu=np.zeros(2), var=np.full(2, 0.25), sigma_0=0.1, sigma=width),
+    )
+    for build in gaussian:
+        with pytest.raises(ValueError, match=ZERO_PULL):
+            build()
+    for build in (
+        lambda: LinearGaussianPrior(np.zeros(2), np.eye(2), np.eye(2), width),
+        lambda: LinearState(np.zeros(2), np.eye(2), np.eye(2), width, np.eye(2)),
+    ):
+        with pytest.raises(ValueError, match="^sigma must be > 0 with a finite square"):
+            build()
 
 
 def linear_meta(Lambda, Sigma=np.eye(2)):
@@ -201,12 +235,20 @@ def test_drawn_priors_and_instances_carry_the_state_noise():
     assert set(np.unique(table)) <= {0.0, 1.0}
 
 
-@pytest.mark.parametrize("sigma, sigma_0", [(1e-200, 1.0), (1e-100, 1e150)])
+@pytest.mark.parametrize(
+    "sigma, sigma_0", [(1e-200, 1.0), (1e-100, 1e150), (1e150, 1e-150)]
+)
 def test_gaussian_prior_refuses_an_infinite_zero_pull_variance(sigma, sigma_0):
     # sigma**2 / sigma_0**2 underflows, so the task posterior's variance at
-    # zero pulls, sigma**2 / (sigma**2 / sigma_0**2), is not finite.
+    # zero pulls, sigma**2 / (sigma**2 / sigma_0**2), is not finite; or it
+    # overflows, and the prior's samples used to come out [0, -0]. The state
+    # that draws such priors refuses the pair too, as ExperimentConfig does.
     with pytest.raises(ValueError, match="zero-pull variance .* got sigma=.*, sigma_0="):
         GaussianDiagPrior(mu=[0.0, 0.0], sigma_0=sigma_0, sigma=sigma)
+    with pytest.raises(ValueError, match=ZERO_PULL):
+        GaussianDiagState(mu=np.zeros(2), var=np.full(2, 0.25), sigma_0=sigma_0, sigma=sigma)
+    with pytest.raises(ValueError):
+        check_widths(sigma, sigma_0, 0.5)
 
 
 def test_bernoulli_instance_validation():

@@ -2,8 +2,9 @@
 
 Small configs that cover every family, the misspecified MetaTS variants
 of the Gaussian and linear families (name-keyed streams, the scaled
-meta-prior width), forced terminal pulls (through the lemma 3
-certification) and the certification JSON. A refactor of the simulation
+meta-prior width), forced terminal pulls of every family (through the
+lemma 3 certification, and at n < K, where every round is forced) and the
+certification JSON. A refactor of the simulation
 must leave every digest unchanged. To see what moved, regenerate with
 
     PYTHONPATH=src python3 tests/test_goldens.py > tests/goldens.json
@@ -25,6 +26,11 @@ GOLDENS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "goldens.json
 SEED = 23
 SMALL = {"runs": 3, "m": 5}
 PRESETS = ("gaussian-smoke", "bernoulli-smoke", "gaussian-misspec", "linear-d4")
+FORCED_AGENTS = [
+    {"kind": "oracle", "forced_last_k": True},
+    {"kind": "metats", "forced_last_k": True},
+    {"kind": "agnostic"},
+]
 # Configs no preset covers: a base preset plus overrides of SMALL.
 VARIANTS = {
     "linear-misspec": (
@@ -78,6 +84,17 @@ VARIANTS = {
             "prior_table": [[[40, 1], [1, 40]], [[1, 40], [40, 1]], [[20, 20], [20, 20]]],
             "prior_weights": [0.5, 0.25, 0.25],
         },
+    ),
+    # Forced terminal pulls of Bernoulli pairs, beside an unforced one.
+    "bernoulli-forced": (
+        "bernoulli-smoke",
+        {"m": 3, "n": 20, "agents": FORCED_AGENTS},
+    ),
+    # n < K: every round of the forced agents is forced, and their pulls
+    # start at arm K - n = 1.
+    "gaussian-forced-short": (
+        "gaussian-k4",
+        {"m": 3, "n": 3, "agents": FORCED_AGENTS},
     ),
 }
 REPORT_FILES = ("rows.csv", "summary.csv", "report.json")

@@ -138,7 +138,7 @@ def test_gaussian_play_breaks_ties_toward_the_first_arm():
         prior_mu=[0.0, 1.0, 1.0], sigma_0=1.0, sigma=1.0, pulls=[0.0] * 3, sums=[0.0] * 3
     )
     gen = _ScriptedGen(normals=np.zeros((2, 3)))
-    arms = post.play(gen, [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+    arms = post.play(gen, [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]], 2)
     assert arms == [int(np.argmax([0.0, 1.0, 1.0]))] * 2 == [1, 1]
     assert post.pulls == [0.0, 2.0, 0.0] and post.sums == [0.0, 2.0, 0.0]
 
@@ -147,7 +147,7 @@ def test_bernoulli_play_breaks_ties_toward_the_first_arm():
     script = [[0.2, 0.7, 0.7], [0.5, 0.9, 0.9]]
     post = BetaCounts(alpha=[1.0, 2.0, 3.0], beta=[4.0, 5.0, 6.0])
     gen = _ScriptedGen(betas=[x for row in script for x in row])
-    arms = post.play(gen, [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    arms = post.play(gen, [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 2)
     assert arms == [int(np.argmax(row)) for row in script] == [1, 1]
     # One draw per arm in arm order, the second round after arm 1's success.
     assert gen.beta_args == [(1.0, 4.0), (2.0, 5.0), (3.0, 6.0), (1.0, 4.0), (3.0, 5.0), (3.0, 6.0)]

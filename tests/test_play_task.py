@@ -8,6 +8,7 @@ each pair at its own sigma. Examples are derandomized so the suite is
 repeatable.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,9 @@ from hypothesis import strategies as st
 from metats import posteriors
 from metats.agents import Agent, play_tasks
 from metats.envs import (
+    BetaProductPrior,
     GaussianDiagPrior,
+    LinearGaussianPrior,
     reward_table,
     sample_instance_prior,
     sample_task_instance,
@@ -30,6 +33,7 @@ from metats.posteriors import (
     LinearGaussianPosterior,
     init_task_posterior,
     play_linear,
+    sample_task_posterior,
 )
 from metats.rng import derive_stream
 
@@ -305,11 +309,17 @@ lockstep_cases = st.fixed_dictionaries(
 )
 
 
+def _noise_gens(case) -> list:
+    """One Thompson noise generator per pair; a second call gives twins."""
+    return [np.random.default_rng([case["seed"], r]) for r in range(case["R"])]
+
+
 def _lockstep_inputs(case):
-    """R linear posteriors with SPD precisions, their noise, rewards and free rounds."""
+    """R linear posteriors with SPD precisions, their noise generators,
+    rewards and free rounds."""
     r, k, d, n = case["R"], case["K"], case["d"], case["n"]
     gen = np.random.default_rng(case["seed"])
-    posts, noise, free = [], [], []
+    posts, free = [], []
     for i in range(r):
         a = gen.standard_normal((d, d))
         posts.append(
@@ -321,12 +331,13 @@ def _lockstep_inputs(case):
             )
         )
         free.append(n - k if case["forced"][i] else n)
-        noise.append(gen.standard_normal((max(free[-1], 0), d)))
-    return posts, noise, 3.0 * gen.standard_normal((r, n, k)), free
+    return posts, _noise_gens(case), 3.0 * gen.standard_normal((r, n, k)), free
 
 
-def _replay(post, noise, table, free):
-    """One pair alone, round by round through np.linalg: arms, precision, info."""
+def _replay(post, twin, table, free):
+    """One pair alone, round by round through np.linalg, its noise drawn
+    from a twin generator: arms, precision, info."""
+    noise = twin.normal(0.0, 1.0, size=(max(free, 0), post.info.size))
     precision, info = post.precision.copy(), post.info.copy()
     s2 = post.sigma**2
     arms = []
@@ -348,12 +359,12 @@ def _replay(post, noise, table, free):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(lockstep_cases)
 def test_lockstep_linear_play_is_each_pair_replayed_alone(case):
-    posts, noise, rewards, free = _lockstep_inputs(case)
+    posts, gens, rewards, free = _lockstep_inputs(case)
     start = [(p.precision.copy(), p.info.copy()) for p in posts]
-    arms = play_linear(posts, noise, rewards, free)
-    for r, post in enumerate(posts):
+    arms = play_linear(posts, gens, rewards, free)
+    for r, (post, twin) in enumerate(zip(posts, _noise_gens(case))):
         alone = LinearGaussianPosterior(*start[r], post.sigma, post.features)
-        want_arms, precision, info = _replay(alone, noise[r], rewards[r], free[r])
+        want_arms, precision, info = _replay(alone, twin, rewards[r], free[r])
         assert arms[r].tolist() == want_arms
         assert post.precision.tobytes() == precision.tobytes()
         assert post.info.tobytes() == info.tobytes()
@@ -387,13 +398,105 @@ def test_lockstep_terms_stay_within_the_counted_cells():
     # n (K + d) = 4 * 232, so play_linear builds each round's R terms instead
     # of holding all R K of them (3 * 200 * 32^2 * 8 B, about 4.9 MB).
     case = {"R": 3, "K": 200, "d": 32, "n": 4, "seed": 1}
-    posts, noise, rewards, free = _lockstep_inputs(
+    posts, gens, rewards, free = _lockstep_inputs(
         dict(case, sigmas=LOCKSTEP_SIGMAS, forced=[False] * 6)
     )
     tracemalloc.start()
     try:
-        play_linear(posts, noise, rewards, free)
+        play_linear(posts, gens, rewards, free)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 3 * 200 * 32**2 * 8 / 4
+
+
+FAMILY_PRIORS = {
+    "bernoulli": lambda: BetaProductPrior(alpha=[1.0, 2.0, 3.0], beta=[3.0, 2.0, 1.0]),
+    "gaussian": lambda: GaussianDiagPrior(mu=[0.1, -0.2, 0.3], sigma_0=0.5, sigma=SIGMA),
+    "linear": lambda: LinearGaussianPrior(
+        [0.1, -0.2], 0.25 * np.eye(2), [[0.5, 0.0], [0.0, 0.5], [0.3, -0.3]], SIGMA
+    ),
+}
+
+
+def _family_pairs(family, n):
+    """A forced and an unforced oracle pair of the family (K = 3, d = 2) at
+    the start of one task of horizon n: agents, streams and reward table."""
+    prior = FAMILY_PRIORS[family]()
+    theta = sample_task_instance(prior, derive_stream(4, 0, 1, 1))
+    table = reward_table(prior, theta, n, derive_stream(4, 0, 1, 2))
+    agents, streams = [], []
+    for i, forced in enumerate((True, False)):
+        agents.append(Agent("oracle", prior, forced_last_k=forced))
+        streams.append(derive_stream(4, 0, 1, 16 + i))
+        agents[-1].begin_task(streams[-1], n)
+    return agents, streams, table
+
+
+@pytest.mark.parametrize("family", ["bernoulli", "gaussian", "linear"])
+@pytest.mark.parametrize("shape", [(5, 4), (3, 3)])
+def test_play_tasks_refuses_a_table_that_is_not_horizon_by_k(family, shape):
+    # An extra column used to be ignored (Bernoulli, Gaussian) or to die in
+    # a numpy broadcast (linear), and a short table to die in a numpy
+    # broadcast. Every table is checked before any stream moves.
+    agents, streams, table = _family_pairs(family, 5)
+    states = [str(stream.bit_generator.state) for stream in streams]
+    message = f"agent 1's reward table must be horizon x K = (5, 3), not {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        play_tasks(agents, streams, [table, np.zeros(shape)])
+    assert [str(stream.bit_generator.state) for stream in streams] == states
+    assert [agent.rounds_played for agent in agents] == [0, 0]
+
+
+class _CountingGen:
+    """A Generator whose every call is recorded as (method, shape of the result)."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, []
+
+    def __getattr__(self, name):
+        method = getattr(self.gen, name)
+
+        def counted(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.calls.append((name, np.shape(out)))
+            return out
+
+        return counted
+
+
+def _round_draws(family, rounds):
+    """The generator calls of that many drawn rounds of a K = 3, d = 2 pair."""
+    return {
+        "bernoulli": [("beta", ())] * (3 * rounds),
+        "gaussian": [("standard_normal", (rounds, 3))],
+        "linear": [("normal", (rounds, 2))],
+    }[family]
+
+
+@pytest.mark.parametrize("family", ["bernoulli", "gaussian", "linear"])
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_play_draws_only_the_noise_of_the_drawn_rounds(family, n):
+    # No digest can see extra noise drawn after a pair's last drawn round,
+    # because every stream is re-keyed before the next task; so the calls
+    # are counted. At n <= K = 3 every round of the forced pair is forced.
+    agents, streams, table = _family_pairs(family, n)
+    gens = [_CountingGen(stream) for stream in streams]
+    play_tasks(agents, gens, [table, table])
+    forced, free = gens
+    assert forced.calls == _round_draws(family, max(n - 3, 0))
+    assert free.calls == _round_draws(family, n)
+    # The step API draws one round per sample: K normals in one call, or K
+    # Beta draws; a forced round through select_action draws nothing.
+    post = init_task_posterior(agents[0].task_prior)
+    gen = _CountingGen(derive_stream(4, 0, 1, 18))
+    sample_task_posterior(post, gen)
+    one = {"linear": [("normal", (1, 2))], "gaussian": [("standard_normal", (3,))]}
+    assert gen.calls == one.get(family, _round_draws(family, 1))
+    agent = Agent("oracle", agents[0].task_prior, forced_last_k=True)
+    agent.begin_task(gen, n)
+    gen.calls.clear()
+    for t in range(n):
+        arm = agent.select_action(gen)
+        agent.observe(arm, float(table[t, arm]))
+    assert gen.calls == one.get(family, _round_draws(family, 1)) * max(n - 3, 0)
