@@ -202,9 +202,14 @@ def play_tasks(agents: list, streams: list, tables: list) -> np.ndarray:
             np.stack([tables[i][start:] for i in lockstep]),
             [free[i] for i in lockstep],
         )
+    # A run's agents come one after another with one shared table: convert
+    # it once, and hold only its lists, since many live lists slow the GC.
+    table, rows = None, None
     for i, agent in enumerate(agents):
         if not linear[i]:
-            arms[i] = agent.task_posterior.play(streams[i], tables[i][start:].tolist(), free[i])
+            if tables[i] is not table:
+                table, rows = tables[i], tables[i][start:].tolist()
+            arms[i] = agent.task_posterior.play(streams[i], rows, free[i])
         agent._record(arms[i], tables[i][rounds, arms[i]])
     return arms
 

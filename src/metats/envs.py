@@ -93,8 +93,8 @@ def check_weights(weights: np.ndarray, name: str = "weights") -> None:
         raise ValueError(f"{name} must be nonnegative and sum to 1 within 1e-9")
 
 
-def _check_spd(mat, name: str, *, allow_semidefinite: bool = False) -> np.ndarray:
-    """Validate a symmetric (semi)definite matrix; returns it as an array."""
+def _check_spd(mat, name: str) -> np.ndarray:
+    """Validate a symmetric positive-definite matrix; returns it as an array."""
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
@@ -102,15 +102,10 @@ def _check_spd(mat, name: str, *, allow_semidefinite: bool = False) -> np.ndarra
         raise ValueError(f"{name} must be finite")
     if np.max(np.abs(m - m.T), initial=0.0) > 1e-12:
         raise ValueError(f"{name} must be symmetric within 1e-12")
-    eps = -1e-12 * max(1.0, float(np.max(np.abs(m))))
-    if allow_semidefinite:
-        if np.min(np.linalg.eigvalsh(m)) < eps:
-            raise ValueError(f"{name} must be positive semi-definite")
-    else:
-        try:
-            np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            raise ValueError(f"{name} must be positive-definite") from None
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"{name} must be positive-definite") from None
     return m
 
 
@@ -154,8 +149,8 @@ class GaussianDiagPrior:
 
 @dataclass
 class LinearGaussianPrior:
-    """Latent parameter theta ~ N(theta_0, Sigma); arm means are X @ theta,
-    observed with reward noise sigma."""
+    """Latent parameter theta ~ N(theta_0, Sigma), Sigma positive-definite;
+    arm means are X @ theta, observed with reward noise sigma."""
 
     theta_0: np.ndarray
     Sigma: np.ndarray
@@ -165,8 +160,7 @@ class LinearGaussianPrior:
     def __post_init__(self):
         self.theta_0 = _as_vector(self.theta_0, "theta_0")
         self.sigma = _width(self.sigma, "sigma")
-        # Semidefinite allowed: a zero covariance is the degenerate point prior.
-        self.Sigma = _check_spd(self.Sigma, "Sigma", allow_semidefinite=True)
+        self.Sigma = _check_spd(self.Sigma, "Sigma")
         self.features = np.asarray(self.features, dtype=float)
         d = self.theta_0.size
         if self.Sigma.shape != (d, d):

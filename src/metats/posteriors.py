@@ -59,7 +59,6 @@ __all__ = [
     "BetaCounts",
     "GaussianArms",
     "LinearGaussianPosterior",
-    "linear_thompson",
     "play_linear",
     "CategoricalWeights",
     "GaussianDiagState",
@@ -68,7 +67,6 @@ __all__ = [
     "update_task_posterior",
     "sample_task_posterior",
     "categorical_log_evidence",
-    "stacked_log_evidence",
     "update_meta_posterior_categorical",
     "update_meta_posterior_gaussian",
     "update_meta_posterior_linear",
@@ -149,8 +147,8 @@ def _check_binary(rewards: np.ndarray) -> None:
 @dataclass(eq=False)
 class TaskLog:
     """Interaction record of one task: the pulled arms and their rewards, in
-    round order, as a 1-D int array and a 1-D float array, plus per-arm
-    summaries. Built once from whole arrays; every arm is checked against K."""
+    round order, as a 1-D int array and a 1-D float array. Built once from
+    whole arrays; every arm is checked against K."""
 
     num_arms: int
     arms: np.ndarray = ()
@@ -172,31 +170,6 @@ class TaskLog:
 
     def __len__(self) -> int:
         return len(self.arms)
-
-    @property
-    def pull_counts(self) -> np.ndarray:
-        return np.bincount(self.arms, minlength=self.num_arms).astype(float)
-
-    @property
-    def reward_sums(self) -> np.ndarray:
-        # Summation in a canonical order (by arm, then value) so that permuting
-        # rounds cannot change the result by even one ulp.
-        arms, rewards = self.arms, self.rewards
-        order = np.lexsort((rewards, arms))
-        return np.bincount(
-            arms[order], weights=rewards[order], minlength=self.num_arms
-        ).astype(float)
-
-    @property
-    def positive_counts(self) -> np.ndarray:
-        """Per-arm count of reward 1 (Bernoulli logs)."""
-        _check_binary(self.rewards)
-        return self.reward_sums
-
-    @property
-    def negative_counts(self) -> np.ndarray:
-        """Per-arm count of reward 0 (Bernoulli logs)."""
-        return self.pull_counts - self.positive_counts
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +231,9 @@ class BetaCounts:
 class GaussianArms:
     """Normal-normal posterior per arm with known observation noise.
 
-    Stores sufficient statistics (lists of floats, updated in place); mean
-    and variance are evaluated in closed form, so the variance after N pulls
-    is exactly sigma^2/(sigma^2/sigma_0^2 + N).
+    Stores sufficient statistics (lists of floats, updated in place); _arm_terms
+    evaluates an arm's mean and variance in closed form, so the variance after
+    N pulls is exactly sigma^2/(sigma^2/sigma_0^2 + N).
     """
 
     prior_mu: list
@@ -268,16 +241,6 @@ class GaussianArms:
     sigma: float
     pulls: list
     sums: list
-
-    @property
-    def variance(self) -> np.ndarray:
-        return self.sigma**2 / (self.sigma**2 / self.sigma_0**2 + np.asarray(self.pulls))
-
-    @property
-    def mean(self) -> np.ndarray:
-        v = self.variance
-        mu = np.asarray(self.prior_mu)
-        return v * (mu / self.sigma_0**2 + np.asarray(self.sums) / self.sigma**2)
 
     def _arm_terms(self):
         """k -> (mean, sd) of arm k's Thompson draw, read from the live statistics."""
@@ -333,7 +296,7 @@ class LinearGaussianPosterior:
     """Gaussian posterior over the latent parameter of a linear bandit.
 
     Its round methods are the one-pair case of the stacked round math
-    (linear_thompson, _absorb) that play_linear runs for many pairs.
+    (_thompson_means, _absorb) that play_linear runs for many pairs.
     """
 
     precision: np.ndarray
@@ -341,32 +304,24 @@ class LinearGaussianPosterior:
     sigma: float
     features: np.ndarray
 
-    @property
-    def mean(self) -> np.ndarray:
-        return _spd_solve(self.precision, self.info, "linear task posterior mean")
-
     def thompson(self, gen: np.random.Generator) -> list:
         z = gen.normal(0.0, 1.0, size=(1, self.info.size))
-        draw = linear_thompson(self.precision[None], self.info[None], self.features[None], z)
+        with np.errstate(all="ignore"):
+            draw = _thompson_means(self.precision[None], self.info[None], self.features[None], z)
         return draw[0].tolist()
 
     def absorb(self, arm: int, reward: float) -> None:
         _absorb(self.precision, self.info, self.features[arm], reward, np.array(self.sigma**2))
 
 
-def linear_thompson(precision, info, features, z) -> np.ndarray:
+def _thompson_means(precision, info, features, z) -> np.ndarray:
     """Posterior samples of the arm means of R linear pairs, shape (R, K).
 
     precision is (R, d, d), info and the standard normal noise z are (R, d),
     features is (R, K, d). One stacked Cholesky and three stacked solves give
-    the same bits as the per-matrix calls.
+    the same bits as the per-matrix calls. The caller holds the flags
+    silenced, as _factor's callers do.
     """
-    with np.errstate(all="ignore"):
-        return _thompson_means(precision, info, features, z)
-
-
-def _thompson_means(precision, info, features, z) -> np.ndarray:
-    """linear_thompson for a caller that already holds the flags silenced."""
     lower = _factor(precision, "linear task posterior sampling")
     upper = lower.swapaxes(-1, -2)
     mean = _solve(upper, _solve(lower, info[..., None]))
@@ -528,12 +483,7 @@ def _log_evidence(terms: np.ndarray, logs) -> np.ndarray:
 
 def categorical_log_evidence(prior: BetaProductPrior, log: TaskLog) -> float:
     """log of the marginal likelihood of a Bernoulli task log under one prior."""
-    return float(stacked_log_evidence([prior], log)[0])
-
-
-def stacked_log_evidence(priors, log: TaskLog) -> np.ndarray:
-    """log marginal likelihoods of a Bernoulli task log under J priors, shape (J,)."""
-    return _log_evidence(_candidate_terms(priors)[None], [log])[0]
+    return float(_log_evidence(_candidate_terms([prior])[None], [log])[0, 0])
 
 
 def _update_categorical(metas: list, logs: list) -> list:
@@ -562,8 +512,8 @@ def _update_gaussian(metas: list, logs: list) -> list:
     """update_meta_posterior_gaussian of M states of K arms, on (M, K) arrays."""
     m, k = len(metas), metas[0].mu.size
     bins, rewards = _flat_bins(logs, k)
-    # Sorted by value, each bin adds in reward_sums' order (by arm, then value);
-    # equal values and signed zeros add alike. A tenth of a lexsort's time at 20k.
+    # After one argsort by value, each bin adds its rewards in ascending value
+    # order, whatever the round order; equal values and signed zeros add alike.
     order = np.argsort(rewards)
     sums = np.bincount(bins[order], weights=rewards[order], minlength=m * k).reshape(m, k)
     pulls = np.bincount(bins, minlength=m * k).astype(float).reshape(m, k)

@@ -71,8 +71,8 @@ def _grid_log_evidence(prior: BetaProductPrior, log: TaskLog) -> float:
     Gamma-function code is shared with the closed form under test.
     """
     theta = np.linspace(0.0, 1.0, GRID_POINTS)
-    pos = log.positive_counts
-    neg = log.negative_counts
+    pos = np.bincount(log.arms, weights=log.rewards, minlength=log.num_arms)
+    neg = np.bincount(log.arms, minlength=log.num_arms) - pos
     total = 0.0
     for i in range(log.num_arms):
         a = prior.alpha[i]

@@ -305,7 +305,7 @@ class TestMetaLearning:
         for _ in range(6):
             arm = agent.select_action(derive_stream(9, 0, 0, 1))
             agent.observe(arm, float(gen.normal()))
-        pulled = agent.log.pull_counts > 0
+        pulled = np.bincount(agent.log.arms, minlength=agent.num_arms) > 0
         agent.end_task()
         assert np.all(agent.meta.var[pulled] < var_before[pulled])
         unpulled = ~pulled

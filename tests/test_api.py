@@ -1,10 +1,13 @@
-"""The public API: every exported name resolves, and importing is cheap.
+"""The public API: every exported name resolves, every import is used, and
+importing is cheap.
 
 Each module's ``__all__`` is its public surface. A name left in ``__all__``
 after its object is deleted or renamed breaks ``from metats.x import *``
-and every caller that looks it up, so each one is resolved here.
+and every caller that looks it up, so each one is resolved here. An import
+left behind by a deletion is caught the same way, from the module's source.
 """
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -27,6 +30,46 @@ def test_every_exported_name_resolves(name):
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == []
     assert len(set(exported)) == len(exported)
+
+
+SOURCES = sorted(
+    entry.path for entry in os.scandir(os.path.dirname(metats.__file__))
+    if entry.name.endswith(".py")
+)
+
+
+def unused_imports(source: str) -> list:
+    """Names a module imports and never reads. A name in ``__all__``, or
+    imported by a statement with ``# noqa`` on one of its lines, is used."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if any("# noqa" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=os.path.basename)
+def test_every_import_is_used(path):
+    with open(path, encoding="utf-8") as f:
+        assert unused_imports(f.read()) == []
+
+
+def test_an_unused_import_is_found():
+    source = "import os\nimport sys  # noqa: F401\nfrom math import pi, tau\n__all__ = ['tau']\n"
+    assert unused_imports(source) == ["os (line 1)", "pi (line 3)"]
 
 
 def loaded_by_import(module: str) -> str:

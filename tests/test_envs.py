@@ -187,18 +187,6 @@ def test_gaussian_instance_degenerate_width():
     assert np.all(np.abs(theta - prior.mu) < 1e-6)
 
 
-def test_linear_instance_deterministic_map():
-    # d=1, X=[[2]], theta_0=0.3, Sigma=[[0]] -> arm mean 0.6 exactly
-    prior = LinearGaussianPrior(
-        theta_0=np.array([0.3]),
-        Sigma=np.array([[0.0]]),
-        features=np.array([[2.0]]),
-        sigma=1.0,
-    )
-    s = derive_stream(6, 0, 0)
-    assert sample_task_instance(prior, s) == pytest.approx([0.6], abs=1e-15)
-
-
 def test_gaussian_marginal_consistency():
     # Composing the two sampling levels gives variance sigma_q^2 + sigma_0^2
     meta = gaussian_meta()

@@ -462,7 +462,7 @@ class TestRunTask:
         log, regret = run_task(agent, np.array([0.3, 1.0]), 8, stream, rewards=np.zeros((8, 2)))
         agent.end_task()
         np.testing.assert_allclose(regret, np.full(8, 0.7), rtol=1e-15)
-        np.testing.assert_array_equal(log.pull_counts, [8.0, 0.0])
+        np.testing.assert_array_equal(np.bincount(log.arms, minlength=2), [8, 0])
 
 
 experiments = st.fixed_dictionaries(

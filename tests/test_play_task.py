@@ -122,16 +122,17 @@ def test_final_posterior_is_the_batch_posterior_of_the_log(case):
     np.testing.assert_array_equal(log.rewards, table[np.arange(n), log.arms])
     post = agent.task_posterior
     prior = init_task_posterior(agent.task_prior)
+    pulls = np.bincount(log.arms, minlength=log.num_arms).astype(float)
     if isinstance(post, BetaCounts):
         failures = [1.0 - r for r in log.rewards]
         assert post.alpha == _fold(prior.alpha, log.arms, log.rewards)
         assert post.beta == _fold(prior.beta, log.arms, failures)
         shapes = np.asarray(post.alpha) + np.asarray(post.beta)
         np.testing.assert_allclose(
-            shapes, np.asarray(prior.alpha) + np.asarray(prior.beta) + log.pull_counts
+            shapes, np.asarray(prior.alpha) + np.asarray(prior.beta) + pulls
         )
     elif isinstance(post, GaussianArms):
-        assert post.pulls == log.pull_counts.tolist()
+        assert post.pulls == pulls.tolist()
         assert post.sums == _fold([0.0] * log.num_arms, log.arms, log.rewards)
         assert post.prior_mu == prior.prior_mu
     else:

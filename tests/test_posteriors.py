@@ -30,10 +30,9 @@ from metats.posteriors import (
     TaskLog,
     categorical_log_evidence,
     init_task_posterior,
-    linear_thompson,
+    play_linear,
     sample_meta_posterior,
     sample_task_posterior,
-    stacked_log_evidence,
     update_meta_posterior_categorical,
     update_meta_posterior_gaussian,
     update_meta_posterior_linear,
@@ -51,6 +50,41 @@ def make_log(num_arms, pairs):
     return TaskLog(num_arms, [arm for arm, _ in pairs], [reward for _, reward in pairs])
 
 
+def arm_totals(log):
+    """Per-arm pull counts and reward sums of a log, each arm's rewards added
+    by value: the canonical order in which no shuffle of rounds moves a bit."""
+    order = np.lexsort((log.rewards, log.arms))
+    pulls = np.bincount(log.arms, minlength=log.num_arms).astype(float)
+    sums = np.bincount(log.arms[order], weights=log.rewards[order], minlength=log.num_arms)
+    return pulls, sums
+
+
+def gaussian_moments(post):
+    """Per-arm mean and variance of a GaussianArms posterior, from its pulls
+    and sums in closed form: var = sigma^2 / (sigma^2 / sigma_0^2 + N)."""
+    var = post.sigma**2 / (post.sigma**2 / post.sigma_0**2 + np.asarray(post.pulls))
+    mean = var * (np.asarray(post.prior_mu) / post.sigma_0**2 + np.asarray(post.sums) / post.sigma**2)
+    return mean, var
+
+
+def linear_mean(post):
+    return np.linalg.solve(post.precision, post.info)
+
+
+def linear_posts(precisions):
+    """Identity-featured linear posteriors at zero info, one per precision."""
+    return [
+        LinearGaussianPosterior(precision=p.copy(), info=np.zeros(2), sigma=1.0, features=np.eye(2))
+        for p in precisions
+    ]
+
+
+def play_one_round(posts):
+    """One drawn round of the posts in lockstep, as a run's chunk plays it."""
+    gens = [np.random.default_rng(i) for i in range(len(posts))]
+    return play_linear(posts, gens, np.zeros((len(posts), 1, 2)), [1] * len(posts))
+
+
 # ---------------------------------------------------------------------------
 # TaskLog
 
@@ -59,8 +93,9 @@ class TestTaskLog:
     def test_counts_and_sums(self):
         log = make_log(3, [(0, 1.0), (2, 0.5), (0, -0.25), (2, 2.0)])
         assert len(log) == 4
-        np.testing.assert_array_equal(log.pull_counts, [2.0, 0.0, 2.0])
-        np.testing.assert_allclose(log.reward_sums, [0.75, 0.0, 2.5])
+        pulls, sums = arm_totals(log)
+        np.testing.assert_array_equal(pulls, [2.0, 0.0, 2.0])
+        np.testing.assert_allclose(sums, [0.75, 0.0, 2.5])
 
     def test_out_of_range_arm(self):
         with pytest.raises(ValueError, match="arm 2 out of range for K=2"):
@@ -81,32 +116,14 @@ class TestTaskLog:
         empty = TaskLog(num_arms=3)
         assert len(empty) == 0 and empty.arms.shape == empty.rewards.shape == (0,)
 
-    def test_binary_counts(self):
-        log = make_log(2, [(0, 1.0), (0, 0.0), (1, 1.0), (0, 1.0)])
-        np.testing.assert_array_equal(log.positive_counts, [2.0, 1.0])
-        np.testing.assert_array_equal(log.negative_counts, [1.0, 0.0])
-        total = log.positive_counts + log.negative_counts
-        np.testing.assert_array_equal(total, log.pull_counts)
-
     def test_non_binary_reward_rejected_by_binary_views(self):
+        # The Bernoulli evidence is where a log is read as success counts.
         log = make_log(2, [(0, 1.0), (1, 0.5), (0, 2.0)])
         with pytest.raises(ValueError, match=r"^non-binary reward 0.5 in a Bernoulli log$"):
-            log.positive_counts
+            categorical_log_evidence(SEC5_P1, log)
+        meta = CategoricalWeights(weights=np.array([0.5, 0.5]), priors=(SEC5_P1, SEC5_P2))
         with pytest.raises(ValueError, match="non-binary"):
-            log.negative_counts
-
-    def test_reward_sums_permutation_bit_identical(self):
-        # Summation happens in a canonical order, so any shuffle of the rounds
-        # produces bit-for-bit equal per-arm sums.
-        gen = np.random.default_rng(7)
-        arms = gen.integers(0, 4, size=200)
-        rewards = gen.normal(size=200)
-        log_a = make_log(4, list(zip(arms, rewards)))
-        perm = gen.permutation(200)
-        log_b = make_log(4, list(zip(arms[perm], rewards[perm])))
-        sums_a = log_a.reward_sums
-        sums_b = log_b.reward_sums
-        assert all(a == b for a, b in zip(sums_a, sums_b))
+            update_meta_posterior_categorical(meta, log)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +144,9 @@ class TestInitTaskPosterior:
         prior = GaussianDiagPrior(mu=[0.1, -0.2], sigma_0=0.1, sigma=1.0)
         post = init_task_posterior(prior)
         assert isinstance(post, GaussianArms)
-        np.testing.assert_array_equal(post.mean, [0.1, -0.2])
-        np.testing.assert_allclose(post.variance, [0.01, 0.01], rtol=1e-15)
+        mean, var = gaussian_moments(post)
+        np.testing.assert_array_equal(mean, [0.1, -0.2])
+        np.testing.assert_allclose(var, [0.01, 0.01], rtol=1e-15)
 
     def test_linear_init(self):
         features = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
@@ -138,17 +156,20 @@ class TestInitTaskPosterior:
         )
         post = init_task_posterior(prior)
         assert isinstance(post, LinearGaussianPosterior)
-        np.testing.assert_allclose(post.mean, [0.3, -0.1], atol=1e-12)
+        np.testing.assert_allclose(linear_mean(post), [0.3, -0.1], atol=1e-12)
         np.testing.assert_allclose(
             post.precision, np.linalg.inv(sigma_mat), rtol=1e-10
         )
 
     def test_linear_init_singular_covariance(self):
-        prior = LinearGaussianPrior(
-            theta_0=[0.0], Sigma=[[0.0]], features=[[1.0]], sigma=1.0
-        )
-        with pytest.raises(NumericalError):
-            init_task_posterior(prior)
+        # A singular Sigma is refused when the prior is built, before any
+        # task posterior could invert it.
+        for sigma_mat in ([[0.0]], np.diag([1.0, 0.0])):
+            d = len(sigma_mat)
+            with pytest.raises(ValueError, match="^Sigma must be positive-definite$"):
+                LinearGaussianPrior(
+                    theta_0=np.zeros(d), Sigma=sigma_mat, features=np.eye(d), sigma=1.0
+                )
 
     def test_wrong_type(self):
         with pytest.raises(TypeError, match="not an instance prior"):
@@ -182,11 +203,12 @@ class TestUpdateTaskPosterior:
         prior = GaussianDiagPrior(mu=[0.0, 0.0], sigma_0=0.1, sigma=1.0)
         post = init_task_posterior(prior)
         post = update_task_posterior(post, arm=0, reward=1.0)
-        np.testing.assert_allclose(post.variance[0], 1.0 / 101.0, rtol=1e-14)
-        np.testing.assert_allclose(post.mean[0], 1.0 / 101.0, rtol=1e-14)
+        mean, var = gaussian_moments(post)
+        np.testing.assert_allclose(var[0], 1.0 / 101.0, rtol=1e-14)
+        np.testing.assert_allclose(mean[0], 1.0 / 101.0, rtol=1e-14)
         # Untouched arm keeps the prior width to the bit (0.1**2 in floats).
-        assert post.variance[1] == 0.1**2
-        assert post.mean[1] == 0.0
+        assert var[1] == 0.1**2
+        assert mean[1] == 0.0
 
     def test_gaussian_variance_closed_form(self):
         # After N pulls the variance is exactly sigma^2/(sigma^2/sigma_0^2 + N),
@@ -197,7 +219,7 @@ class TestUpdateTaskPosterior:
         for n in range(1, 40):
             post = update_task_posterior(post, arm=0, reward=gen.normal())
             expected = 4.0 / (4.0 / 0.25 + n)
-            assert post.variance[0] == expected
+            assert gaussian_moments(post)[1][0] == expected
 
     def test_gaussian_mean_matches_precision_weighting(self):
         prior = GaussianDiagPrior(mu=[0.2], sigma_0=0.3, sigma=1.5)
@@ -208,7 +230,7 @@ class TestUpdateTaskPosterior:
         prec0 = 1.0 / 0.09
         prec = prec0 + 3.0 / 1.5**2
         expected = (0.2 * prec0 + sum(rewards) / 1.5**2) / prec
-        np.testing.assert_allclose(post.mean[0], expected, rtol=1e-14)
+        np.testing.assert_allclose(gaussian_moments(post)[0][0], expected, rtol=1e-14)
 
     def test_linear_rank_one_update(self):
         features = np.array([[1.0, 0.5], [-0.5, 1.0]])
@@ -228,7 +250,7 @@ class TestUpdateTaskPosterior:
         y = np.array([0.8, -0.3])
         lam = np.linalg.inv(0.25 * np.eye(2)) + x_mat.T @ x_mat / 4.0
         mean = np.linalg.solve(lam, x_mat.T @ y / 4.0)
-        np.testing.assert_allclose(post2.mean, mean, atol=1e-12)
+        np.testing.assert_allclose(linear_mean(post2), mean, atol=1e-12)
 
     def test_wrong_type(self):
         with pytest.raises(TypeError, match="not a task posterior"):
@@ -288,23 +310,19 @@ class TestSampleTaskPosterior:
         with pytest.raises(NumericalError, match="pivot"):
             sample_task_posterior(post, derive_stream(0, 0, 0, 0))
         with pytest.raises(NumericalError, match="pivot"):
-            linear_thompson(
-                np.stack([np.eye(2), nan]), np.zeros((2, 2)), np.stack([np.eye(2)] * 2),
-                np.zeros((2, 2)),
-            )
+            play_one_round(linear_posts([np.eye(2), nan]))
 
     def test_pivot_floor_is_relative_to_the_largest_pivot(self):
         # A tiny but perfectly conditioned precision samples like the unit
         # one scaled; a pivot 1e-15 of its matrix's largest is refused, also
         # next to a tiny well-conditioned matrix in the same stack.
-        z = np.array([[0.3, -1.2]])
-        eye = np.eye(2)[None]
-        unit = linear_thompson(eye, np.zeros((1, 2)), eye, z)
-        tiny = linear_thompson(1e-26 * eye, np.zeros((1, 2)), eye, z)
-        np.testing.assert_allclose(tiny, 1e13 * unit, rtol=1e-12)
-        skewed = np.stack([1e-26 * np.eye(2), np.diag([1.0, 1e-30])])
+        unit, tiny = linear_posts([np.eye(2), 1e-26 * np.eye(2)])
+        unit_draw = unit.thompson(np.random.default_rng(3))
+        tiny_draw = tiny.thompson(np.random.default_rng(3))
+        np.testing.assert_allclose(tiny_draw, 1e13 * np.array(unit_draw), rtol=1e-12)
+        skewed = linear_posts([1e-26 * np.eye(2), np.diag([1.0, 1e-30])])
         with pytest.raises(NumericalError, match="pivot below 1e-12 of the largest"):
-            linear_thompson(skewed, np.zeros((2, 2)), np.stack([np.eye(2)] * 2), np.zeros((2, 2)))
+            play_one_round(skewed)
 
     def test_linear_sample_covariance(self):
         # Empirical covariance of theta-samples (recovered through identity
@@ -349,7 +367,7 @@ def test_seam_equals_numpy_linalg(case):
     lower = _cholesky(mats)
     assert lower.tobytes() == np.linalg.cholesky(mats).tobytes()
     assert _spd_factor(mats, "seam").tobytes() == lower.tobytes()
-    # The upper factor is the swapped view, as linear_thompson passes it.
+    # The upper factor is the swapped view, as _thompson_means passes it.
     upper = np.swapaxes(lower, -1, -2)
     for rhs in (gen.standard_normal(d), gen.standard_normal((r, d, 1))):
         for a in (lower, upper):
@@ -474,7 +492,8 @@ class TestCategoricalMeta:
 
 def evidence_one_candidate_at_a_time(priors, log):
     """The Beta-Binomial log evidence, one log_gamma call per term and candidate."""
-    pos, neg, total = log.positive_counts, log.negative_counts, log.pull_counts
+    total, pos = arm_totals(log)
+    neg = total - pos
     out = []
     for prior in priors:
         a, b = prior.alpha, prior.beta
@@ -521,11 +540,10 @@ def test_stacked_evidence_equals_one_candidate_at_a_time(case):
         assert MIN_BETA_SHAPE <= min(prior.alpha.min(), prior.beta.min())
         assert np.all(prior.alpha + prior.beta + len(log) <= MAX_BETA_SHAPE_SUM)
     loop = evidence_one_candidate_at_a_time(meta.priors, log)
-    stacked = stacked_log_evidence(meta.priors, log)
-    assert stacked.dtype == loop.dtype and stacked.tobytes() == loop.tobytes()
-    single = [categorical_log_evidence(p, log) for p in meta.priors]
-    assert np.array(single).tobytes() == loop.tobytes()
-    # The weights of the same Bayes rule on the loop's evidence.
+    single = np.array([categorical_log_evidence(p, log) for p in meta.priors])
+    assert single.dtype == loop.dtype and single.tobytes() == loop.tobytes()
+    # The weights of the same Bayes rule on the loop's evidence: the update
+    # stacks the evidence of all J candidates.
     with np.errstate(divide="ignore"):
         logw = np.log(meta.weights)
     logw = logw + loop
@@ -674,8 +692,7 @@ def six_row_evidence(priors, log):
     cached: lg(a+b) + lg(a+pos) + lg(b+neg) - lg(a) - lg(b) - lg(a+b+T)."""
     a = np.stack([p.alpha for p in priors])
     b = np.stack([p.beta for p in priors])
-    pos = log.positive_counts
-    total = log.pull_counts
+    total, pos = arm_totals(log)
     lg = log_gamma(np.stack([a + b, a + pos, b + (total - pos), a, b, a + b + total]))
     return (lg[0] + lg[1] + lg[2] - lg[3] - lg[4] - lg[5]).sum(axis=-1)
 
@@ -695,7 +712,7 @@ def categorical_weights_alone(meta, log):
 
 def gaussian_state_alone(meta, log):
     """The one-state Gaussian update, written out on the pulled arms."""
-    pulls, sums = log.pull_counts, log.reward_sums
+    pulls, sums = arm_totals(log)
     pulled = pulls > 0
     t = pulls[pulled]
     weight = t / (t * meta.sigma_0**2 + meta.sigma**2)
