@@ -99,8 +99,8 @@ class Agent:
     def begin_task(self, stream: np.random.Generator, horizon: int) -> None:
         if self._in_task:
             raise RuntimeError("begin_task called before the previous task ended")
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
+            raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
         if self.kind == METATS:
             self.task_prior = sample_meta_posterior(self.meta, stream)
         else:

@@ -16,6 +16,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -36,7 +37,8 @@ from .envs import (
     sample_instance_prior,
     sample_task_instance,
 )
-from .rng import derive_stream, name_substream, rekey, stream_keys
+from .posteriors import _builds_absorb_terms
+from .rng import name_substream, rekey, stream_keys
 
 __all__ = [
     "ExperimentConfig",
@@ -63,8 +65,8 @@ SUB_RUN = 0
 SUB_INSTANCE = 1
 SUB_REWARDS = 2
 
-# Bound on the reward and noise cells one chunk of runs holds per task; the
-# runs of a chunk are simulated together (see _simulate_runs).
+# Bound on the cells (task_cells) one chunk of runs holds per task; the runs
+# of a chunk are simulated together (see _simulate_runs).
 CHUNK_CELLS = 1 << 20
 
 DEFAULT_MASTER_SEED = 23  # of every run and certification that names none
@@ -97,10 +99,9 @@ MAX_REGRET_CELLS = 10**7
 # of about 38 MB, and a pool forks all of them at its first task.
 MAX_THREADS = 64
 
-# Largest ExperimentConfig.task_cells, the reward and Thompson noise cells one
-# run holds per task (the cells _runs_per_chunk counts). Peak memory grows by
-# up to about 35 bytes per cell (Gaussian play, whose rows go through Python
-# lists), so a task at the bound peaks near 350 MB.
+# Largest ExperimentConfig.task_cells, the cells one run holds per task. Peak
+# memory grew by up to 37 bytes per cell (tracemalloc: one Bernoulli agent at
+# K = 2, its log and row lists uncounted), so a task at the bound nears 370 MB.
 MAX_TASK_CELLS = 10**7
 
 
@@ -211,9 +212,12 @@ class ExperimentConfig:
                 f"{self.runs} * {self.m} * {len(self.agents)} = {cells}"
             )
         if self.task_cells > MAX_TASK_CELLS:
+            held = self.task_cells // len(self.agents) - self.n * (self.K + self.noise_cells)
+            linear = " + agents * (features + posterior + absorb terms)" if held else ""
             raise ValueError(
-                f"n * agents * (K + noise) must be <= {MAX_TASK_CELLS}; got {self.n} * "
-                f"{len(self.agents)} * ({self.K} + {self.noise_cells}) = {self.task_cells}"
+                f"n * agents * (K + noise){linear} must be <= {MAX_TASK_CELLS}; got {self.n} * "
+                f"{len(self.agents)} * ({self.K} + {self.noise_cells})"
+                f"{f' + {len(self.agents)} * {held}' if held else ''} = {self.task_cells}"
             )
 
     def _validate_bernoulli_table(self) -> None:
@@ -366,9 +370,15 @@ class ExperimentConfig:
 
     @property
     def task_cells(self) -> int:
-        """The reward and noise cells one run holds per task, refused above
-        MAX_TASK_CELLS before anything is allocated."""
-        return self.n * len(self.agents) * (self.K + self.noise_cells)
+        """Every cell one run's pairs hold in a task, refused above MAX_TASK_CELLS
+        before anything is allocated: a pair's n rows of rewards and noise and,
+        linear, play_linear's features (K d), posterior (d^2 + d) and absorb
+        terms (K d^2, where it builds them)."""
+        cells = self.n * (self.K + self.noise_cells)
+        if self.family == LINEAR:
+            K, d = self.K, self.d
+            cells += K * d + d * d + d + (K * d * d if _builds_absorb_terms(K, d, self.n) else 0)
+        return len(self.agents) * cells
 
     def echo(self) -> dict:
         """Config as a JSON-able dict, excluding delivery knobs (output_dir)."""
@@ -484,7 +494,7 @@ def run_task(
 
 def _runs_per_chunk(config: ExperimentConfig) -> int:
     """Runs simulated together, so that a chunk holds at most CHUNK_CELLS
-    reward and noise cells per task whatever n, K, d and the agent count are."""
+    cells (task_cells) per task whatever n, K, d and the agent count are."""
     return max(1, min(config.runs, CHUNK_CELLS // config.task_cells))
 
 
@@ -494,12 +504,12 @@ def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> tupl
     Every agent of a run faces the same environment draws. For each task all
     (run, agent) pairs of the chunk play in one play_tasks call, so linear
     pairs share one stacked kernel, and end it in one end_tasks call, which
-    stacks the meta-updates; streams are keyed by (run, task, agent),
-    so every pair's numbers equal those of simulating its run alone. The keys
-    of all tasks come from one stream_keys call (per KEY_BLOCK keys), and
-    each stream of a run is one generator re-keyed before every task. After
-    each task, progress (if given) gets the finished (run, task) cells of the
-    whole experiment, counting every run before the chunk as finished.
+    stacks the meta-updates; streams are keyed by (run, task, agent), so every
+    pair's numbers equal those of simulating its run alone. Every key, task 0's
+    run stream included, comes from one stream_keys call per KEY_BLOCK keys;
+    each other stream of a run is one generator, re-keyed before every task.
+    After each task, progress (if given) gets the finished (run, task) cells of
+    the whole experiment, counting every run before the chunk as finished.
 
     Returns the chunk's per-task pseudo-regret, shape (agents, runs, m), and
     two dicts of per-run arrays keyed by MetaTS agent name: the Bernoulli
@@ -507,7 +517,7 @@ def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> tupl
     (runs, m) (see RegretReport).
     """
     seed = config.master_seed
-    subs = [SUB_INSTANCE, SUB_REWARDS] + [name_substream(n) for n in config.agent_names]
+    subs = [SUB_RUN, SUB_INSTANCE, SUB_REWARDS] + [name_substream(n) for n in config.agent_names]
     num_agents = len(config.agents)
     regret = np.zeros((num_agents, len(runs), config.m))
     learners = [entry["name"] for entry in config.agents if entry["kind"] == METATS]
@@ -516,9 +526,11 @@ def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> tupl
         traces = {name: np.zeros((len(runs), config.m + 1)) for name in learners}
     if config.family == GAUSSIAN:
         errors = {name: np.zeros((len(runs), config.m)) for name in learners}
+    block = max(1, KEY_BLOCK // (len(runs) * len(subs)))
+    keys = stream_keys(seed, runs, range(min(block, config.m + 1)), subs)
     chunk = []
-    for r, run_idx in enumerate(runs):
-        run_stream = derive_stream(seed, run_idx, 0, SUB_RUN)
+    for r in range(len(runs)):
+        run_stream, *slots = (np.random.Generator(np.random.Philox(key=k)) for k in keys[r, 0])
         meta_prior = build_meta_prior(config, run_stream)
         true_prior = sample_instance_prior(meta_prior, run_stream)
         agents = _materialize_agents(config, meta_prior, true_prior)
@@ -527,19 +539,14 @@ def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> tupl
             j_star = next(i for i, p in enumerate(meta_prior.priors) if p is true_prior)
             for name in traces:
                 traces[name][r, 0] = meta_prior.weights[j_star]
-        # One stream per substream, re-keyed before every task.
-        slots = [derive_stream(seed, run_idx, 0, sub) for sub in subs]
-        chunk.append((run_idx, true_prior, agents, j_star, slots))
+        chunk.append((true_prior, agents, j_star, slots))
 
-    block = max(1, KEY_BLOCK // (len(runs) * len(subs)))
     for s in range(1, config.m + 1):
-        if (s - 1) % block == 0:
+        if s % block == 0:
             keys = stream_keys(seed, runs, range(s, min(s + block, config.m + 1)), subs)
         means, pairs, streams, tables = [], [], [], []
-        for r, ((run_idx, true_prior, agents, _, slots), run_keys) in enumerate(
-            zip(chunk, keys[:, (s - 1) % block])
-        ):
-            for slot, key in zip(slots, run_keys):
+        for r, (true_prior, agents, _, slots) in enumerate(chunk):
+            for slot, key in zip(slots, keys[r, s % block, 1:]):
                 rekey(slot, key)
             theta = sample_task_instance(true_prior, slots[0])
             table = reward_table(true_prior, theta, config.n, slots[1])
@@ -558,18 +565,13 @@ def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> tupl
         gaps = theta.max(axis=1)[:, None] - np.take_along_axis(theta, arms, axis=1)
         regret[:, :, s - 1] = gaps.sum(axis=1).reshape(len(runs), num_agents).T
         end_tasks(pairs)
-        for r, (_, _, agents, j_star, _) in enumerate(chunk):
+        for r, (_, agents, j_star, _) in enumerate(chunk):
             for agent in agents:
                 if agent.name in traces:
                     traces[agent.name][r, s] = agent.meta.weights[j_star]
         if progress is not None:
             progress(runs.start * config.m + s * len(runs), config.runs * config.m)
     return regret, traces, errors
-
-
-def _run_payload(args):
-    config, runs = args
-    return runs, _simulate_runs(config, runs)
 
 
 @dataclass(eq=False)
@@ -687,7 +689,7 @@ def run_experiment(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
-            for runs, result in pool.map(_run_payload, [(config, c) for c in chunks]):
+            for runs, result in zip(chunks, pool.map(partial(_simulate_runs, config), chunks)):
                 _store(runs, result)
                 if progress is not None:
                     progress(runs.stop * config.m, config.runs * config.m)

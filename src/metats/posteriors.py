@@ -343,6 +343,11 @@ def _absorb(precision, info, x, reward, sigma2, outer=None) -> None:
     info += x * (reward / sigma2)[..., None]
 
 
+def _builds_absorb_terms(num_arms: int, d: int, n: int) -> bool:
+    """Whether play_linear builds a pair's K absorb terms for an n-round task."""
+    return 4 * num_arms * d * d <= n * (num_arms + d)
+
+
 def play_linear(posts: list, gens: list, rewards: np.ndarray, free) -> np.ndarray:
     """Play n rounds of R linear tasks in lockstep; returns the arms, (R, n).
 
@@ -351,16 +356,16 @@ def play_linear(posts: list, gens: list, rewards: np.ndarray, free) -> np.ndarra
     t < free[r], its noise for all those rounds drawn from gens[r] in one
     call, and pulls arm t - free[r] after. Each round factors the drawing
     pairs' precisions in one stacked call; every pair's arms, log and
-    posterior equal those of playing it alone. If 4 K d^2 <= n (K + d), each
-    pair's K terms x x^T / sigma^2 (at most a quarter of its reward and noise
-    cells) are built once per task and gathered per round; else a round builds R.
+    posterior equal those of playing it alone. Where _builds_absorb_terms says
+    so, each pair's K terms x x^T / sigma^2 are built once per task and gathered
+    per round, else a round builds R; ExperimentConfig.task_cells counts them.
     """
     (num_pairs, n, num_arms), d = rewards.shape, posts[0].info.size
     precision = np.stack([p.precision for p in posts])
     info = np.stack([p.info for p in posts])
     features = np.stack([p.features for p in posts])
     sigma2 = np.array([p.sigma**2 for p in posts])
-    prebuilt = 4 * num_arms * d * d <= n * (num_arms + d)
+    prebuilt = _builds_absorb_terms(num_arms, d, n)
     outer = _absorb_outer(features, sigma2[:, None]).reshape(-1, d, d) if prebuilt else None
     flat_features = features.reshape(num_pairs * num_arms, -1)
     flat_rewards = rewards.reshape(-1)

@@ -1,5 +1,7 @@
 """Policy state machines: MetaTS, OracleTS, and the agnostic baseline."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,17 @@ class TestStateMachine:
         agent = oracle_agent()
         with pytest.raises(ValueError, match=">= 1"):
             agent.begin_task(derive_stream(0, 0, 5, 0), horizon=0)
+
+    @pytest.mark.parametrize("horizon", [2.7, True, 3.0, "3", np.float64(2.0)])
+    def test_horizon_must_be_an_integer(self, horizon):
+        # A fraction would be cut to its floor and a bool read as 1 or 0.
+        agent = oracle_agent()
+        message = f"^horizon must be an integer >= 1, got {re.escape(repr(horizon))}$"
+        with pytest.raises(ValueError, match=message):
+            agent.begin_task(derive_stream(0, 0, 5, 0), horizon)
+        assert agent.task_prior is None
+        agent.begin_task(derive_stream(0, 0, 5, 0), np.int64(3))
+        assert agent.horizon == 3 and type(agent.horizon) is int
 
 
 class TestActionSelection:

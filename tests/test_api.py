@@ -1,5 +1,5 @@
-"""The public API: every exported name resolves, every import is used, and
-importing is cheap.
+"""The public API: every exported name resolves, every import is used, every
+module-level definition is read somewhere, and importing is cheap.
 
 Each module's ``__all__`` is its public surface. A name left in ``__all__``
 after its object is deleted or renamed breaks ``from metats.x import *``
@@ -70,6 +70,45 @@ def test_every_import_is_used(path):
 def test_an_unused_import_is_found():
     source = "import os\nimport sys  # noqa: F401\nfrom math import pi, tau\n__all__ = ['tau']\n"
     assert unused_imports(source) == ["os (line 1)", "pi (line 3)"]
+
+
+def unreferenced_definitions(sources: dict) -> list:
+    """Module-level functions, classes and constants of the given modules
+    (file name -> source) that none of them reads outside the definition
+    itself, as a name or an attribute. A name in its module's ``__all__`` is
+    referenced."""
+    defined, used = {}, set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
+                names = set()
+            if "__all__" in names:
+                used.update(ast.literal_eval(node.value))
+            defined.update((name, f"{module}:{node.lineno}") for name in names if name[:2] != "__")
+            reads = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+            reads |= {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+            used |= reads - names
+    return sorted(f"{name} ({where})" for name, where in defined.items() if name not in used)
+
+
+def test_every_definition_is_referenced():
+    sources = {}
+    for path in SOURCES:
+        with open(path, encoding="utf-8") as f:
+            sources[os.path.basename(path)] = f.read()
+    assert unreferenced_definitions(sources) == []
+
+
+def test_an_unreferenced_definition_is_found():
+    first = "A, B = 1, 2\n__all__ = ['f']\ndef f():\n    return g()\ndef g():\n    return g()\n"
+    second = "class C:\n    pass\nD = A\nprint(mod.B)\n"
+    found = unreferenced_definitions({"a.py": first, "b.py": second})
+    assert found == ["C (b.py:1)", "D (b.py:3)"]
 
 
 def loaded_by_import(module: str) -> str:

@@ -3,7 +3,10 @@
 import json
 import os
 import re
-from dataclasses import fields
+import sys
+import tracemalloc
+from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -169,13 +172,23 @@ class TestExperimentConfig:
             kw["prior_table"] = [[[2, 2]] * 5]
         config = ExperimentConfig(**kw)
         assert config.noise_cells == noise
-        assert config.task_cells == 10 * 3 * (5 + noise)
+        # A linear pair also holds its features (K d) and posterior (d^2 + d)
+        # for the whole task, and its absorb terms (K d^2) once 4 K d^2 <=
+        # n (K + d), from n = 23 on: held cells, each counted once per agent.
+        held = 5 * 3 + 3 * 3 + 3 if family == "linear" else 0
+        assert config.task_cells == 10 * 3 * (5 + noise) + 3 * held
         agents = len(config.agents)
-        n_max = harness.MAX_TASK_CELLS // (agents * (5 + noise))
+        held += 5 * 3 * 3 if family == "linear" else 0
+        n_max = (harness.MAX_TASK_CELLS // agents - held) // (5 + noise)
         ExperimentConfig(**{**kw, "n": n_max})
+        terms, values = "", ""
+        if held:
+            terms = " \\+ agents \\* \\(features \\+ posterior \\+ absorb terms\\)"
+            values = f" \\+ {agents} \\* {held}"
         message = (
-            f"^n \\* agents \\* \\(K \\+ noise\\) must be <= 10000000; got {n_max + 1} "
-            f"\\* {agents} \\* \\(5 \\+ {noise}\\) = {(n_max + 1) * agents * (5 + noise)}$"
+            f"^n \\* agents \\* \\(K \\+ noise\\){terms} must be <= 10000000; got {n_max + 1} "
+            f"\\* {agents} \\* \\(5 \\+ {noise}\\){values} = "
+            f"{(n_max + 1) * agents * (5 + noise) + agents * held}$"
         )
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**{**kw, "n": n_max + 1})
@@ -540,6 +553,85 @@ def test_cum_regret_equals_a_pair_at_a_time_replay(case):
     assert report.cum_regret.tobytes() == cum_regret_oracle(config).tobytes()
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    experiments, st.booleans(), st.integers(1, 6), st.sampled_from([1, harness.KEY_BLOCK]), st.data()
+)
+def test_chunking_never_changes_a_byte(case, misspecified, runs, key_block, data):
+    # Streams are keyed by run index, so any cut of range(runs) into chunks
+    # gives every run the bits of simulating all runs in one chunk: regret,
+    # Bernoulli weight traces and Gaussian sampled-prior errors alike, with
+    # one stream_keys call per chunk or one per task.
+    config = replace(_experiment_config(case), runs=runs)
+    if misspecified and case["family"] != "bernoulli":
+        wide = {"kind": "metats", "misspecification_scale": 2.0, "forced_last_k": case["forced"]}
+        config = replace(config, agents=config.agents + (wide,))
+    cuts = sorted(data.draw(st.sets(st.integers(1, runs), max_size=runs)) - {runs})
+    bounds = [0, *cuts, runs]
+    with mock.patch.object(harness, "KEY_BLOCK", key_block):
+        whole = harness._simulate_runs(config, range(runs))
+        parts = [harness._simulate_runs(config, range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    assert np.concatenate([p[0] for p in parts], axis=1).tobytes() == whole[0].tobytes()
+    for i in (1, 2):
+        assert [p[i].keys() for p in parts] == [whole[i].keys()] * len(parts)
+        for name, values in whole[i].items():
+            assert np.concatenate([p[i][name] for p in parts]).tobytes() == values.tobytes()
+
+
+def test_simulation_takes_every_key_from_stream_keys(monkeypatch):
+    # derive_stream stays the library entry point and the independent
+    # reference of the replay; the simulation keys even each run's own
+    # stream through the vectorized table.
+    configs = [
+        ExperimentConfig(family="bernoulli", m=2, n=6, runs=2),
+        ExperimentConfig(family="gaussian", m=2, n=6, runs=2),
+        ExperimentConfig(family="linear", K=4, d=2, m=2, n=6, runs=2),
+    ]
+    expected = [cum_regret_oracle(config) for config in configs]
+
+    def refuse(*args):
+        raise AssertionError(f"derive_stream{args} called")
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "metats" and hasattr(module, "derive_stream"):
+            monkeypatch.setattr(module, "derive_stream", refuse)
+    for config, cum_regret in zip(configs, expected):
+        assert run_experiment(config).cum_regret.tobytes() == cum_regret.tobytes()
+
+
+# Most bytes one chunk's simulation may allocate at its peak (tracemalloc)
+# per cell its task_cells count. The worst case measured is 37, one Bernoulli
+# agent at K = 2, whose log buffers and reward row lists are not counted; a
+# count of only the rewards and noise of d = 64, K = 500 linear pairs gave 56.
+# Per-run state (generators, priors, agents) is not counted either, so every
+# case plays rounds enough to dwarf it.
+BYTES_PER_CELL = 45
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(family="bernoulli", n=5000, runs=8, agents=({"kind": "metats"},)),
+        dict(family="gaussian", n=5000, runs=8, agents=({"kind": "metats"},)),
+        dict(family="linear", K=2, d=1, n=5000, runs=8, agents=({"kind": "metats"},)),
+        dict(family="linear", K=500, d=64, n=20, runs=100),
+    ],
+    ids=["bernoulli", "gaussian", "linear", "linear-d64-K500"],
+)
+def test_a_chunks_peak_memory_follows_its_count(kw):
+    config = ExperimentConfig(m=1, **kw)
+    runs = range(harness._runs_per_chunk(config))
+    harness._simulate_runs(config, range(1))  # first-use imports and caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        harness._simulate_runs(config, runs)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= BYTES_PER_CELL * len(runs) * config.task_cells
+
+
 class TestRunExperiment:
     def test_repeat_runs_bit_identical(self):
         config = ExperimentConfig(master_seed=7, **SMALL)
@@ -596,9 +688,10 @@ class TestRunExperiment:
             run_experiment(ExperimentConfig(**SMALL), threads=threads)
 
     def test_linear_threads_give_byte_identical_reports(self, tmp_path):
-        # One process stacks all 17 runs into one chunk; two processes get
-        # chunks of 3 runs (2 for the last), so the stacked kernel sees other
-        # batches.
+        # task_cells counts 3 * (15 * (5 + 3) + 5 * 3 + 3 * 3 + 3) = 441 cells a
+        # run, so one process stacks all 17 runs into one chunk; two processes
+        # get chunks of 3 runs (2 for the last), so the stacked kernel sees
+        # other batches.
         config = ExperimentConfig(family="linear", K=5, d=3, m=2, n=15, runs=17, master_seed=13)
         files = {}
         for threads in (1, 2):
