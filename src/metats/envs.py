@@ -333,8 +333,13 @@ def reward_table(
         raise ValueError(
             f"theta needs one mean per arm of the prior ({prior.num_arms}), got {theta.size}"
         )
+    if isinstance(prior, BetaProductPrior) and not (theta.min() >= 0.0 and theta.max() <= 1.0):
+        raise ValueError("Bernoulli arm means must lie in [0, 1]")
+    return _draw_rewards(prior, theta, horizon, stream)
+
+
+def _draw_rewards(prior, theta: np.ndarray, horizon: int, stream) -> np.ndarray:
+    """reward_table's draw without its checks, for a theta drawn from prior."""
     if isinstance(prior, BetaProductPrior):
-        if not (theta.min() >= 0.0 and theta.max() <= 1.0):
-            raise ValueError("Bernoulli arm means must lie in [0, 1]")
         return (stream.random((horizon, theta.size)) < theta).astype(float)
     return theta + prior.sigma * stream.standard_normal((horizon, theta.size))

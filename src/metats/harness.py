@@ -29,11 +29,11 @@ from .envs import (
     GaussianDiagState,
     LinearGaussianPrior,
     LinearState,
+    _draw_rewards,
     _normal_finite,
     _normal_square,
     _prior_weight_ok,
     check_weights,
-    reward_table,
     sample_instance_prior,
     sample_task_instance,
 )
@@ -549,7 +549,7 @@ def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> tupl
             for slot, key in zip(slots, keys[r, s % block, 1:]):
                 rekey(slot, key)
             theta = sample_task_instance(true_prior, slots[0])
-            table = reward_table(true_prior, theta, config.n, slots[1])
+            table = _draw_rewards(true_prior, theta, config.n, slots[1])
             means.append(theta)
             for agent, stream in zip(agents, slots[2:]):
                 agent.begin_task(stream, config.n)
@@ -562,7 +562,8 @@ def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> tupl
         arms = play_tasks(pairs, streams, tables)
         # Row sums of a C-contiguous array equal np.sum of each row bit for bit.
         theta = np.repeat(np.stack(means), num_agents, axis=0)
-        gaps = theta.max(axis=1)[:, None] - np.take_along_axis(theta, arms, axis=1)
+        row_starts = np.arange(0, theta.size, theta.shape[1])[:, None]
+        gaps = theta.max(axis=1)[:, None] - theta.take(arms + row_starts)
         regret[:, :, s - 1] = gaps.sum(axis=1).reshape(len(runs), num_agents).T
         end_tasks(pairs)
         for r, (_, agents, j_star, _) in enumerate(chunk):

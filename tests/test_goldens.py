@@ -96,6 +96,11 @@ VARIANTS = {
         "gaussian-k4",
         {"m": 3, "n": 3, "agents": FORCED_AGENTS},
     ),
+    # K = 4: Gaussian play's general loop, forced and unforced, over whole tasks.
+    "gaussian-k4": (
+        "gaussian-k4",
+        {"runs": 4, "m": 4, "n": 50, "agents": FORCED_AGENTS},
+    ),
 }
 REPORT_FILES = ("rows.csv", "summary.csv", "report.json")
 

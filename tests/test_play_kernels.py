@@ -5,12 +5,16 @@ instead of re-evaluating every arm each round. The oracle here replays every
 round from scratch: it rebuilds the posterior statistics from the log prefix,
 evaluates the round's Thompson draws with numpy (Gaussian) or scalar Beta
 draws on a twin stream (Bernoulli), and takes np.argmax. Examples are
-derandomized so the suite is repeatable.
+derandomized so the suite is repeatable. At K = 2 Gaussian play takes its own
+two-arm loop; scripted zero-noise cases pin its tie rule, also when it starts
+after step rounds.
 """
+
+import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metats.agents import Agent, play_tasks
@@ -97,6 +101,20 @@ def _beta_counts(prior, arms, rewards):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(kernel_cases)
+# Two arms at 1e17 tie until one is pulled, and tie again at equal pulls.
+@example(
+    {
+        "family": "gaussian",
+        "K": 2,
+        "n": 40,
+        "forced": False,
+        "seed": 3,
+        "sigma_0": 1.0,
+        "sigma": 1.0,
+        "mu": [1e17] * 8,
+        "shapes": [1.0] * 16,
+    }
+)
 def test_play_kernels_equal_a_round_by_round_replay(case):
     agent, prior, table, arms = _play(case)
     log_arms = agent.log.arms
@@ -141,6 +159,36 @@ def test_gaussian_play_breaks_ties_toward_the_first_arm():
     arms = post.play(gen, [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]], 2)
     assert arms == [int(np.argmax([0.0, 1.0, 1.0]))] * 2 == [1, 1]
     assert post.pulls == [0.0, 2.0, 0.0] and post.sums == [0.0, 2.0, 0.0]
+
+
+def test_two_arm_gaussian_play_breaks_ties_toward_the_first_arm():
+    # Zero noise and equal prior means: both draws are 0 every round, since
+    # arm 0 only ever earns 0; arm 1's reward of 5 must go nowhere.
+    post = GaussianArms(
+        prior_mu=[0.0, 0.0], sigma_0=1.0, sigma=1.0, pulls=[0.0] * 2, sums=[0.0] * 2
+    )
+    gen = _ScriptedGen(normals=np.zeros((3, 2)))
+    assert post.play(gen, [[0.0, 5.0]] * 3, 3) == [0, 0, 0]
+    assert post.pulls == [3.0, 0.0] and post.sums == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("split", [2, 4])
+def test_two_arm_gaussian_play_resumes_after_step_rounds(split):
+    # Zero noise, so each draw is the arm's mean. Each arm earns -1 in the
+    # rounds it should be pulled and 5 in the others: arm 0 then arm 1 leave
+    # equal means, the tie goes to arm 0, and the pulls alternate.
+    agent = Agent("oracle", GaussianDiagPrior(mu=[0.0, 0.0], sigma_0=1.0, sigma=1.0))
+    gen = types.SimpleNamespace(standard_normal=np.zeros)
+    table = np.array([[-1.0, 5.0], [5.0, -1.0]] * 5)
+    agent.begin_task(gen, 10)
+    for t in range(split):
+        arm = agent.select_action(gen)
+        agent.observe(arm, float(table[t, arm]))
+    post = agent.task_posterior
+    assert post.pulls == [split / 2] * 2 and post.sums == [-split / 2] * 2
+    assert play_tasks([agent], [gen], [table]).tolist() == [[0, 1] * (5 - split // 2)]
+    assert agent.log.arms.tolist() == [0, 1] * 5
+    assert post.pulls == [5.0, 5.0] and post.sums == [-5.0, -5.0]
 
 
 def test_bernoulli_play_breaks_ties_toward_the_first_arm():
