@@ -173,15 +173,16 @@ def play_tasks(agents: list, streams: list, tables: list) -> np.ndarray:
     log buffers, so the array is the caller's to keep or change.
 
     Linear agents play in lockstep through posteriors.play_linear, one
-    stacked Cholesky and three stacked solves per round for all of them: a
-    round of three pairs at K=10, d=2 costs about 19 us on a 2-core x86-64
-    host. Bernoulli and Gaussian agents play one after another through their
-    posterior's play: Beta draws are rejection-sampled, and a Gaussian round
-    there costs about 0.27 us at K=2 (same host; 0.55 us through the K-arm
-    loop), what a stacked numpy round costs per pair at about 50 pairs (0.38
-    us at 32, 0.22 us at 64). Either way, each agent's arms, log and
-    posterior equal those of playing it alone; end_tasks then ends every task
-    in one call, stacking the meta-updates the same way.
+    stacked Cholesky and two solve calls per round for all of them, their
+    pivots checked once per task: a round of three pairs at K=10, d=2 costs
+    about 11 us on a 2-core x86-64 host, against 14 us with a pivot check
+    and three solves per round. Bernoulli and Gaussian agents play one after
+    another through their posterior's play: Beta draws are rejection-sampled,
+    and a Gaussian round there costs about 0.27 us at K=2 (same host; 0.55 us
+    through the K-arm loop), what a stacked numpy round costs per pair at
+    about 50 pairs (0.38 us at 32, 0.22 us at 64). Either way, each agent's
+    arms, log and posterior equal those of playing it alone; end_tasks then
+    ends every task in one call, stacking the meta-updates the same way.
     """
     start, horizon = agents[0].rounds_played, agents[0].horizon
     for i, agent in enumerate(agents):
@@ -200,7 +201,7 @@ def play_tasks(agents: list, streams: list, tables: list) -> np.ndarray:
         arms[lockstep] = play_linear(
             [agents[i].task_posterior for i in lockstep],
             [streams[i] for i in lockstep],
-            np.stack([tables[i][start:] for i in lockstep]),
+            [tables[i][start:] for i in lockstep],
             [free[i] for i in lockstep],
         )
     # A run's agents come one after another with one shared table: convert

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -109,6 +110,17 @@ def _check_spd(mat, name: str) -> np.ndarray:
     return m
 
 
+def _inherit_sigma(obj, inverse) -> None:
+    """Keep Sigma^-1 on a linear prior or state: one inherited with a checked Sigma,
+    or Sigma checked and solved here (None where the pivot floor refuses it)."""
+    if inverse is None:
+        obj.Sigma = _check_spd(obj.Sigma, "Sigma")
+        from .posteriors import NumericalError, _spd_solve  # posteriors imports envs
+        with suppress(NumericalError):
+            inverse = _spd_solve(obj.Sigma, np.eye(len(obj.Sigma)), "Sigma inverse")
+    obj._sigma_inv = inverse
+
+
 @dataclass
 class BetaProductPrior:
     """Independent Beta(alpha_i, beta_i) prior per arm."""
@@ -150,17 +162,20 @@ class GaussianDiagPrior:
 @dataclass
 class LinearGaussianPrior:
     """Latent parameter theta ~ N(theta_0, Sigma), Sigma positive-definite;
-    arm means are X @ theta, observed with reward noise sigma."""
+    arm means are X @ theta, observed with reward noise sigma. _sigma_inv is
+    Sigma^-1 (_inherit_sigma), handed in by a MetaTS sample; replace() drops it."""
 
     theta_0: np.ndarray
     Sigma: np.ndarray
     features: np.ndarray
     sigma: float
+    _inherited_inverse: InitVar[np.ndarray] = None
+    _sigma_inv: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _inherited_inverse):
         self.theta_0 = _as_vector(self.theta_0, "theta_0")
         self.sigma = _width(self.sigma, "sigma")
-        self.Sigma = _check_spd(self.Sigma, "Sigma")
+        _inherit_sigma(self, _inherited_inverse)
         self.features = np.asarray(self.features, dtype=float)
         d = self.theta_0.size
         if self.Sigma.shape != (d, d):
@@ -243,7 +258,8 @@ class LinearState:
 
     The meta-prior N(0, sigma_q^2 I_d) is this state at zero tasks (mu = 0,
     Lambda = I / sigma_q^2). Sigma is the known task covariance, sigma the
-    reward noise and features the run's K x d arm features.
+    reward noise and features the run's K x d arm features (Sigma^-1 kept as
+    on LinearGaussianPrior).
     """
 
     mu: np.ndarray
@@ -251,11 +267,13 @@ class LinearState:
     Sigma: np.ndarray
     sigma: float
     features: np.ndarray
+    _inherited_inverse: InitVar[np.ndarray] = None
+    _sigma_inv: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _inherited_inverse):
         self.mu = _as_vector(self.mu, "mu")
         self.Lambda = _check_spd(self.Lambda, "Lambda")
-        self.Sigma = _check_spd(self.Sigma, "Sigma")
+        _inherit_sigma(self, _inherited_inverse)
         self.sigma = _width(self.sigma, "sigma")
         self.features = np.asarray(self.features, dtype=float)
         d = self.mu.size

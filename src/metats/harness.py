@@ -69,6 +69,10 @@ SUB_REWARDS = 2
 # of a chunk are simulated together (see _simulate_runs).
 CHUNK_CELLS = 1 << 20
 
+# Cells of 8 bytes charged per run for its state whatever n is (generators, priors,
+# agents): 10.1, 6.8 and 6.2 KB for one Bernoulli, Gaussian or linear agent (tracemalloc).
+RUN_CELLS = 1280
+
 DEFAULT_MASTER_SEED = 23  # of every run and certification that names none
 
 # Bound on the stream keys (16 bytes each) one stream_keys call derives.
@@ -493,9 +497,9 @@ def run_task(
 
 
 def _runs_per_chunk(config: ExperimentConfig) -> int:
-    """Runs simulated together, so that a chunk holds at most CHUNK_CELLS
-    cells (task_cells) per task whatever n, K, d and the agent count are."""
-    return max(1, min(config.runs, CHUNK_CELLS // config.task_cells))
+    """Runs simulated together, so that a chunk holds at most CHUNK_CELLS cells
+    per task (task_cells plus RUN_CELLS a run) whatever n, K, d and agents are."""
+    return max(1, min(config.runs, CHUNK_CELLS // (config.task_cells + RUN_CELLS)))
 
 
 def _simulate_runs(config: ExperimentConfig, runs: range, progress=None) -> tuple:

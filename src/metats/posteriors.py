@@ -7,20 +7,20 @@ Thompson sample and folding its reward into the state in place, then makes
 the forced pulls, round t pulling arm t - free. The Bernoulli and Gaussian
 posteriors play one task per call, ``play(gen, rows, free)``, Gaussian play
 at K = 2 (the paper's setting) with both arms' statistics in locals, about
-0.27 us a round against 0.55 us in its K-arm loop; play_linear
-plays many linear (run, agent) pairs in lockstep, building the absorb terms
-x x^T / sigma^2 once per task, not per round, where they take few cells.
-The step API (sample_task_posterior, update_task_posterior) takes the same
-bits from ``thompson(gen)``, one round's sample of the arm means, and from
-``absorb(arm, reward)``, one observation folded into the state.
+0.27 us a round against 0.55 us in its K-arm loop; play_linear plays many
+linear (run, agent) pairs in lockstep, a round one Cholesky and two solve
+calls for all of them, the pivot floor checked, rewards scaled and absorb
+terms built once per task. The step API (sample_task_posterior,
+update_task_posterior) takes the same bits from ``thompson(gen)`` and
+``absorb(arm, reward)``, one round's sample and one observation.
 
 Every Cholesky factor and solve goes through one seam, _cholesky and
 _solve, which call numpy's linalg gufuncs (numpy.linalg._umath_linalg)
 directly: the same LAPACK calls np.linalg makes, so the same bits, without
-the wrapper's type checks and per-call errstate. At a few stacked 2 x 2
-systems that wrapper costs three to four times the LAPACK call. The callers
-hold the floating-point flags silenced instead, once per play_linear call
-and once per per-task factor, and read a failed factorization from its NaNs.
+the wrapper's type checks and per-call errstate (three to four times the
+LAPACK call at a few 2 x 2 systems). The callers hold the flags silenced
+and read a failure from its NaNs. Linear priors and states keep Sigma^-1,
+solved once per run, for the task-posterior start and the meta-update.
 
 Across tasks the agent holds a meta-posterior over instance priors, updated
 exactly once per completed task from the task's full interaction log. A
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -91,22 +91,26 @@ def _cholesky(mat: np.ndarray) -> np.ndarray:
     return _umath_linalg.cholesky_lo(mat, signature="d->d")
 
 
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _solve(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """np.linalg.solve's LAPACK call without its wrapper, flags as in _cholesky."""
     return (_umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve)(
-        a, b, signature="dd->d"
+        a, b, signature="dd->d", out=out
     )
+
+
+def _pivots_pass(pivots: np.ndarray) -> np.ndarray:
+    """Whether each factor's least pivot of diagonals (..., d) is at least PIVOT_FLOOR
+    times its largest (not if NaN); elementwise passes beat short-axis reductions."""
+    low = high = pivots[..., 0]
+    for j in range(1, pivots.shape[-1]):
+        low, high = np.minimum(low, pivots[..., j]), np.maximum(high, pivots[..., j])
+    return low >= PIVOT_FLOOR * high
 
 
 def _factor(mat: np.ndarray, context: str) -> np.ndarray:
     """_spd_factor for a caller that already holds the flags silenced."""
     lower = _cholesky(mat)
-    pivots = lower.diagonal(0, -2, -1)
-    # Passing stack-wide implies passing per matrix, and is cheaper.
-    low, high = np.minimum.reduce(pivots, None), np.maximum.reduce(pivots, None)
-    if low >= PIVOT_FLOOR * high or np.all(
-        pivots.min(axis=-1) >= PIVOT_FLOOR * pivots.max(axis=-1)
-    ):
+    if _pivots_pass(lower.diagonal(0, -2, -1)).all():
         return lower
     # np.linalg.cholesky raises exactly where LAPACK refused a matrix.
     try:
@@ -138,6 +142,13 @@ def _spd_solve(mat: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
     lower = _spd_factor(mat, context)
     with np.errstate(all="ignore"):
         return _solve(lower.T, _solve(lower, rhs))
+
+
+def _sigma_inverse(obj, context: str) -> np.ndarray:
+    """A linear prior's or state's Sigma^-1, or where it failed, context's error."""
+    if obj._sigma_inv is None:
+        return _spd_solve(obj.Sigma, np.eye(len(obj.Sigma)), context)
+    return obj._sigma_inv
 
 
 def _check_binary(rewards: np.ndarray) -> None:
@@ -331,7 +342,7 @@ class LinearGaussianPosterior:
     """Gaussian posterior over the latent parameter of a linear bandit.
 
     Its round methods are the one-pair case of the stacked round math
-    (_thompson_means, _absorb) that play_linear runs for many pairs.
+    (_thompson_means, _absorb_outer) that play_linear runs for many pairs.
     """
 
     precision: np.ndarray
@@ -340,29 +351,32 @@ class LinearGaussianPosterior:
     features: np.ndarray
 
     def thompson(self, gen: np.random.Generator) -> list:
-        z = gen.normal(0.0, 1.0, size=(1, self.info.size))
+        pair = np.empty((2, 1, self.info.size, 1))
+        pair[1, ..., 0] = gen.normal(0.0, 1.0, size=(1, self.info.size))
         with np.errstate(all="ignore"):
-            draw = _thompson_means(self.precision[None], self.info[None], self.features[None], z)
+            lower = _factor(self.precision[None], "linear task posterior sampling")
+            draw = _thompson_means(lower, self.info[None, :, None], self.features[None], pair)
         return draw[0].tolist()
 
     def absorb(self, arm: int, reward: float) -> None:
-        _absorb(self.precision, self.info, self.features[arm], reward, np.array(self.sigma**2))
+        x, sigma2 = self.features[arm], self.sigma**2
+        self.precision += _absorb_outer(x, np.array(sigma2))
+        self.info += x * (reward / sigma2)
 
 
-def _thompson_means(precision, info, features, z) -> np.ndarray:
+def _thompson_means(lower, info, features, pair) -> np.ndarray:
     """Posterior samples of the arm means of R linear pairs, shape (R, K).
 
-    precision is (R, d, d), info and the standard normal noise z are (R, d),
-    features is (R, K, d). One stacked Cholesky and three stacked solves give
-    the same bits as the per-matrix calls. The caller holds the flags
-    silenced, as _factor's callers do.
+    lower holds the precisions' Cholesky factors (R, d, d), info is (R, d, 1),
+    features (R, K, d), and pair (2, R, d, 1) holds noise in pair[1]. pair[0]
+    receives L^-1 info, then one call solves L^T against both: broadcast, each
+    column is its own LAPACK call with its own bits (two columns differ), as
+    the seam test and selftest check. The caller holds the flags silenced.
     """
-    lower = _factor(precision, "linear task posterior sampling")
-    upper = lower.swapaxes(-1, -2)
-    mean = _solve(upper, _solve(lower, info[..., None]))
+    _solve(lower, info, out=pair[0])
     # precision = L L^T, so L^-T z has the posterior covariance.
-    theta = mean + _solve(upper, z[..., None])
-    return (features @ theta)[..., 0]
+    theta = _solve(lower.swapaxes(-1, -2)[None], pair)
+    return (features @ (theta[0] + theta[1]))[..., 0]
 
 
 def _absorb_outer(x, sigma2) -> np.ndarray:
@@ -371,72 +385,90 @@ def _absorb_outer(x, sigma2) -> np.ndarray:
     return x[..., :, None] * x[..., None, :] / sigma2[..., None, None]
 
 
-def _absorb(precision, info, x, reward, sigma2, outer=None) -> None:
-    """Fold one observation into a posterior, or one per pair into a stack,
-    in place; outer, if given, is _absorb_outer of the feature rows x."""
-    precision += _absorb_outer(x, sigma2) if outer is None else outer
-    info += x * (reward / sigma2)[..., None]
-
-
 def _builds_absorb_terms(num_arms: int, d: int, n: int) -> bool:
     """Whether play_linear builds a pair's K absorb terms for an n-round task."""
     return 4 * num_arms * d * d <= n * (num_arms + d)
 
 
-def play_linear(posts: list, gens: list, rewards: np.ndarray, free) -> np.ndarray:
+def play_linear(posts: list, gens: list, rewards, free) -> np.ndarray:
     """Play n rounds of R linear tasks in lockstep; returns the arms, (R, n).
 
-    posts are the pairs' task posteriors, updated in place, and rewards is
-    the (R, n, K) stack of reward tables. Pair r draws its arm while
+    posts are the pairs' task posteriors, updated in place, and rewards their
+    R (n, K) reward tables, as a list or one stack. Pair r draws its arm while
     t < free[r], its noise for all those rounds drawn from gens[r] in one
-    call, and pulls arm t - free[r] after. Each round factors the drawing
-    pairs' precisions in one stacked call; every pair's arms, log and
-    posterior equal those of playing it alone. Where _builds_absorb_terms says
-    so, each pair's K terms x x^T / sigma^2 are built once per task and gathered
-    per round, else a round builds R; ExperimentConfig.task_cells counts them.
+    call, and pulls arm t - free[r] after. Every pair's arms, log and
+    posterior equal those of playing it alone. A drawing round makes one
+    stacked Cholesky and _thompson_means' two solve calls. Rounds where all
+    draw check their pivots once, after the last; a failure replays the
+    absorbs and raises the first failing round's error. Other rounds check
+    at once (_factor); posteriors are written back after every check. Where
+    _builds_absorb_terms says so, the K terms x x^T / sigma^2 of each pair
+    are built once per task, else a round builds R (task_cells counts them).
     """
-    (num_pairs, n, num_arms), d = rewards.shape, posts[0].info.size
+    num_pairs, (n, num_arms), d = len(rewards), rewards[0].shape, posts[0].info.size
     precision = np.stack([p.precision for p in posts])
     info = np.stack([p.info for p in posts])
+    info_col = info[..., None]  # a view: it follows info's in-place updates
     features = np.stack([p.features for p in posts])
     sigma2 = np.array([p.sigma**2 for p in posts])
     prebuilt = _builds_absorb_terms(num_arms, d, n)
     outer = _absorb_outer(features, sigma2[:, None]).reshape(-1, d, d) if prebuilt else None
     flat_features = features.reshape(num_pairs * num_arms, -1)
-    flat_rewards = rewards.reshape(-1)
-    z = np.zeros((num_pairs, n, d))
+    scaled = np.stack(rewards)  # the one copy of the rewards, scaled in place
+    flat_scaled = np.divide(scaled, sigma2[:, None, None], out=scaled).reshape(-1, 1)
+    # slots[t + 1] is round t's noise, slots[t : t + 2] its pair, then pivots[t] its pivots.
+    slots = np.zeros((n + 1, num_pairs, d, 1))
+    pivots = slots[..., 0]
     for r, (gen, f) in enumerate(zip(gens, free)):
-        z[r, : max(f, 0)] = gen.normal(0.0, 1.0, size=(max(f, 0), d))
-    all_draw = min(free)
+        pivots[1 : max(f, 0) + 1, r] = gen.normal(0.0, 1.0, size=(max(f, 0), d))
+    all_draw = max(min(free), 0)
     free = np.asarray(free)
     pair_rows = np.arange(num_pairs) * num_arms
-    # Row t: the flat_rewards index of each pair's round t, arm 0.
+    # Row t: the flat_scaled index of each pair's round t, arm 0.
     round_rows = np.arange(0, n * num_arms, num_arms)[:, None] + pair_rows * n
-    arms = np.empty((num_pairs, n), dtype=int)
-    # One errstate for the whole loop: the seam leaves the flags to it.
+    arms = np.empty((n, num_pairs), dtype=int)
+
+    def terms(row):  # the precision terms x x^T / sigma^2 of feature rows row
+        return outer.take(row, axis=0) if prebuilt else _absorb_outer(flat_features[row], sigma2)
+
+    def check_pivots():  # of the all-drawing rounds; raises the first failing one's error
+        done = pivots[:all_draw]
+        if done.min(initial=np.inf) >= PIVOT_FLOOR * done.max(initial=0.0):
+            return  # passing task-wide implies passing per matrix, and is cheaper
+        passed = _pivots_pass(done).all(axis=1)
+        if not passed.all():
+            start = np.stack([p.precision for p in posts])
+            for arm in arms[: passed.argmin()]:
+                start += terms(pair_rows + arm)
+            _factor(start, "linear task posterior sampling")
+
+    # One errstate for the whole task: the seam leaves the flags to it.
     with np.errstate(all="ignore"):
         for t in range(n):
             if t < all_draw:
-                arm = _thompson_means(precision, info, features, z[:, t]).argmax(axis=1)
+                lower = _cholesky(precision)
+                arm = _thompson_means(lower, info_col, features, slots[t : t + 2]).argmax(axis=1)
+                pivots[t] = lower.diagonal(0, -2, -1)
+                del lower  # freed before the absorb builds its terms
             else:
+                if t == all_draw:
+                    check_pivots()
                 drawing = free > t
                 arm = t - free
                 if drawing.any():
-                    draw = _thompson_means(
-                        precision[drawing], info[drawing], features[drawing], z[drawing, t]
-                    )
+                    lower = _factor(precision[drawing], "linear task posterior sampling")
+                    pair = slots[t : t + 2, drawing]
+                    draw = _thompson_means(lower, info_col[drawing], features[drawing], pair)
                     arm[drawing] = draw.argmax(axis=1)
-            arms[:, t] = arm
+            arms[t] = arm
             row = pair_rows + arm
-            reward = flat_rewards.take(round_rows[t] + arm)
-            x = flat_features.take(row, axis=0)
-            if outer is None:
-                _absorb(precision, info, x, reward, sigma2)
-            else:
-                _absorb(precision, info, x, reward, sigma2, outer.take(row, axis=0))
+            precision += terms(row)
+            info += flat_features.take(row, axis=0) * flat_scaled.take(round_rows[t] + arm, axis=0)
+        if all_draw == n:
+            check_pivots()
     for r, post in enumerate(posts):
         post.precision, post.info = precision[r], info[r]
-    return arms
+    return arms.T
 
 
 _TASK_POSTERIORS = (BetaCounts, GaussianArms, LinearGaussianPosterior)
@@ -461,16 +493,10 @@ def init_task_posterior(prior):
             sums=[0.0] * k,
         )
     if isinstance(prior, LinearGaussianPrior):
-        precision = _spd_solve(
-            prior.Sigma, np.eye(prior.dim), "linear prior covariance inverse"
-        )
+        precision = _sigma_inverse(prior, "linear prior covariance inverse")
         precision = 0.5 * (precision + precision.T)
-        return LinearGaussianPosterior(
-            precision=precision,
-            info=precision @ prior.theta_0,
-            sigma=prior.sigma,
-            features=prior.features,
-        )
+        info = precision @ prior.theta_0
+        return LinearGaussianPosterior(precision, info, prior.sigma, prior.features)
     raise TypeError(f"not an instance prior: {type(prior).__name__}")
 
 
@@ -615,18 +641,13 @@ def update_meta_posterior_linear(meta: LinearState, log: TaskLog) -> LinearState
     sig2 = meta.sigma**2
     s_t = x_rows.T @ x_rows / sig2
     c_t = x_rows.T @ y / sig2
-    sigma_inv = _spd_solve(
-        meta.Sigma, np.eye(meta.Sigma.shape[0]), "task covariance inverse"
-    )
-    inner = sigma_inv + s_t
-    correction = _spd_solve(
-        inner, np.column_stack([s_t, c_t]), "linear meta update (woodbury)"
-    )
+    inner = _sigma_inverse(meta, "task covariance inverse") + s_t
+    correction = _spd_solve(inner, np.column_stack([s_t, c_t]), "linear meta update (woodbury)")
     lam_new = meta.Lambda + s_t - s_t @ correction[:, :-1]
     rhs = meta.Lambda @ meta.mu + c_t - s_t @ correction[:, -1]
     lam_new = 0.5 * (lam_new + lam_new.T)
     mu_new = _spd_solve(lam_new, rhs, "linear meta posterior mean")
-    return replace(meta, mu=mu_new, Lambda=lam_new)
+    return LinearState(mu_new, lam_new, meta.Sigma, meta.sigma, meta.features, meta._sigma_inv)
 
 
 def sample_meta_posterior(meta, stream: np.random.Generator):
@@ -636,5 +657,5 @@ def sample_meta_posterior(meta, stream: np.random.Generator):
         z = stream.normal(0.0, 1.0, size=meta.mu.size)
         with np.errstate(all="ignore"):
             theta_0 = meta.mu + _solve(lower.T, z)
-        return LinearGaussianPrior(theta_0, meta.Sigma, meta.features, meta.sigma)
+        return LinearGaussianPrior(theta_0, meta.Sigma, meta.features, meta.sigma, meta._sigma_inv)
     return _sample_prior(meta, stream)

@@ -4,7 +4,8 @@ independent oracle that never shares code with the implementation.
 The categorical evidence is checked against grid quadrature, the Gaussian
 meta-update against exact conditioning of the explicitly assembled joint
 Gaussian, the linear update against a direct pull-count-sized solve, and the
-linear family against the Gaussian family on identity features. These run
+linear family against the Gaussian family on identity features; one checks
+the build's broadcast solve, which linear play's bits rely on. These run
 from the command line (`metats selftest`) and inside the test suite.
 """
 
@@ -36,6 +37,7 @@ __all__ = [
     "direct_linear_meta_update",
     "check_gaussian_linear_identity",
     "check_stream_keys_vs_seedsequence",
+    "check_broadcast_solve",
     "run_selftest",
 ]
 
@@ -294,6 +296,19 @@ def check_stream_keys_vs_seedsequence(masters: int = 4, seed: int = 15) -> Check
     )
 
 
+def check_broadcast_solve(cases: int = 200, seed: int = 16) -> CheckResult:
+    """One solve of upper factors broadcast over two stacks of columns gives each
+    the bits of its own call (pairs 1-6, d 1-8, scales 1e-3 to 1e3)."""
+    gen, bad = np.random.default_rng(seed), 0
+    for _ in range(cases):
+        r, d, scale = int(gen.integers(1, 7)), int(gen.integers(1, 9)), 10.0 ** gen.uniform(-3, 3)
+        upper = np.linalg.cholesky([_random_spd(gen, d, scale) for _ in range(r)]).swapaxes(-1, -2)
+        pair = gen.normal(size=(2, r, d, 1))
+        both = np.linalg.solve(upper[None], pair)
+        bad += any(np.linalg.solve(upper, z).tobytes() != b.tobytes() for z, b in zip(pair, both))
+    return CheckResult("broadcast-solve", not bad, float(bad), 0.0, f"{cases} stacks, {bad} differ")
+
+
 def run_selftest(trials: int = 10_000) -> tuple:
     """Run every numerical check; returns (all_passed, list of CheckResult)."""
     results = [
@@ -302,6 +317,7 @@ def run_selftest(trials: int = 10_000) -> tuple:
         check_woodbury_vs_direct(),
         check_gaussian_linear_identity(),
         check_stream_keys_vs_seedsequence(),
+        check_broadcast_solve(),
     ]
     tech = check_technical_lemmas(trials=trials)
     results.append(

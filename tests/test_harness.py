@@ -632,6 +632,28 @@ def test_a_chunks_peak_memory_follows_its_count(kw):
     assert peak <= BYTES_PER_CELL * len(runs) * config.task_cells
 
 
+@pytest.mark.parametrize("family, n", [("bernoulli", 20), ("gaussian", 20), ("linear", 5)])
+def test_a_short_task_chunk_counts_each_runs_own_state(family, n):
+    # At a short horizon the state a run holds whatever n is (generators,
+    # priors, agent, buffers: 6-10 KB) outweighs its task cells; RUN_CELLS
+    # charges it, so the chunk stays within its count. Counting only
+    # task_cells, the Bernoulli chunk held 26,214 runs and peaked at 261 MB.
+    config = ExperimentConfig(
+        family=family, K=2, d=1, n=n, m=2, runs=100_000, agents=({"kind": "metats"},)
+    )
+    runs = range(harness._runs_per_chunk(config))
+    harness._simulate_runs(config, range(1))  # first-use imports and caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        harness._simulate_runs(config, runs)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= BYTES_PER_CELL * len(runs) * (config.task_cells + harness.RUN_CELLS)
+    assert peak <= BYTES_PER_CELL * harness.CHUNK_CELLS
+
+
 class TestRunExperiment:
     def test_repeat_runs_bit_identical(self):
         config = ExperimentConfig(master_seed=7, **SMALL)

@@ -324,6 +324,26 @@ class TestSampleTaskPosterior:
         with pytest.raises(NumericalError, match="pivot below 1e-12 of the largest"):
             play_one_round(skewed)
 
+    def test_pivot_floor_crossed_mid_task_raises_that_rounds_error(self):
+        # Each arm of the middle pair adds a^2 = 4.225e23 to its precision's
+        # first entry: the factor passes the floor after two absorbs (pivot
+        # ratio 1.09e-12) and fails after three (8.9e-13). play_linear checks
+        # the floor once per task, yet raises the very error that checking
+        # round 3 at once raised (condition number 1 + 3 a^2), and writes no
+        # posterior back.
+        a = 0.65e12
+        posts = linear_posts([np.eye(2)] * 3)
+        posts[1].features = np.array([[a, 0.0], [a, 0.0]])
+        gens = [np.random.default_rng(i) for i in range(3)]
+        with pytest.raises(NumericalError) as raised:
+            play_linear(posts, gens, np.zeros((3, 6, 2)), [6] * 3)
+        assert str(raised.value) == (
+            "linear task posterior sampling: Cholesky pivot below 1e-12 of the largest "
+            "pivot (condition number 1.267e+24)"
+        )
+        for post in posts:
+            assert post.precision.tobytes() == np.eye(2).tobytes()
+
     def test_linear_sample_covariance(self):
         # Empirical covariance of theta-samples (recovered through identity
         # features) matches the posterior covariance.
@@ -376,6 +396,16 @@ def test_seam_equals_numpy_linalg(case):
     vec = gen.standard_normal(d)
     for a in (lower[0], lower[0].T):
         assert _solve(a, vec).tobytes() == np.linalg.solve(a, vec).tobytes()
+    # Two stacks of columns against one upper factor in one call, broadcast
+    # over the slot axis as _thompson_means passes them, and a solve written
+    # through out, each equal to its own call.
+    w, z = gen.standard_normal((2, r, d, 1))
+    both = _solve(upper[None], np.stack([w, z]))
+    assert both[0].tobytes() == _solve(upper, w).tobytes()
+    assert both[1].tobytes() == _solve(upper, z).tobytes()
+    into = np.empty((r, d, 1))
+    _solve(lower, w, out=into)
+    assert into.tobytes() == _solve(lower, w).tobytes()
     # A failure is read from the result: LAPACK's NaNs for a matrix that is
     # not positive-definite, the pivot floor for a NaN one, without a warning.
     indefinite, nan = mats.copy(), mats.copy()
