@@ -173,8 +173,9 @@ def play_tasks(agents: list, streams: list, tables: list) -> np.ndarray:
     log buffers, so the array is the caller's to keep or change.
 
     Linear agents play in lockstep through posteriors.play_linear, one
-    stacked Cholesky and two solve calls per round for all of them, their
-    pivots checked once per task: a round of three pairs at K=10, d=2 costs
+    stacked Cholesky and two solve calls for all of them per round in which
+    any draws, forced pulls riding along, and the pivots of the drawing ones
+    checked once per task: a round of three pairs at K=10, d=2 costs
     about 11 us on a 2-core x86-64 host, against 14 us with a pivot check
     and three solves per round. Bernoulli and Gaussian agents play one after
     another through their posterior's play: Beta draws are rejection-sampled,

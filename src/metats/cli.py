@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import fields
 from importlib import resources
 
 from .bounds import BoundParams, bounds_report, certify_config, lemma3_config
@@ -56,26 +56,14 @@ def list_presets() -> list:
     return sorted(names)
 
 
-def _field_default(f) -> str:
-    if f.default is not MISSING:
-        value = f.default
-    elif f.default_factory is not MISSING:
-        value = f.default_factory()
-    else:
-        return "(required)"
-    if isinstance(value, tuple):
-        value = json.loads(json.dumps(list(value)))
-    return json.dumps(value)
-
-
 def _epilog() -> str:
     lines = ["experiment config keys (JSON file keys and key=value overrides):"]
     for f in fields(ExperimentConfig):
-        lines.append(f"  {f.name:<22} default {_field_default(f)}")
+        lines.append(f"  {f.name:<22} default {json.dumps(f.default)}")
     lines.append("")
     lines.append("bound params (check-bounds overrides):")
     for f in fields(BoundParams):
-        lines.append(f"  {f.name:<22} default {_field_default(f)}")
+        lines.append(f"  {f.name:<22} default {json.dumps(f.default)}")
     lines.append("")
     lines.append("presets: " + ", ".join(list_presets()))
     return "\n".join(lines)

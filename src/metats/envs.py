@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import sys
-from contextlib import suppress
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -94,8 +93,9 @@ def check_weights(weights: np.ndarray, name: str = "weights") -> None:
         raise ValueError(f"{name} must be nonnegative and sum to 1 within 1e-9")
 
 
-def _check_spd(mat, name: str) -> np.ndarray:
-    """Validate a symmetric positive-definite matrix; returns it as an array."""
+def _check_spd(mat, name: str) -> tuple:
+    """Validate a symmetric positive-definite matrix; returns it as an array,
+    with the Cholesky factor that showed it positive-definite."""
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
@@ -104,20 +104,21 @@ def _check_spd(mat, name: str) -> np.ndarray:
     if np.max(np.abs(m - m.T), initial=0.0) > 1e-12:
         raise ValueError(f"{name} must be symmetric within 1e-12")
     try:
-        np.linalg.cholesky(m)
+        return m, np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise ValueError(f"{name} must be positive-definite") from None
-    return m
 
 
 def _inherit_sigma(obj, inverse) -> None:
     """Keep Sigma^-1 on a linear prior or state: one inherited with a checked Sigma,
-    or Sigma checked and solved here (None where the pivot floor refuses it)."""
+    or solved here from the factor that checked Sigma, the one LAPACK call
+    _spd_solve makes (None where the pivot floor refuses it)."""
     if inverse is None:
-        obj.Sigma = _check_spd(obj.Sigma, "Sigma")
-        from .posteriors import NumericalError, _spd_solve  # posteriors imports envs
-        with suppress(NumericalError):
-            inverse = _spd_solve(obj.Sigma, np.eye(len(obj.Sigma)), "Sigma inverse")
+        obj.Sigma, lower = _check_spd(obj.Sigma, "Sigma")
+        from .posteriors import _pivots_pass, _solve  # posteriors imports envs
+        if _pivots_pass(lower.diagonal()):
+            with np.errstate(all="ignore"):
+                inverse = _solve(lower.T, _solve(lower, np.eye(len(lower))))
     obj._sigma_inv = inverse
 
 
@@ -272,7 +273,7 @@ class LinearState:
 
     def __post_init__(self, _inherited_inverse):
         self.mu = _as_vector(self.mu, "mu")
-        self.Lambda = _check_spd(self.Lambda, "Lambda")
+        self.Lambda = _check_spd(self.Lambda, "Lambda")[0]
         _inherit_sigma(self, _inherited_inverse)
         self.sigma = _width(self.sigma, "sigma")
         self.features = np.asarray(self.features, dtype=float)

@@ -8,9 +8,10 @@ the forced pulls, round t pulling arm t - free. The Bernoulli and Gaussian
 posteriors play one task per call, ``play(gen, rows, free)``, Gaussian play
 at K = 2 (the paper's setting) with both arms' statistics in locals, about
 0.27 us a round against 0.55 us in its K-arm loop; play_linear plays many
-linear (run, agent) pairs in lockstep, a round one Cholesky and two solve
-calls for all of them, the pivot floor checked, rewards scaled and absorb
-terms built once per task. The step API (sample_task_posterior,
+linear (run, agent) pairs in lockstep on one round path, each round in
+which any of them draws one Cholesky and two solve calls for all of them,
+forced pulls included, the drawing pairs' pivots checked, rewards scaled
+and absorb terms built once per task. The step API (sample_task_posterior,
 update_task_posterior) takes the same bits from ``thompson(gen)`` and
 ``absorb(arm, reward)``, one round's sample and one observation.
 
@@ -396,16 +397,22 @@ def play_linear(posts: list, gens: list, rewards, free) -> np.ndarray:
     posts are the pairs' task posteriors, updated in place, and rewards their
     R (n, K) reward tables, as a list or one stack. Pair r draws its arm while
     t < free[r], its noise for all those rounds drawn from gens[r] in one
-    call, and pulls arm t - free[r] after. Every pair's arms, log and
-    posterior equal those of playing it alone. A drawing round makes one
-    stacked Cholesky and _thompson_means' two solve calls. Rounds where all
-    draw check their pivots once, after the last; a failure replays the
-    absorbs and raises the first failing round's error. Other rounds check
-    at once (_factor); posteriors are written back after every check. Where
+    call, and pulls arm t - free[r] after, so n - K <= free[r] <= n. Every
+    pair's arms, log and posterior equal those of playing it alone. Each
+    round in which any pair draws makes one stacked Cholesky of all the
+    precisions and _thompson_means' two solve calls; a pair past its free
+    rounds keeps its forced arm. The pivots of the drawing pairs are checked
+    once, after the last round; a failure replays the absorbs and raises the
+    first failing round's error (_factor), writing no posterior back. Where
     _builds_absorb_terms says so, the K terms x x^T / sigma^2 of each pair
     are built once per task, else a round builds R (task_cells counts them).
     """
     num_pairs, (n, num_arms), d = len(rewards), rewards[0].shape, posts[0].info.size
+    if not len(gens) == len(free) == len(posts) or min(free) < n - num_arms or max(free) > n:
+        raise ValueError(
+            f"play_linear needs a gen and a free in [n - K, n] = [{n - num_arms}, {n}] per "
+            f"posterior; got {len(posts)} posteriors, {len(gens)} gens and free={list(free)}"
+        )
     precision = np.stack([p.precision for p in posts])
     info = np.stack([p.info for p in posts])
     info_col = info[..., None]  # a view: it follows info's in-place updates
@@ -421,7 +428,7 @@ def play_linear(posts: list, gens: list, rewards, free) -> np.ndarray:
     pivots = slots[..., 0]
     for r, (gen, f) in enumerate(zip(gens, free)):
         pivots[1 : max(f, 0) + 1, r] = gen.normal(0.0, 1.0, size=(max(f, 0), d))
-    all_draw = max(min(free), 0)
+    all_draw, last = max(min(free), 0), max(max(free), 0)
     free = np.asarray(free)
     pair_rows = np.arange(num_pairs) * num_arms
     # Row t: the flat_scaled index of each pair's round t, arm 0.
@@ -431,41 +438,33 @@ def play_linear(posts: list, gens: list, rewards, free) -> np.ndarray:
     def terms(row):  # the precision terms x x^T / sigma^2 of feature rows row
         return outer.take(row, axis=0) if prebuilt else _absorb_outer(flat_features[row], sigma2)
 
-    def check_pivots():  # of the all-drawing rounds; raises the first failing one's error
-        done = pivots[:all_draw]
-        if done.min(initial=np.inf) >= PIVOT_FLOOR * done.max(initial=0.0):
-            return  # passing task-wide implies passing per matrix, and is cheaper
-        passed = _pivots_pass(done).all(axis=1)
-        if not passed.all():
-            start = np.stack([p.precision for p in posts])
-            for arm in arms[: passed.argmin()]:
-                start += terms(pair_rows + arm)
-            _factor(start, "linear task posterior sampling")
-
     # One errstate for the whole task: the seam leaves the flags to it.
     with np.errstate(all="ignore"):
         for t in range(n):
-            if t < all_draw:
+            if t < last:
                 lower = _cholesky(precision)
                 arm = _thompson_means(lower, info_col, features, slots[t : t + 2]).argmax(axis=1)
                 pivots[t] = lower.diagonal(0, -2, -1)
                 del lower  # freed before the absorb builds its terms
+                if t >= all_draw:  # a pair past its free rounds pulls its forced arm,
+                    arm = np.where(free > t, arm, t - free)
+                    pivots[t, free <= t] = 1.0  # and its pivots, unused, pass the floor
             else:
-                if t == all_draw:
-                    check_pivots()
-                drawing = free > t
                 arm = t - free
-                if drawing.any():
-                    lower = _factor(precision[drawing], "linear task posterior sampling")
-                    pair = slots[t : t + 2, drawing]
-                    draw = _thompson_means(lower, info_col[drawing], features[drawing], pair)
-                    arm[drawing] = draw.argmax(axis=1)
             arms[t] = arm
             row = pair_rows + arm
             precision += terms(row)
             info += flat_features.take(row, axis=0) * flat_scaled.take(round_rows[t] + arm, axis=0)
-        if all_draw == n:
-            check_pivots()
+        done = pivots[:last]
+        # Passing task-wide implies passing per matrix, and is cheaper.
+        if not done.min(initial=np.inf) >= PIVOT_FLOOR * done.max(initial=0.0):
+            passed = _pivots_pass(done).all(axis=1)
+            first = passed.argmin()
+            if not passed[first]:
+                start = np.stack([p.precision for p in posts])
+                for arm in arms[:first]:
+                    start += terms(pair_rows + arm)
+                _factor(start[free > first], "linear task posterior sampling")
     for r, post in enumerate(posts):
         post.precision, post.info = precision[r], info[r]
     return arms.T

@@ -17,7 +17,8 @@ from metats.envs import (
     sample_task_instance,
 )
 from metats.harness import check_widths
-from metats.posteriors import sample_meta_posterior
+from metats import posteriors
+from metats.posteriors import NumericalError, _spd_solve, sample_meta_posterior
 from metats.rng import derive_stream
 
 
@@ -141,6 +142,40 @@ def test_linear_meta_prior_requires_spd():
         LinearState(
             mu=np.zeros(2), Lambda=np.eye(2), Sigma=np.eye(2), sigma=1.0, features=np.zeros(3)
         )
+
+
+SIGMAS = [
+    np.eye(2),
+    np.array([[0.04, 0.01], [0.01, 0.09]]),
+    np.array([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 0.5]]),
+    np.diag([1.0, 1e-25]),  # positive-definite, but a pivot 3.2e-13 of the largest
+]
+
+
+@pytest.mark.parametrize("Sigma", SIGMAS)
+def test_sigma_is_factored_once_per_build(monkeypatch, Sigma):
+    # The Cholesky factor that shows Sigma positive-definite also solves
+    # Sigma^-1, with _spd_solve's bits; where the pivot floor refuses it, the
+    # inverse is left to the step that needs it, and that step raises.
+    d, factored = len(Sigma), []
+    for module, name in [(np.linalg, "cholesky"), (posteriors, "_cholesky")]:
+
+        def counted(mat, _fn=getattr(module, name), **kwargs):
+            factored.append(np.asarray(mat).tobytes() == Sigma.tobytes())
+            return _fn(mat, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    prior = LinearGaussianPrior(np.zeros(d), Sigma, np.eye(d), 1.0)
+    state = LinearState(np.zeros(d), 2.0 * np.eye(d), Sigma, 1.0, np.eye(d))
+    monkeypatch.undo()
+    assert factored == [True, False, True]  # the prior's Sigma; the state's Lambda, Sigma
+    for built in (prior, state):
+        if Sigma is SIGMAS[-1]:
+            assert built._sigma_inv is None
+            with pytest.raises(NumericalError, match="pivot below 1e-12"):
+                _spd_solve(Sigma, np.eye(d), "Sigma inverse")
+        else:
+            assert built._sigma_inv.tobytes() == _spd_solve(Sigma, np.eye(d), "inverse").tobytes()
 
 
 def test_categorical_degenerate_weights_select_first():

@@ -79,6 +79,15 @@ def linear_posts(precisions):
     ]
 
 
+def forced_posts(scales):
+    """Linear posteriors at identity precision and zero info, one per scale c,
+    each with K = 3 feature rows [c, 0] and sigma = 1."""
+    return [
+        LinearGaussianPosterior(np.eye(2), np.zeros(2), 1.0, np.array([[c, 0.0]] * 3))
+        for c in scales
+    ]
+
+
 def play_one_round(posts):
     """One drawn round of the posts in lockstep, as a run's chunk plays it."""
     gens = [np.random.default_rng(i) for i in range(len(posts))]
@@ -343,6 +352,43 @@ class TestSampleTaskPosterior:
         )
         for post in posts:
             assert post.precision.tobytes() == np.eye(2).tobytes()
+        # Rounds 3 to 5 are partial: pair 0 pulls its forced arms. Pair 1
+        # crosses the floor at round 3 (c = 6.5e11) or 4 (5.5e11), and pair
+        # 0's precision at round 3 (7e11, condition number 1.470e+24), but
+        # only the drawing pairs' pivots are checked, and only theirs make
+        # the error, as checking each partial round at once did.
+        for scale, cond in [(6.5e11, "1.267e+24"), (5.5e11, "1.210e+24")]:
+            posts = forced_posts([7e11, scale, 0.5])
+            gens = [np.random.default_rng(i) for i in range(3)]
+            with pytest.raises(NumericalError) as raised:
+                play_linear(posts, gens, np.zeros((3, 6, 3)), (3, 6, 6))
+            assert str(raised.value) == (
+                "linear task posterior sampling: Cholesky pivot below 1e-12 of the largest "
+                f"pivot (condition number {cond})"
+            )
+            for post in posts:
+                assert post.precision.tobytes() == np.eye(2).tobytes()
+        # Alone, pair 0 passes the floor in its drawn rounds (ratio 1.01e-12
+        # after two absorbs) and fails it in its forced ones: the task plays.
+        posts = forced_posts([7e11, 0.5, 0.5])
+        gens = [np.random.default_rng(i) for i in range(3)]
+        arms = play_linear(posts, gens, np.zeros((3, 6, 3)), (3, 6, 6))
+        assert arms.tolist() == [[0, 0, 0, 0, 1, 2], [0] * 6, [0] * 6]
+        for post, first in zip(posts, [2.94e24, 2.5, 2.5]):
+            assert post.precision.tobytes() == np.array([[first, 0.0], [0.0, 1.0]]).tobytes()
+
+    def test_play_linear_refuses_what_it_cannot_play(self):
+        # free = 2 at K = 2, n = 6 would pull arms 2 and 3, read from the next
+        # pair's rows; a free or gen missing leaves a pair unplayed.
+        # Each is refused before any draw.
+        rewards = np.zeros((3, 6, 2))
+        for free, num_gens in [([2, 6, 6], 3), ([4, 6, 7], 3), ([6, 6], 3), ([6] * 3, 2)]:
+            gens = [np.random.default_rng(i) for i in range(num_gens)]
+            posts = linear_posts([np.eye(2)] * 3)
+            with pytest.raises(ValueError, match=r"free in \[n - K, n\] = \[4, 6\]"):
+                play_linear(posts, gens, rewards, free)
+            fresh = [np.random.default_rng(i).bit_generator.state for i in range(num_gens)]
+            assert [gen.bit_generator.state for gen in gens] == fresh
 
     def test_linear_sample_covariance(self):
         # Empirical covariance of theta-samples (recovered through identity
