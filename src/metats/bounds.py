@@ -277,6 +277,8 @@ def check_technical_lemmas(trials: int = 10_000, seed: int = 0) -> dict:
     sqrt(a)) <= 2 sqrt(n), and for a > 0: sum 1/(i+a) <= log(1 + n/a).
     Sums are computed directly, not by the integral approximation under test.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     stream = derive_stream(seed, 0, 0, 0)
     failures = 0
     worst_sqrt = -math.inf
@@ -360,14 +362,17 @@ def bounds_report(
     """JSON-shaped summary of every evaluator at the given params.
 
     With certify=True the Monte Carlo certifications are appended; they cost
-    on the order of runs * m * n simulated rounds.
+    on the order of runs * m * n simulated rounds. Bad arguments are refused
+    before they start: the Lemma 3 config holds the Lemma 1 run's runs and
+    task shape, and the technical lemmas (their own stream) run first.
     """
     report = {"params": asdict(p), **_evaluate(p), "empirical": None, "violation_frequency": None}
     if certify:
+        if not 0.0 < lemma3_delta < 1.0:
+            raise ValueError(f"lemma3_delta must be in (0, 1), got {lemma3_delta!r}")
         config = certify_config(p, master_seed)
-        lemma1 = certify_lemma1(config, R=runs)
-        report["empirical"] = lemma1.to_json_dict()
-        lemma3 = run_experiment(lemma3_config(config, R=runs))
-        report["violation_frequency"] = certify_lemma3(lemma3, delta=lemma3_delta)
+        lemma3 = lemma3_config(config, R=runs)
         report["technical_lemmas"] = check_technical_lemmas(trials=trials)
+        report["empirical"] = certify_lemma1(config, R=runs).to_json_dict()
+        report["violation_frequency"] = certify_lemma3(run_experiment(lemma3), delta=lemma3_delta)
     return report

@@ -10,7 +10,9 @@ whose arm means are a fixed feature matrix times a latent parameter vector.
 
 A meta-prior is the meta-posterior at zero tasks, so one class per family
 holds both: CategoricalWeights, GaussianDiagState and LinearState. The meta
-updates in posteriors refine these states task by task.
+updates in posteriors refine these states task by task. Every linear Sigma
+and Lambda passes one rule where it is built, _check_spd; a prior or state
+keeps Sigma^-1 solved from the factor that checked it, a state Lambda's.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .special import log_gamma
+from .special import PIVOT_FLOOR, _cholesky, _pivots_pass, _solve, log_gamma
 
 __all__ = [
     "BetaProductPrior",
@@ -93,32 +95,33 @@ def check_weights(weights: np.ndarray, name: str = "weights") -> None:
         raise ValueError(f"{name} must be nonnegative and sum to 1 within 1e-9")
 
 
-def _check_spd(mat, name: str) -> tuple:
-    """Validate a symmetric positive-definite matrix; returns it as an array,
-    with the Cholesky factor that showed it positive-definite."""
+def _check_spd(mat, name: str, d: int) -> tuple:
+    """The one rule for a linear Sigma or Lambda: a finite symmetric d x d
+    matrix (d >= 1) whose Cholesky factor passes the pivot floor. Returns it
+    as an array, with that factor; a failure is a ValueError naming it."""
     m = np.asarray(mat, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be a square matrix")
+    if m.shape != (d, d):
+        raise ValueError(f"{name} must be d x d at d = {d}, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} must be finite")
-    if np.max(np.abs(m - m.T), initial=0.0) > 1e-12:
+    if np.max(np.abs(m - m.T)) > 1e-12:
         raise ValueError(f"{name} must be symmetric within 1e-12")
-    try:
-        return m, np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        raise ValueError(f"{name} must be positive-definite") from None
+    with np.errstate(all="ignore"):
+        lower = _cholesky(m)
+    if np.isnan(lower).all():  # LAPACK refused it
+        raise ValueError(f"{name} must be positive-definite")
+    if not _pivots_pass(lower.diagonal()):
+        raise ValueError(f"{name} must have no Cholesky pivot below {PIVOT_FLOOR:g} of its largest")
+    return m, lower
 
 
-def _inherit_sigma(obj, inverse) -> None:
-    """Keep Sigma^-1 on a linear prior or state: one inherited with a checked Sigma,
-    or solved here from the factor that checked Sigma, the one LAPACK call
-    _spd_solve makes (None where the pivot floor refuses it)."""
+def _inherit_sigma(obj, inverse, d: int) -> None:
+    """Keep Sigma^-1 on a linear prior or state: one inherited with a checked
+    Sigma, or solved here from the factor that checked Sigma."""
     if inverse is None:
-        obj.Sigma, lower = _check_spd(obj.Sigma, "Sigma")
-        from .posteriors import _pivots_pass, _solve  # posteriors imports envs
-        if _pivots_pass(lower.diagonal()):
-            with np.errstate(all="ignore"):
-                inverse = _solve(lower.T, _solve(lower, np.eye(len(lower))))
+        obj.Sigma, lower = _check_spd(obj.Sigma, "Sigma", d)
+        with np.errstate(all="ignore"):
+            inverse = _solve(lower.T, _solve(lower, np.eye(d)))
     obj._sigma_inv = inverse
 
 
@@ -171,16 +174,14 @@ class LinearGaussianPrior:
     features: np.ndarray
     sigma: float
     _inherited_inverse: InitVar[np.ndarray] = None
-    _sigma_inv: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _sigma_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, _inherited_inverse):
         self.theta_0 = _as_vector(self.theta_0, "theta_0")
         self.sigma = _width(self.sigma, "sigma")
-        _inherit_sigma(self, _inherited_inverse)
-        self.features = np.asarray(self.features, dtype=float)
         d = self.theta_0.size
-        if self.Sigma.shape != (d, d):
-            raise ValueError("Sigma shape must match theta_0 dimension")
+        _inherit_sigma(self, _inherited_inverse, d)
+        self.features = np.asarray(self.features, dtype=float)
         if self.features.ndim != 2 or self.features.shape[1] != d:
             raise ValueError("features must be a K x d matrix")
 
@@ -200,14 +201,16 @@ class CategoricalWeights:
     The categorical meta-prior is this state at zero tasks; each completed
     task reweights the candidates by their evidence. _terms, the count-free
     evidence terms (_candidate_terms), is computed when the first state of a
-    candidate set is built and handed by the meta-update to every successor.
+    candidate set is built and handed by the meta-update to every successor
+    (_inherited_terms); replace() recomputes it.
     """
 
     weights: np.ndarray
     priors: tuple
-    _terms: np.ndarray = field(default=None, repr=False, compare=False)
+    _inherited_terms: InitVar[np.ndarray] = None
+    _terms: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _inherited_terms):
         self.weights = _as_vector(self.weights, "weights")
         self.priors = tuple(self.priors)
         if self.weights.size != len(self.priors):
@@ -216,8 +219,8 @@ class CategoricalWeights:
         arms = {p.num_arms for p in self.priors}
         if len(arms) != 1:
             raise ValueError("all candidate priors must share the arm count")
-        if self._terms is None:
-            self._terms = _candidate_terms(self.priors)
+        terms = _inherited_terms
+        self._terms = _candidate_terms(self.priors) if terms is None else terms
 
 
 def _candidate_terms(priors) -> np.ndarray:
@@ -259,8 +262,9 @@ class LinearState:
 
     The meta-prior N(0, sigma_q^2 I_d) is this state at zero tasks (mu = 0,
     Lambda = I / sigma_q^2). Sigma is the known task covariance, sigma the
-    reward noise and features the run's K x d arm features (Sigma^-1 kept as
-    on LinearGaussianPrior).
+    reward noise and features the run's K x d arm features. Sigma^-1 is kept
+    as on LinearGaussianPrior, and _lambda_lower, the factor that checked
+    Lambda, for the meta-posterior sample; replace() recomputes both.
     """
 
     mu: np.ndarray
@@ -269,17 +273,16 @@ class LinearState:
     sigma: float
     features: np.ndarray
     _inherited_inverse: InitVar[np.ndarray] = None
-    _sigma_inv: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _sigma_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    _lambda_lower: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, _inherited_inverse):
         self.mu = _as_vector(self.mu, "mu")
-        self.Lambda = _check_spd(self.Lambda, "Lambda")[0]
-        _inherit_sigma(self, _inherited_inverse)
+        d = self.mu.size
+        self.Lambda, self._lambda_lower = _check_spd(self.Lambda, "Lambda", d)
+        _inherit_sigma(self, _inherited_inverse, d)
         self.sigma = _width(self.sigma, "sigma")
         self.features = np.asarray(self.features, dtype=float)
-        d = self.mu.size
-        if self.Lambda.shape != (d, d) or self.Sigma.shape != (d, d):
-            raise ValueError("Lambda and Sigma must be d x d")
         if self.features.ndim != 2 or self.features.shape[1] != d:
             raise ValueError("features must be a K x d matrix")
 

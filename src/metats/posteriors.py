@@ -15,13 +15,10 @@ and absorb terms built once per task. The step API (sample_task_posterior,
 update_task_posterior) takes the same bits from ``thompson(gen)`` and
 ``absorb(arm, reward)``, one round's sample and one observation.
 
-Every Cholesky factor and solve goes through one seam, _cholesky and
-_solve, which call numpy's linalg gufuncs (numpy.linalg._umath_linalg)
-directly: the same LAPACK calls np.linalg makes, so the same bits, without
-the wrapper's type checks and per-call errstate (three to four times the
-LAPACK call at a few 2 x 2 systems). The callers hold the flags silenced
-and read a failure from its NaNs. Linear priors and states keep Sigma^-1,
-solved once per run, for the task-posterior start and the meta-update.
+Every Cholesky factor and solve goes through the LAPACK seam in special
+(_cholesky, _solve), the flags silenced by the caller; _factor refuses a
+factor below the pivot floor. Linear priors and states are checked where
+they are built (envs._check_spd) and keep Sigma^-1, states Lambda's factor.
 
 Across tasks the agent holds a meta-posterior over instance priors, updated
 exactly once per completed task from the task's full interaction log. A
@@ -42,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .envs import (
     BetaProductPrior,
@@ -54,7 +50,7 @@ from .envs import (
     _candidate_terms,
     _sample_prior,
 )
-from .special import log_gamma
+from .special import PIVOT_FLOOR, _cholesky, _pivots_pass, _solve, log_gamma
 
 __all__ = [
     "NumericalError",
@@ -78,38 +74,21 @@ __all__ = [
 ]
 
 WEIGHT_FLOOR = 1e-300
-PIVOT_FLOOR = 1e-12
 
 
 class NumericalError(RuntimeError):
     """A linear solve was refused because the system is numerically singular."""
 
 
-def _cholesky(mat: np.ndarray) -> np.ndarray:
-    """np.linalg.cholesky's LAPACK call without its wrapper: the same bits,
-    NaNs where a matrix is not positive-definite, and no floating-point check.
-    The caller holds the flags silenced (np.errstate), as np.linalg does."""
-    return _umath_linalg.cholesky_lo(mat, signature="d->d")
-
-
-def _solve(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    """np.linalg.solve's LAPACK call without its wrapper, flags as in _cholesky."""
-    return (_umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve)(
-        a, b, signature="dd->d", out=out
-    )
-
-
-def _pivots_pass(pivots: np.ndarray) -> np.ndarray:
-    """Whether each factor's least pivot of diagonals (..., d) is at least PIVOT_FLOOR
-    times its largest (not if NaN); elementwise passes beat short-axis reductions."""
-    low = high = pivots[..., 0]
-    for j in range(1, pivots.shape[-1]):
-        low, high = np.minimum(low, pivots[..., j]), np.maximum(high, pivots[..., j])
-    return low >= PIVOT_FLOOR * high
-
-
 def _factor(mat: np.ndarray, context: str) -> np.ndarray:
-    """_spd_factor for a caller that already holds the flags silenced."""
+    """Cholesky factor of an SPD matrix, or of each matrix of a (R, d, d) stack.
+
+    An explicit pivot floor replaces silent regularization. The floor is
+    PIVOT_FLOOR times each matrix's largest pivot, so it bounds conditioning,
+    not scale. A matrix LAPACK refuses comes back as NaNs, and so does a NaN
+    matrix, so the floor check is written to fail on a NaN pivot. The caller
+    holds the flags silenced.
+    """
     lower = _cholesky(mat)
     if _pivots_pass(lower.diagonal(0, -2, -1)).all():
         return lower
@@ -127,29 +106,10 @@ def _factor(mat: np.ndarray, context: str) -> np.ndarray:
     raise NumericalError(f"{context}: {problem} (condition number {cond:.3e})")
 
 
-def _spd_factor(mat: np.ndarray, context: str) -> np.ndarray:
-    """Cholesky factor of an SPD matrix, or of each matrix of a (R, d, d) stack.
-
-    An explicit pivot floor replaces silent regularization. The floor is
-    PIVOT_FLOOR times each matrix's largest pivot, so it bounds conditioning,
-    not scale. A matrix LAPACK refuses comes back as NaNs, and so does a NaN
-    matrix, so the floor check is written to fail on a NaN pivot.
-    """
-    with np.errstate(all="ignore"):
-        return _factor(mat, context)
-
-
 def _spd_solve(mat: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    lower = _spd_factor(mat, context)
     with np.errstate(all="ignore"):
+        lower = _factor(mat, context)
         return _solve(lower.T, _solve(lower, rhs))
-
-
-def _sigma_inverse(obj, context: str) -> np.ndarray:
-    """A linear prior's or state's Sigma^-1, or where it failed, context's error."""
-    if obj._sigma_inv is None:
-        return _spd_solve(obj.Sigma, np.eye(len(obj.Sigma)), context)
-    return obj._sigma_inv
 
 
 def _check_binary(rewards: np.ndarray) -> None:
@@ -162,7 +122,7 @@ def _check_binary(rewards: np.ndarray) -> None:
 class TaskLog:
     """Interaction record of one task: the pulled arms and their rewards, in
     round order, as a 1-D int array and a 1-D float array. Built once from
-    whole arrays; every arm is checked against K."""
+    whole arrays; every arm is checked against K, every reward is finite."""
 
     num_arms: int
     arms: np.ndarray = ()
@@ -181,6 +141,9 @@ class TaskLog:
         if self.arms.size and self.arms.view(np.uint64).max() >= self.num_arms:
             bad = int(self.arms[(self.arms < 0) | (self.arms >= self.num_arms)][0])
             raise ValueError(f"arm {bad} out of range for K={self.num_arms}")
+        if np.count_nonzero(np.isfinite(self.rewards)) != self.rewards.size:  # half .all()'s cost
+            bad = float(self.rewards[~np.isfinite(self.rewards)][0])
+            raise ValueError(f"task log rewards must be finite; got {bad!r}")
 
     def __len__(self) -> int:
         return len(self.arms)
@@ -492,8 +455,7 @@ def init_task_posterior(prior):
             sums=[0.0] * k,
         )
     if isinstance(prior, LinearGaussianPrior):
-        precision = _sigma_inverse(prior, "linear prior covariance inverse")
-        precision = 0.5 * (precision + precision.T)
+        precision = 0.5 * (prior._sigma_inv + prior._sigma_inv.T)
         info = precision @ prior.theta_0
         return LinearGaussianPosterior(precision, info, prior.sigma, prior.features)
     raise TypeError(f"not an instance prior: {type(prior).__name__}")
@@ -640,7 +602,7 @@ def update_meta_posterior_linear(meta: LinearState, log: TaskLog) -> LinearState
     sig2 = meta.sigma**2
     s_t = x_rows.T @ x_rows / sig2
     c_t = x_rows.T @ y / sig2
-    inner = _sigma_inverse(meta, "task covariance inverse") + s_t
+    inner = meta._sigma_inv + s_t
     correction = _spd_solve(inner, np.column_stack([s_t, c_t]), "linear meta update (woodbury)")
     lam_new = meta.Lambda + s_t - s_t @ correction[:, :-1]
     rhs = meta.Lambda @ meta.mu + c_t - s_t @ correction[:, -1]
@@ -652,9 +614,8 @@ def update_meta_posterior_linear(meta: LinearState, log: TaskLog) -> LinearState
 def sample_meta_posterior(meta, stream: np.random.Generator):
     """Draw one instance prior from the current meta-posterior."""
     if isinstance(meta, LinearState):
-        lower = _spd_factor(meta.Lambda, "linear meta posterior sampling")
         z = stream.normal(0.0, 1.0, size=meta.mu.size)
         with np.errstate(all="ignore"):
-            theta_0 = meta.mu + _solve(lower.T, z)
+            theta_0 = meta.mu + _solve(meta._lambda_lower.T, z)
         return LinearGaussianPrior(theta_0, meta.Sigma, meta.features, meta.sigma, meta._sigma_inv)
     return _sample_prior(meta, stream)

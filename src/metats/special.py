@@ -1,10 +1,40 @@
-"""Scalar special functions needed by the conjugate posterior updates."""
+"""Special functions, and the LAPACK seam of envs and posteriors: _cholesky
+and _solve call numpy's linalg gufuncs (numpy.linalg._umath_linalg), the
+LAPACK calls and bits of np.linalg without its type checks and per-call
+errstate, and _pivots_pass is the pivot floor every linear factor passes."""
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = ["log_gamma"]
+
+PIVOT_FLOOR = 1e-12
+
+
+def _cholesky(mat: np.ndarray) -> np.ndarray:
+    """np.linalg.cholesky's LAPACK call without its wrapper: the same bits,
+    NaNs where a matrix is not positive-definite, and no floating-point check.
+    The caller holds the flags silenced (np.errstate), as np.linalg does."""
+    return _umath_linalg.cholesky_lo(mat, signature="d->d")
+
+
+def _solve(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """np.linalg.solve's LAPACK call without its wrapper, flags as in _cholesky."""
+    return (_umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve)(
+        a, b, signature="dd->d", out=out
+    )
+
+
+def _pivots_pass(pivots: np.ndarray) -> np.ndarray:
+    """Whether each factor's least pivot of diagonals (..., d) is at least PIVOT_FLOOR
+    times its largest (not if NaN); elementwise passes beat short-axis reductions."""
+    low = high = pivots[..., 0]
+    for j in range(1, pivots.shape[-1]):
+        low, high = np.minimum(low, pivots[..., j]), np.maximum(high, pivots[..., j])
+    return low >= PIVOT_FLOOR * high
+
 
 # Lanczos approximation, g = 607/128, 15 terms (Godfrey/Pugh coefficient set).
 # Relative accuracy is near machine epsilon over the whole positive axis.

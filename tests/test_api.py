@@ -72,6 +72,34 @@ def test_an_unused_import_is_found():
     assert unused_imports(source) == ["os (line 1)", "pi (line 3)"]
 
 
+def reaches_lapack_gufuncs(source: str) -> bool:
+    """Whether a module imports numpy.linalg._umath_linalg, or reads it as an attribute."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            names = [node.attr] if isinstance(node, ast.Attribute) else []
+        if any("_umath_linalg" in name.split(".") for name in names):
+            return True
+    return False
+
+
+def test_only_special_reaches_lapack_gufuncs():
+    # The LAPACK seam (_cholesky, _solve) lives in special; every other
+    # module factors and solves through it.
+    reaching = []
+    for path in SOURCES:
+        with open(path, encoding="utf-8") as f:
+            if reaches_lapack_gufuncs(f.read()):
+                reaching.append(os.path.basename(path))
+    assert reaching == ["special.py"]
+    assert reaches_lapack_gufuncs("from numpy.linalg._umath_linalg import solve\n")
+    assert reaches_lapack_gufuncs("import numpy as np\nf = np.linalg._umath_linalg.solve\n")
+    assert not reaches_lapack_gufuncs("from numpy.linalg import solve\n")
+
+
 def unreferenced_definitions(sources: dict) -> list:
     """Module-level functions, classes and constants of the given modules
     (file name -> source) that none of them reads outside the definition

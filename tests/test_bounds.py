@@ -413,6 +413,10 @@ class TestTechnicalLemmas:
         b = check_technical_lemmas(trials=200, seed=5)
         assert a == b
 
+    def test_negative_trials_named(self):
+        with pytest.raises(ValueError, match="^trials must be >= 0, got -1$"):
+            check_technical_lemmas(trials=-1)
+
     @pytest.mark.parametrize("trials, seed", [(0, 0), (50, 1), (500, 3), (2000, 7)])
     def test_matches_per_case_formula(self, trials, seed):
         # The buffered evaluation must return the very dict of fresh arrays
@@ -596,6 +600,26 @@ class TestBoundsReport:
         assert report["empirical"]["passed"] is True
         assert 0.0 <= report["violation_frequency"] <= 1.0
         assert report["technical_lemmas"]["passed"] is True
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"lemma3_delta": 2.0}, r"^lemma3_delta must be in \(0, 1\), got 2.0$"),
+            ({"lemma3_delta": math.nan}, r"^lemma3_delta must be in \(0, 1\), got nan$"),
+            ({"trials": -1}, r"^trials must be >= 0, got -1$"),
+            # The Lemma 1 run (600000 cells) fits; the Lemma 3 run (1.2e7) does not.
+            ({"runs": 600_000}, r"^runs \* m \* agents must be <= 10000000"),
+        ],
+    )
+    def test_certified_report_refuses_bad_arguments_before_simulating(
+        self, monkeypatch, kwargs, message
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a simulation started")
+
+        monkeypatch.setattr(harness, "_simulate_runs", no_simulation)
+        with pytest.raises(ValueError, match=message):
+            bounds_report(SEC5, certify=True, **kwargs)
 
     def test_certified_report_runs_both_simulations_through_run_experiment(self, monkeypatch):
         # Benchmarks time bounds.run_experiment and bounds.certify_lemma3

@@ -1,5 +1,7 @@
 """Generative hierarchy: meta-priors, instance priors, instances, rewards."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,8 +19,13 @@ from metats.envs import (
     sample_task_instance,
 )
 from metats.harness import check_widths
-from metats import posteriors
-from metats.posteriors import NumericalError, _spd_solve, sample_meta_posterior
+from metats import envs
+from metats.posteriors import (
+    TaskLog,
+    _spd_solve,
+    sample_meta_posterior,
+    update_meta_posterior_categorical,
+)
 from metats.rng import derive_stream
 
 
@@ -144,6 +151,60 @@ def test_linear_meta_prior_requires_spd():
         )
 
 
+def test_pivot_floor_refused_when_built():
+    # Positive-definite, but a pivot 3.2e-13 of the largest: refused by name.
+    skewed = np.diag([1.0, 1e-25])
+    floor = "must have no Cholesky pivot below 1e-12 of its largest$"
+    with pytest.raises(ValueError, match="^Lambda " + floor):
+        linear_meta(skewed)
+    with pytest.raises(ValueError, match="^Sigma " + floor):
+        linear_meta(np.eye(2), Sigma=skewed)
+    with pytest.raises(ValueError, match="^Sigma " + floor):
+        LinearGaussianPrior(np.zeros(2), skewed, np.eye(2), 1.0)
+
+
+def test_linear_shapes_refused_before_factoring(monkeypatch):
+    # A Sigma or Lambda of the wrong shape, an empty one too, is refused by
+    # name before anything is factored.
+    factored = []
+
+    def counted(mat, _fn=envs._cholesky):
+        factored.append(mat.shape)
+        return _fn(mat)
+
+    monkeypatch.setattr(envs, "_cholesky", counted)
+    shape = r"^{} must be d x d at d = {}, got shape \({}, {}\)$"
+    with pytest.raises(ValueError, match=shape.format("Sigma", 1, 0, 0)):
+        LinearGaussianPrior([0.0], np.zeros((0, 0)), [[1.0]], 1.0)
+    with pytest.raises(ValueError, match=shape.format("Sigma", 2, 3, 3)):
+        LinearGaussianPrior(np.zeros(2), np.eye(3), np.eye(2), 1.0)
+    with pytest.raises(ValueError, match=shape.format("Lambda", 1, 0, 0)):
+        LinearState([0.0], np.zeros((0, 0)), [[1.0]], 1.0, [[1.0]])
+    assert factored == []
+    with pytest.raises(ValueError, match=shape.format("Sigma", 1, 0, 0)):
+        LinearState([0.0], [[1.0]], np.zeros((0, 0)), 1.0, [[1.0]])
+    assert factored == [(1, 1)]  # Lambda's
+
+
+def test_replace_recomputes_cached_factors_and_terms():
+    # A state made by replace() holds the cached terms of its own matrices
+    # and priors, as one built afresh; the meta-update hands the terms on.
+    p1, p2 = beta_pair()
+    c = BetaProductPrior(alpha=np.array([1.0, 9.0]), beta=np.array([9.0, 1.0]))
+    d = BetaProductPrior(alpha=np.array([9.0, 1.0]), beta=np.array([1.0, 9.0]))
+    log = TaskLog(2, [0, 1, 1], [1.0, 0.0, 1.0])
+    meta = CategoricalWeights(weights=np.array([0.5, 0.5]), priors=(p1, p2))
+    fresh = CategoricalWeights(weights=np.array([0.5, 0.5]), priors=(c, d))
+    replaced = update_meta_posterior_categorical(replace(meta, priors=(c, d)), log)
+    updated = update_meta_posterior_categorical(fresh, log)
+    assert replaced.weights.tobytes() == updated.weights.tobytes()
+    assert updated._terms is fresh._terms
+    Lambda, Sigma = np.diag([4.0, 2.0]), np.diag([4.0, 9.0])
+    state = replace(linear_meta(np.eye(2)), Lambda=Lambda, Sigma=Sigma)
+    assert state._lambda_lower.tobytes() == np.linalg.cholesky(Lambda).tobytes()
+    assert state._sigma_inv.tobytes() == _spd_solve(Sigma, np.eye(2), "inverse").tobytes()
+
+
 SIGMAS = [
     np.eye(2),
     np.array([[0.04, 0.01], [0.01, 0.09]]),
@@ -154,28 +215,30 @@ SIGMAS = [
 
 @pytest.mark.parametrize("Sigma", SIGMAS)
 def test_sigma_is_factored_once_per_build(monkeypatch, Sigma):
-    # The Cholesky factor that shows Sigma positive-definite also solves
-    # Sigma^-1, with _spd_solve's bits; where the pivot floor refuses it, the
-    # inverse is left to the step that needs it, and that step raises.
+    # The Cholesky factor that checks Sigma also solves Sigma^-1, with
+    # _spd_solve's bits; a Sigma that fails the pivot floor is refused when
+    # built, naming it.
     d, factored = len(Sigma), []
-    for module, name in [(np.linalg, "cholesky"), (posteriors, "_cholesky")]:
+    for module, name in [(np.linalg, "cholesky"), (envs, "_cholesky")]:
 
         def counted(mat, _fn=getattr(module, name), **kwargs):
             factored.append(np.asarray(mat).tobytes() == Sigma.tobytes())
             return _fn(mat, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
+    if Sigma is SIGMAS[-1]:
+        with pytest.raises(ValueError, match="^Sigma must have no Cholesky pivot below 1e-12"):
+            LinearGaussianPrior(np.zeros(d), Sigma, np.eye(d), 1.0)
+        with pytest.raises(ValueError, match="^Sigma must have no Cholesky pivot below 1e-12"):
+            LinearState(np.zeros(d), 2.0 * np.eye(d), Sigma, 1.0, np.eye(d))
+        assert factored == [True, False, True]
+        return
     prior = LinearGaussianPrior(np.zeros(d), Sigma, np.eye(d), 1.0)
     state = LinearState(np.zeros(d), 2.0 * np.eye(d), Sigma, 1.0, np.eye(d))
     monkeypatch.undo()
     assert factored == [True, False, True]  # the prior's Sigma; the state's Lambda, Sigma
     for built in (prior, state):
-        if Sigma is SIGMAS[-1]:
-            assert built._sigma_inv is None
-            with pytest.raises(NumericalError, match="pivot below 1e-12"):
-                _spd_solve(Sigma, np.eye(d), "Sigma inverse")
-        else:
-            assert built._sigma_inv.tobytes() == _spd_solve(Sigma, np.eye(d), "inverse").tobytes()
+        assert built._sigma_inv.tobytes() == _spd_solve(Sigma, np.eye(d), "inverse").tobytes()
 
 
 def test_categorical_degenerate_weights_select_first():

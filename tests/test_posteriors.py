@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metats import envs, posteriors
 from metats.envs import (
     BetaProductPrior,
     GaussianDiagPrior,
@@ -39,7 +40,7 @@ from metats.posteriors import (
     update_meta_posteriors,
     update_task_posterior,
 )
-from metats.posteriors import _cholesky, _solve, _spd_factor
+from metats.posteriors import _cholesky, _factor, _solve
 from metats.rng import derive_stream
 from metats.selftest import direct_linear_meta_update
 from metats.special import log_gamma
@@ -111,6 +112,11 @@ class TestTaskLog:
             TaskLog(2, [0, 2], [1.0, 1.0])
         with pytest.raises(ValueError, match="arm -1 out of range for K=2"):
             TaskLog(2, [1, -1], [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_reward_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"^task log rewards must be finite; got {bad!r}$"):
+            TaskLog(2, [0, 1], [0.5, bad])
 
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError, match="one reward per arm"):
@@ -432,7 +438,8 @@ def test_seam_equals_numpy_linalg(case):
     r, d, _ = mats.shape
     lower = _cholesky(mats)
     assert lower.tobytes() == np.linalg.cholesky(mats).tobytes()
-    assert _spd_factor(mats, "seam").tobytes() == lower.tobytes()
+    with np.errstate(all="ignore"):
+        assert _factor(mats, "seam").tobytes() == lower.tobytes()
     # The upper factor is the swapped view, as _thompson_means passes it.
     upper = np.swapaxes(lower, -1, -2)
     for rhs in (gen.standard_normal(d), gen.standard_normal((r, d, 1))):
@@ -457,12 +464,12 @@ def test_seam_equals_numpy_linalg(case):
     indefinite, nan = mats.copy(), mats.copy()
     indefinite[bad] -= 1.5 * np.eye(d)  # its smallest eigenvalue, 1, goes to -0.5
     nan[bad] = np.nan
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="matrix is not positive-definite"):
-            _spd_factor(indefinite, "seam")
+            _factor(indefinite, "seam")
         with pytest.raises(NumericalError, match="pivot below 1e-12 of the largest pivot"):
-            _spd_factor(nan, "seam")
+            _factor(nan, "seam")
 
 
 # ---------------------------------------------------------------------------
@@ -946,6 +953,30 @@ def random_linear_state(gen, d, num_arms, sigma=1.0):
 
 
 class TestLinearMeta:
+    def test_update_and_sample_factor_three_times(self, monkeypatch):
+        # One Woodbury update factors its inner matrix, the new Lambda for
+        # the mean solve, and the new Lambda once more when the state is
+        # built; the meta sample reads that factor and factors nothing, with
+        # the bits of factoring Lambda there.
+        state = random_linear_state(np.random.default_rng(5), 2, 3)
+        log = make_log(3, [(0, 0.5), (2, -1.0), (1, 0.25)])
+        calls, seams = [], [(envs, "_cholesky"), (posteriors, "_cholesky"), (np.linalg, "cholesky")]
+        for module, name in seams:
+
+            def counted(mat, _fn=getattr(module, name), **kwargs):
+                calls.append(name)
+                return _fn(mat, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        new = update_meta_posterior_linear(state, log)
+        assert len(calls) == 3
+        prior = sample_meta_posterior(new, derive_stream(3, 0, 0, 0))
+        assert len(calls) == 3
+        monkeypatch.undo()
+        z = derive_stream(3, 0, 0, 0).normal(0.0, 1.0, size=2)
+        theta_0 = new.mu + np.linalg.solve(np.linalg.cholesky(new.Lambda).T, z)
+        assert prior.theta_0.tobytes() == theta_0.tobytes()
+
     def test_empty_log_is_identity(self):
         gen = np.random.default_rng(31)
         state = random_linear_state(gen, 2, 4)
@@ -1004,8 +1035,8 @@ class TestLinearMeta:
     def test_singular_task_covariance_raises(self):
         # The Woodbury form inverts the task covariance; a numerically
         # singular Sigma must fail loudly, not silently produce garbage. An
-        # exactly singular one is refused when the state is built; one that
-        # factors but has a pivot below the floor is refused by the update.
+        # exactly singular one, and one that factors but has a pivot below
+        # the floor, are refused when the state is built.
         def state(sigma):
             return LinearState(
                 mu=np.zeros(2),
@@ -1017,9 +1048,8 @@ class TestLinearMeta:
 
         with pytest.raises(ValueError, match="Sigma must be positive-definite"):
             state(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        near_singular = state(np.diag([1.0, 1e-26]))
-        with pytest.raises(NumericalError, match="condition"):
-            update_meta_posterior_linear(near_singular, make_log(2, [(0, 0.5)]))
+        with pytest.raises(ValueError, match="^Sigma must have no Cholesky pivot below 1e-12"):
+            state(np.diag([1.0, 1e-26]))
 
     def test_matches_batch_bayes_oracle(self):
         # Closed-form oracle: integrating theta_s out, a task's rows are
